@@ -16,11 +16,12 @@
 //     closure fast path across many queries, and the sharded Pool fans
 //     concurrent queries and MinCover's redundancy screen across
 //     per-worker Sessions (see the package comment)
-//   - internal/propagation — the Σ |=V φ decision procedures (§3); the
-//     union-pair loop and the general-setting instantiation enumeration
-//     run on a parallel worker group (Options.Parallelism) with
-//     first-counterexample cancellation, byte-identical to the serial
-//     path at every worker count
+//   - internal/propagation — the Σ |=V φ decision procedures (§3); one
+//     schedule executor runs the union-pair loop and the general-setting
+//     instantiation enumeration on Options.Parallelism workers (a single
+//     worker on the calling goroutine at Parallelism 1) with
+//     first-counterexample cancellation, byte-identical at every worker
+//     count
 //   - internal/emptiness — the view-emptiness problem (§3.3)
 //   - internal/core      — PropCFD_SPC: minimal propagation covers (§4)
 //   - internal/closure   — the exponential closure-based baseline
@@ -34,8 +35,8 @@
 //
 // Every long-running entry point is cooperatively cancellable and
 // budgetable. propagation.Options carries a Context, a wall-clock Deadline
-// and a MaxChaseSteps budget (one step pool shared by all workers, so
-// serial and parallel runs exhaust after the same total work);
+// and a MaxChaseSteps budget (one step pool shared by all workers of a
+// call);
 // core.Options and bench.Config thread a Context through the cover
 // algorithms, and implication Sessions/Pools accept one via SetContext.
 // The chase worklists, pair loops and finite-domain enumerations all poll

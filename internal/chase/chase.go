@@ -376,8 +376,8 @@ func (ci *Inst) Concrete(db *rel.DBSchema, allowFinitePick bool) (*rel.Database,
 	out := rel.NewDatabase(db)
 	// Visit relations in sorted order: InstantiateDistinct assigns fresh
 	// constants in resolution order, so the iteration order must be fixed
-	// for counterexamples to be byte-identical across runs (and across the
-	// serial and parallel propagation paths).
+	// for counterexamples to be byte-identical across runs (and across
+	// propagation worker counts).
 	names := make([]string, 0, len(ci.rows))
 	for name := range ci.rows {
 		names = append(names, name)

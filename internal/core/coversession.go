@@ -26,8 +26,9 @@ import (
 // Results are byte-identical to the one-shot algorithms by construction:
 // every cache is keyed by the exact input of a deterministic stage, and
 // cache misses run the same code (propSPCTail, Session.MinCover) the
-// one-shot path runs. The only fields that may differ are UnionResult's
-// MemoHits/MemoMisses, which reflect the memo state of the computing run.
+// one-shot path runs — PropCFDSPCU is a CoverSession used once. The only
+// fields that may differ are UnionResult's MemoHits/MemoMisses, which
+// reflect the memo state of the computing run.
 //
 // A CoverSession is not safe for concurrent use; callers (the daemon entry
 // lock) must serialize access. Returned results are shared with the cache
@@ -213,10 +214,11 @@ func (d *coverSPC) minCoverBuckets(ctx context.Context, db *rel.DBSchema, sigma 
 	return out, nil
 }
 
-// Cover computes the union view's propagation cover — the incremental
-// equivalent of PropCFDSPCU(db, view, sigma, opts) — repairing per-
-// disjunct covers and replaying memoised candidate verdicts across edits.
-// For an unchanged Σ the previous UnionResult is returned outright.
+// Cover computes the union view's propagation cover — PropCFDSPCU's
+// method (see there), over the cached incremental disjunct results —
+// repairing per-disjunct covers and replaying memoised candidate verdicts
+// across edits. For an unchanged Σ the previous UnionResult is returned
+// outright.
 func (cs *CoverSession) Cover(ctx context.Context, sigma []*cfd.CFD) (*UnionResult, error) {
 	opts := cs.opts
 	opts.Context = ctx
@@ -249,8 +251,8 @@ func (cs *CoverSession) Cover(ctx context.Context, sigma []*cfd.CFD) (*UnionResu
 	}
 	cs.lastSigma = sigmaN
 
-	// Candidate pool from the per-disjunct covers (PropCFDSPCU's loop,
-	// over the cached incremental disjunct results).
+	// Candidate pool from the per-disjunct covers: each cover CFD, plus a
+	// variant guarded by its disjunct's constant columns.
 	var candidates []*cfd.CFD
 	for _, d := range cs.disjuncts {
 		res, err := d.cover(cs.db, sigmaN, opts)
@@ -284,6 +286,11 @@ func (cs *CoverSession) Cover(ctx context.Context, sigma []*cfd.CFD) (*UnionResu
 	}
 	candidates = cfd.Dedup(candidates)
 
+	// Exact filtering on the union (PTIME in the infinite-domain setting,
+	// Theorem 3.5). Each candidate's §3 check fans its own pair loop out
+	// over Options.Parallelism workers. The checks share a memo: the
+	// candidates differ only in φ, so the pair-emptiness results and most
+	// pair verdicts computed for one candidate replay for the next.
 	memo := cs.memo
 	if memo == nil {
 		memo = propagation.NewMemo()
@@ -303,6 +310,8 @@ func (cs *CoverSession) Cover(ctx context.Context, sigma []*cfd.CFD) (*UnionResu
 		memoHits += r.MemoHits
 		memoMisses += r.MemoMisses
 		if r.Stopped != propagation.StopNone {
+			// Only Context flows down from here, so a stop means the caller
+			// cancelled; surface it as their context's error.
 			if opts.Context != nil {
 				return nil, opts.Context.Err()
 			}

@@ -45,10 +45,10 @@ type Options struct {
 	SkipFinalMinCover bool
 	// Parallelism is the number of workers the independent sub-problems
 	// fan out over: the per-relation pre-MinCover, RBR's block-wise
-	// pruning, the final MinCover's redundancy screen, and (through
-	// PropCFDSPCU) the §3 decision procedure. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs the serial reference path. The output
-	// is identical at every setting.
+	// pruning, the final MinCover's reduction and redundancy screen, and
+	// (through PropCFDSPCU) the §3 decision procedure. 0 selects
+	// runtime.GOMAXPROCS(0); 1 runs each of them on one worker, on the
+	// same code. The output is identical at every setting.
 	Parallelism int
 	// Memo, when non-nil, caches §3 pair verdicts and pair-emptiness
 	// results across the union-candidate checks of PropCFDSPCU — the
@@ -137,7 +137,7 @@ func optContext(opts Options) context.Context {
 // replaying it over an unchanged sigma reproduces the cover byte for byte.
 // finalSess, when non-nil, supplies a warm implication session for the
 // final MinCover — its output is deterministic in (universe, input) and
-// identical to the session/pool the one-shot path builds.
+// identical to the pool the one-shot path builds.
 func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, sigma []*cfd.CFD, opts Options, finalSess *implication.Session) (*Result, error) {
 	blockSize := opts.RBRBlockSize
 	if blockSize == 0 {
@@ -215,18 +215,13 @@ func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, si
 	// Line 13: return MinCover(Σc ∪ Σd).
 	all := cfd.Dedup(append(append([]*cfd.CFD{}, sigmaC...), sigmaD...))
 	if !opts.SkipFinalMinCover {
-		switch {
-		case finalSess != nil:
+		if finalSess != nil {
 			finalSess.SetContext(ctx)
 			all, err = finalSess.MinCover(all)
-		case par > 1:
+		} else {
 			pool := implication.NewPool(implication.UniverseOf(viewSchema), par)
 			pool.SetContext(ctx)
 			all, err = pool.MinCover(all)
-		default:
-			sess := implication.NewSession(implication.UniverseOf(viewSchema))
-			sess.SetContext(ctx)
-			all, err = sess.MinCover(all)
 		}
 		if err != nil {
 			return nil, err

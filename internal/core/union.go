@@ -1,13 +1,9 @@
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/implication"
-	"cfdprop/internal/propagation"
 	"cfdprop/internal/rel"
 )
 
@@ -37,106 +33,14 @@ type UnionResult struct {
 // guarding each candidate with the constant columns of its own disjunct
 // (that is how R1(zip → street) becomes R([CC=44, zip] → [street]) in
 // Example 1.1); keep exactly the candidates the §3 decision procedure
-// certifies on the union; return their minimal cover.
+// certifies on the union; return their minimal cover. It is a
+// CoverSession used once: CoverSession.Cover holds the candidate loop.
 func PropCFDSPCU(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, opts Options) (*UnionResult, error) {
-	if err := view.Validate(db); err != nil {
-		return nil, err
-	}
-	viewSchema, err := view.ViewSchema(db)
+	cs, err := NewCoverSession(db, view, opts)
 	if err != nil {
 		return nil, err
 	}
-	if db.HasFiniteAttr() && !opts.AllowFiniteDomains {
-		return nil, fmt.Errorf("core: schema has finite-domain attributes; §4 assumes their absence (set Options.AllowFiniteDomains to force)")
-	}
-	if err := cfd.ValidateAll(sigma, db); err != nil {
-		return nil, err
-	}
-	sigmaN := cfd.NormalizeAll(sigma)
-
-	// Candidate pool from the per-disjunct exact covers.
-	var candidates []*cfd.CFD
-	for _, d := range view.Disjuncts {
-		res, err := PropCFDSPC(db, d, sigma, opts)
-		if err != nil {
-			return nil, err
-		}
-		if res.AlwaysEmpty {
-			continue // an empty disjunct constrains nothing on the union
-		}
-		// Collect the disjunct's constant columns as guards.
-		var guards []cfd.Item
-		for _, c := range res.Cover {
-			if attr, val, ok := c.IsConstant(); ok {
-				guards = append(guards, cfd.Item{Attr: attr, Pat: cfd.Eq(val)})
-			}
-		}
-		for _, c := range res.Cover {
-			candidates = append(candidates, c)
-			if c.Equality || len(guards) == 0 {
-				continue
-			}
-			// Guarded variant: condition the CFD on every constant column
-			// it does not already mention.
-			g := c.Clone()
-			for _, gu := range guards {
-				if !g.Mentions(gu.Attr) {
-					g.LHS = append(g.LHS, gu)
-				}
-			}
-			if !g.IsTrivial() {
-				candidates = append(candidates, g)
-			}
-		}
-	}
-	candidates = cfd.Dedup(candidates)
-
-	// Exact filtering on the union (PTIME in the infinite-domain setting,
-	// Theorem 3.5). Each candidate's §3 check fans its own pair loop out
-	// over Options.Parallelism workers. The checks share a memo: the
-	// candidates differ only in φ, so the pair-emptiness results and most
-	// pair verdicts computed for one candidate replay for the next.
-	memo := opts.Memo
-	if memo == nil {
-		memo = propagation.NewMemo()
-	}
-	var kept []*cfd.CFD
-	var memoHits, memoMisses int
-	// The inputs were validated once above (the candidates are covers over
-	// the view schema by construction), so each check skips re-validation.
-	for _, c := range candidates {
-		r, err := propagation.Check(db, view, sigmaN, c, propagation.Options{Parallelism: opts.Parallelism, Context: opts.Context, Memo: memo, Prevalidated: true})
-		if err != nil {
-			return nil, err
-		}
-		memoHits += r.MemoHits
-		memoMisses += r.MemoMisses
-		if r.Stopped != propagation.StopNone {
-			// Only Context flows down from here, so a stop means the caller
-			// cancelled; surface it as their context's error.
-			if opts.Context != nil {
-				return nil, opts.Context.Err()
-			}
-			return nil, context.Canceled
-		}
-		if r.Propagated {
-			kept = append(kept, c)
-		}
-	}
-	u := implication.UniverseOf(viewSchema)
-	finalSess := implication.NewSession(u)
-	finalSess.SetContext(opts.Context)
-	cover, err := finalSess.MinCover(kept)
-	if err != nil {
-		return nil, err
-	}
-	return &UnionResult{
-		Cover:      cover,
-		ViewSchema: viewSchema,
-		Candidates: len(candidates),
-		MemoHits:   memoHits,
-		MemoMisses: memoMisses,
-	}, nil
+	return cs.Cover(opts.Context, sigma)
 }
 
 // IsPropagated decides via the computed cover; since the union cover may

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,11 +114,12 @@ func assertPoolsWhole(t *testing.T, srv *Server, tag string) {
 
 // TestDaemonSurvivesRandomFaults is the core schedule sweep: 170 seeded
 // schedules arm 1–3 faults across the daemon seams (request, cache) and
-// the library seams beneath them, then fire concurrent traffic. Allowed
-// outcomes per request: byte-identical 200, an isolated 500 (injected
-// panic), or a 429/503 shed. Afterwards, with faults cleared, the daemon
-// must answer byte-identically to the direct library call and hold every
-// pool shard.
+// the library seams beneath them, then fire concurrent traffic whose check
+// requests alternate Parallelism 1 and 2. Allowed outcomes per request:
+// byte-identical 200, an isolated 500 (injected panic, counted on
+// /statusz), or a 429/503 shed. Afterwards, with faults cleared, the
+// daemon must answer byte-identically to the direct library call and hold
+// every pool shard.
 func TestDaemonSurvivesRandomFaults(t *testing.T) {
 	defer faultinject.Reset()
 	problem := mustProblem(t, exampleSpecJSON)
@@ -148,7 +150,7 @@ func TestDaemonSurvivesRandomFaults(t *testing.T) {
 	}
 	for seed := int64(0); seed < 170; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		srv, hs := newTestServer(t, Config{MaxInFlight: 2, MaxQueue: 2, QueueWait: 5 * time.Millisecond})
+		srv, hs := newTestServer(t, Config{MaxInFlight: 2, MaxQueue: 2, QueueWait: 5 * time.Millisecond, Parallelism: 2})
 
 		var rules []faultinject.Rule
 		for i := 0; i < 1+rng.Intn(3); i++ {
@@ -166,13 +168,14 @@ func TestDaemonSurvivesRandomFaults(t *testing.T) {
 		faultinject.Install(rules...)
 
 		var wg sync.WaitGroup
+		var internalErrors atomic.Int64
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				phi := phis[g%len(phis)]
 				code, got, err := checkBytes(hs, &CheckRequest{
-					Spec: problem, Phi: phi, WantCounterexample: true, Parallelism: 1,
+					Spec: problem, Phi: phi, WantCounterexample: true, Parallelism: 1 + g/2,
 				})
 				if err != nil {
 					t.Errorf("seed %d: transport: %v", seed, err)
@@ -189,8 +192,12 @@ func TestDaemonSurvivesRandomFaults(t *testing.T) {
 						t.Errorf("seed %d: 200 under faults diverged:\n got %s\nwant %s", seed, got, refs[phi])
 					}
 				case http.StatusInternalServerError:
+					internalErrors.Add(1)
 					if !bytes.Contains(got, []byte("injected panic")) {
 						t.Errorf("seed %d: non-injected 500: %s", seed, got)
+					}
+					if bytes.Contains(got, []byte("goroutine ")) {
+						t.Errorf("seed %d: 500 body carries a stack: %s", seed, got)
 					}
 				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 					// Shed under fault-induced slowness: allowed.
@@ -200,6 +207,9 @@ func TestDaemonSurvivesRandomFaults(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+		if got, want := srv.stats().Panics, internalErrors.Load(); got != want {
+			t.Errorf("seed %d: /statusz counts %d panics for %d 500s", seed, got, want)
+		}
 
 		// Faults off: full recovery, byte-identical answers, no leaked
 		// admission tokens, no leaked pool shards.
@@ -224,6 +234,56 @@ func TestDaemonSurvivesRandomFaults(t *testing.T) {
 		}
 		assertPoolsWhole(t, srv, fmt.Sprintf("seed %d", seed))
 		hs.Close()
+	}
+}
+
+// TestCoverWorkerPanicIs500: a panic inside a library worker of a
+// /v1/cover computation — here a §3 pair worker of the union candidate
+// filter, which recovers it — answers 500 with the panic value and no
+// stack, counts on /statusz, and leaves the universe serving its cover
+// once the fault clears.
+func TestCoverWorkerPanicIs500(t *testing.T) {
+	defer faultinject.Reset()
+	problem := mustProblem(t, unionSpecJSON)
+	for _, par := range []int{1, 2} {
+		srv, hs := newTestServer(t, Config{Parallelism: 2})
+		data, err := json.Marshal(&CoverRequest{Spec: problem, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cover := func() (int, []byte) {
+			t.Helper()
+			resp, err := http.Post(hs.URL+"/v1/cover", "application/json", bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			if _, err := buf.ReadFrom(resp.Body); err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, buf.Bytes()
+		}
+
+		faultinject.Install(faultinject.Rule{Site: faultinject.SitePropWorker, Nth: 1, Act: faultinject.Panic})
+		code, body := cover()
+		faultinject.Reset()
+		if code != http.StatusInternalServerError {
+			t.Fatalf("parallelism %d: worker panic answered %d, want 500: %s", par, code, body)
+		}
+		if !bytes.Contains(body, []byte("internal panic: faultinject: injected panic")) || bytes.Contains(body, []byte("goroutine ")) {
+			t.Fatalf("parallelism %d: 500 body must carry the panic value and no stack: %s", par, body)
+		}
+		if n := srv.stats().Panics; n != 1 {
+			t.Fatalf("parallelism %d: /statusz counts %d panics, want 1", par, n)
+		}
+
+		code, body = cover()
+		var cov CoverResponse
+		if err := json.Unmarshal(body, &cov); err != nil || code != http.StatusOK || len(cov.Cover) == 0 {
+			t.Fatalf("parallelism %d: cover after the fault cleared: %d %s", par, code, body)
+		}
+		assertPoolsWhole(t, srv, fmt.Sprintf("parallelism %d", par))
 	}
 }
 
@@ -553,4 +613,3 @@ func TestSigmaPatchCrashSchedules(t *testing.T) {
 		hs.Close()
 	}
 }
-

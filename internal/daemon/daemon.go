@@ -11,8 +11,10 @@
 //   - Budgets: every request runs under a wall-clock deadline (capped by
 //     the server) and an optional chase-step budget, mapped onto
 //     propagation.Options; /v1/check reports stops in-band via "stopped".
-//   - Panic isolation: a panicking request answers 500; the server and
-//     every other request keep running.
+//   - Panic isolation: a panicking request answers 500 and counts on
+//     /statusz, whether it panicked on its own goroutine or in a library
+//     worker that recovered the panic; the server and every other request
+//     keep running.
 //   - Graceful drain: BeginDrain flips readiness and refuses new work with
 //     503 + Retry-After while in-flight requests complete.
 //
@@ -41,6 +43,7 @@ import (
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/faultinject"
 	"cfdprop/internal/implication"
+	"cfdprop/internal/parutil"
 	"cfdprop/internal/propagation"
 	"cfdprop/internal/spec"
 )
@@ -213,15 +216,32 @@ func (s *Server) recoverWrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
-				s.panics.Add(1)
 				// Best effort: if the handler already wrote, this is a no-op
 				// on the status line and the client sees a truncated body.
-				s.writeError(w, http.StatusInternalServerError,
-					fmt.Errorf("internal panic: %v", v))
+				s.writePanic(w, v)
 			}
 		}()
 		next.ServeHTTP(w, r)
 	})
+}
+
+// writePanic answers a panic with a 500 carrying the panic value (never a
+// stack) and counts it on /statusz.
+func (s *Server) writePanic(w http.ResponseWriter, v any) {
+	s.panics.Add(1)
+	s.writeError(w, http.StatusInternalServerError, fmt.Errorf("internal panic: %v", v))
+}
+
+// writeWorkerPanic answers err as writePanic would the original panic when
+// err is a panic the library recovered at one of its worker boundaries,
+// and reports whether it was.
+func (s *Server) writeWorkerPanic(w http.ResponseWriter, err error) bool {
+	var pe *parutil.PanicError
+	if !errors.As(err, &pe) {
+		return false
+	}
+	s.writePanic(w, pe.Value)
+	return true
 }
 
 // compute applies the admission front door to a work-performing handler.
@@ -327,7 +347,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	for i, phi := range parsed {
 		res, err := propagation.Check(e.db, e.view, e.sigma, phi, opts)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("phi %q: %w", phis[i], err))
+			if !s.writeWorkerPanic(w, err) {
+				s.writeError(w, http.StatusBadRequest, fmt.Errorf("phi %q: %w", phis[i], err))
+			}
 			return
 		}
 		resp.Results = append(resp.Results, ResultOf(phis[i], res, e.db))
@@ -576,10 +598,12 @@ func (s *Server) deadlineCtx(r *http.Request, deadlineMillis int64) (context.Con
 }
 
 // writeComputeError maps a computation failure onto the degradation
-// contract: deadline expiry → 504, an evicted/draining pool → 503 +
-// Retry-After (the retry will recompile), anything else → 400.
+// contract: a worker panic → 500, deadline expiry → 504, an
+// evicted/draining pool → 503 + Retry-After (the retry will recompile),
+// anything else → 400.
 func (s *Server) writeComputeError(w http.ResponseWriter, ctx context.Context, err error) {
 	switch {
+	case s.writeWorkerPanic(w, err):
 	case ctx.Err() != nil:
 		s.writeError(w, http.StatusGatewayTimeout, fmt.Errorf("budget exhausted: %w", err))
 	case errors.Is(err, implication.ErrPoolClosed):

@@ -4,6 +4,7 @@ package faultinject_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -24,7 +25,8 @@ import (
 // seeded random fault schedules — panics, delays and forced cancellations
 // injected mid-chase, mid-borrow and mid-worker — and checks the stack's
 // robustness invariants: no injected fault leaks a pooled shard, deadlocks
-// a Pool, crashes a worker group, or breaks serial/parallel equivalence.
+// a Pool, crashes a worker group, or makes a Result depend on the worker
+// count.
 // Run with: go test -race -tags faultinject ./internal/faultinject/
 
 // recoverInjected swallows an Injected panic (the expected outcome of a
@@ -197,7 +199,8 @@ func TestMinCoverScreenSurvivesFaults(t *testing.T) {
 			defer recoverInjected(t)
 			cover, err := pool.MinCover(work)
 			if err != nil {
-				if !isInjectedErr(err) && !strings.Contains(err.Error(), "screen panic") {
+				var pe *parutil.PanicError
+				if !errors.As(err, &pe) || !isInjectedErr(err) {
 					t.Errorf("seed %d: MinCover error: %v", seed, err)
 				}
 				return
@@ -223,7 +226,7 @@ func TestMinCoverScreenSurvivesFaults(t *testing.T) {
 // TestPropagationDelayEquivalence injects random delays into chase steps
 // and parallel worker task pickup, perturbing scheduling as hard as a
 // slow machine would, and checks the parallel Result stays byte-identical
-// to the fault-free serial reference.
+// to the fault-free one-worker reference.
 func TestPropagationDelayEquivalence(t *testing.T) {
 	defer faultinject.Reset()
 	db, view, sigma, phiYes, phiNo := propWorkload()
@@ -291,7 +294,8 @@ func TestPropagationWorkerPanicSurfaces(t *testing.T) {
 		if err == nil {
 			t.Fatalf("seed %d: injected worker panic did not surface", seed)
 		}
-		if !strings.Contains(err.Error(), "worker panic") {
+		var pe *parutil.PanicError
+		if !strings.Contains(err.Error(), "worker panic") || !errors.As(err, &pe) {
 			t.Fatalf("seed %d: unexpected error: %v", seed, err)
 		}
 
@@ -389,8 +393,8 @@ func generalWorkload() (*rel.DBSchema, *algebra.SPCU, []*cfd.CFD, *cfd.CFD, *cfd
 // TestChaseRewindFaults arms panics and delays at the factorised chase's
 // rewind seam — the snapshot/rollback boundary the general-setting
 // enumeration crosses between assignments — plus the chase-step seam, and
-// checks the contract: a panic surfaces as an Injected panic (serial) or a
-// captured worker error (parallel), never a crash, deadlock or lost
+// checks the contract: at every worker count a panic surfaces as a
+// captured worker error, never a raw panic, crash, deadlock or lost
 // worker; a delay never changes the Result; and a fault-free rerun is
 // byte-identical to the reference.
 func TestChaseRewindFaults(t *testing.T) {
@@ -428,7 +432,6 @@ func TestChaseRewindFaults(t *testing.T) {
 		}
 		faultinject.Install(rule)
 		func() {
-			defer recoverInjected(t)
 			res, err := propagation.Check(db, view, sigma, phi, propagation.Options{
 				General: true, WantCounterexample: true, Parallelism: par,
 			})

@@ -8,8 +8,8 @@
 // install Rules that panic, delay, or fire a cancellation at the nth visit
 // of a site, which is how the randomized crash-safety suite
 // (crash_test.go) proves that no injected fault leaks a pooled sym.State,
-// deadlocks an implication.Pool, or breaks the serial/parallel result
-// equivalence of propagation.Check.
+// deadlocks an implication.Pool, or makes a propagation.Check Result
+// depend on the worker count.
 package faultinject
 
 // Site names instrumented by the library. They live in the always-built

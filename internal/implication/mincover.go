@@ -143,87 +143,26 @@ func (s *Session) ConsistentGeneral(maxInst int) (bool, error) {
 //  1. normalize to single-attribute RHS, drop trivial CFDs, deduplicate;
 //  2. left-reduce: remove LHS attributes whose removal keeps the CFD
 //     implied by Σ (the reduced CFD implies the original, so equivalence
-//     is preserved);
+//     is preserved), one candidate at a time through leftReduceOne;
 //  3. drop CFDs implied by the remaining ones.
 //
-// Complexity is O(|Σ|²) implication tests, matching the O(|Σ|³) bound the
-// paper quotes for MinCover of [8] — but each test goes through the
-// session's closure fast path and worklist chase, and the redundancy phase
-// tombstones candidates in place instead of copying the compiled Σ.
+// This is exactly what Pool.MinCover runs on one shard. Complexity is
+// O(|Σ|²) implication tests, matching the O(|Σ|³) bound the paper quotes
+// for MinCover of [8] — but each test goes through the session's closure
+// fast path and worklist chase, and the redundancy phase tombstones
+// candidates in place instead of copying the compiled Σ.
 func (s *Session) MinCover(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
-	work, err := s.minCoverPrep(sigma)
+	work, err := s.minCoverNormalize(sigma)
 	if err != nil {
+		return nil, err
+	}
+	if work, err = s.minCoverReduce(work); err != nil {
 		return nil, err
 	}
 	return s.minCoverRedundancy(work, nil)
 }
 
-// minCoverPrep runs the first two MinCover phases — normalize/dedup and
-// left-reduction — leaving the session compiled with the reduced work set,
-// ready for the redundancy phase.
-func (s *Session) minCoverPrep(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
-	s.poolDirty = true // recompiles Σ; a pool owner must refresh before reuse
-	sess := s.inner
-	work := make([]*cfd.CFD, 0, len(sigma))
-	for _, c := range cfd.NormalizeAll(sigma) {
-		if c.Relation != sess.u.Relation {
-			continue
-		}
-		if c.IsTrivial() {
-			continue
-		}
-		work = append(work, c.Clone())
-	}
-	work = cfd.Dedup(work)
-	if err := sess.setSigma(work); err != nil {
-		return nil, err
-	}
-
-	// Left-reduction. Candidates are probed through one scratch CFD (the
-	// engine never retains φ) and only materialized on success — most
-	// probes fail, and cloning each of them dominated the allocation
-	// profile.
-	probe := &cfd.CFD{}
-	for i, c := range work {
-		if c.Equality {
-			continue
-		}
-		changed := true
-		for changed && len(c.LHS) > 0 {
-			changed = false
-			for j := range c.LHS {
-				probe.Relation = c.Relation
-				probe.LHS = append(probe.LHS[:0], c.LHS[:j]...)
-				probe.LHS = append(probe.LHS, c.LHS[j+1:]...)
-				probe.RHS = c.RHS
-				if probe.IsTrivial() {
-					continue
-				}
-				ok, err := sess.implies(probe)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					reduced := probe.Clone()
-					work[i] = reduced
-					if err := sess.replaceCompiled(i, reduced); err != nil {
-						return nil, err
-					}
-					c = reduced
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	work = cfd.Dedup(work)
-	if err := sess.setSigma(work); err != nil { // realign after dedup
-		return nil, err
-	}
-	return work, nil
-}
-
-// minCoverNormalize runs MinCover's first phase alone — normalize to
+// minCoverNormalize runs MinCover's first phase — normalize to
 // single-RHS, drop trivial CFDs, dedup, compile — leaving the session
 // ready for left-reduction probes against the work set it returns.
 func (s *Session) minCoverNormalize(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
@@ -247,13 +186,17 @@ func (s *Session) minCoverNormalize(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 }
 
 // leftReduceOne left-reduces one candidate against the session's compiled
-// Σ, replaying minCoverPrep's probe sequence exactly: scan LHS positions in
-// order, drop the first removable attribute, restart. The serial loop
-// probes against a Σ it updates as candidates reduce, but every update
-// swaps a CFD for an equivalent one (the reduced CFD implies the original
-// and was implied by Σ), so probing against the unreduced compiled work
-// set answers identically — which makes per-candidate reduction
-// order-independent and safe to fan out (Pool.MinCover).
+// Σ: scan LHS positions in order, drop the first removable attribute,
+// restart. Candidates are probed through one scratch CFD (the engine never
+// retains φ) and only materialized on success — most probes fail, and
+// cloning each of them would dominate the allocation profile.
+//
+// Every candidate probes the same unreduced work set, with no recompile
+// between candidates. That is sound because an accepted reduction swaps a
+// CFD for an equivalent one (the reduced CFD implies the original and was
+// implied by Σ), so probing Σ with or without earlier reductions applied
+// answers identically. It makes per-candidate reduction order-independent
+// and safe to fan out (Pool.MinCover).
 func (s *Session) leftReduceOne(c *cfd.CFD) (*cfd.CFD, error) {
 	if c.Equality {
 		return c, nil
@@ -286,7 +229,7 @@ func (s *Session) leftReduceOne(c *cfd.CFD) (*cfd.CFD, error) {
 }
 
 // minCoverRedundancy runs the redundancy phase over a work set the session
-// has already compiled (via minCoverPrep): exclude one candidate at a time
+// has already compiled (via minCoverReduce): exclude one candidate at a time
 // via the skip mask, and tombstone it when the survivors imply it. When
 // maybe is non-nil, candidates with maybe[i] == false are known to be
 // non-redundant (a screen against the full work set — a superset of the
@@ -319,10 +262,10 @@ func (s *Session) minCoverRedundancy(work []*cfd.CFD, maybe []bool) ([]*cfd.CFD,
 	return out, nil
 }
 
-// minCoverReduceSerial left-reduces the whole work set on this session —
-// minCoverPrep's tail expressed through leftReduceOne — and recompiles the
-// session with the reduced, deduplicated result.
-func (s *Session) minCoverReduceSerial(work []*cfd.CFD) ([]*cfd.CFD, error) {
+// minCoverReduce left-reduces the whole work set on this session, one
+// candidate at a time against the compiled unreduced set, and recompiles
+// the session once with the reduced, deduplicated result.
+func (s *Session) minCoverReduce(work []*cfd.CFD) ([]*cfd.CFD, error) {
 	for i, c := range work {
 		r, err := s.leftReduceOne(c)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/faultinject"
+	"cfdprop/internal/parutil"
 )
 
 // ErrPoolClosed is returned by Borrow/BorrowCtx (and the query helpers
@@ -362,11 +363,9 @@ func (p *Pool) returnRecovered(s *Session) {
 // both quadratic phases across shards:
 //
 //  1. normalize/dedup on one shard, then left-reduce every candidate in
-//     parallel against the unreduced work set. The serial loop probes
-//     against a Σ it updates as candidates reduce, but every update swaps
-//     a CFD for an equivalent one, so each candidate's reduction is
-//     order-independent (see Session.leftReduceOne) and its probe answers
-//     — hence its reduced form — are byte-identical to the serial loop's;
+//     parallel against the unreduced work set. Each candidate's reduction
+//     is order-independent (see Session.leftReduceOne), so its reduced
+//     form is the one Session.MinCover computes;
 //  2. screen every candidate in parallel against the full reduced set
 //     minus itself. A candidate the screen does NOT imply can never become
 //     redundant later — the serial loop tests it against a subset of the
@@ -394,15 +393,15 @@ func (p *Pool) MinCover(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 	if err != nil {
 		return nil, err
 	}
-	serial := func() ([]*cfd.CFD, error) {
-		work, err := s0.minCoverReduceSerial(work)
+	oneShard := func() ([]*cfd.CFD, error) {
+		work, err := s0.minCoverReduce(work)
 		if err != nil {
 			return nil, err
 		}
 		return s0.minCoverRedundancy(work, nil)
 	}
 	if p.size == 1 || len(work) < 2 {
-		return serial()
+		return oneShard()
 	}
 
 	// Grab extra free shards opportunistically, compiled with the work set.
@@ -430,14 +429,15 @@ func (p *Pool) MinCover(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 		}
 	}()
 	if len(extra) == 0 {
-		return serial()
+		return oneShard()
 	}
 
 	// fanOut runs job(sess, i) for every candidate index across s0 and the
 	// extra shards. Each worker recovers its own panics so a fault in one
-	// shard's query surfaces as an error on that candidate instead of
-	// crashing the process or deadlocking the WaitGroup; the faulted shard
-	// is Reset so it re-enters the pool quiescent (already tagged dirty).
+	// shard's query surfaces as a parutil.PanicError on that candidate
+	// instead of crashing the process or deadlocking the WaitGroup; the
+	// faulted shard is Reset so it re-enters the pool quiescent (already
+	// tagged dirty).
 	errs := make([]error, len(work))
 	fanOut := func(phase string, job func(sess *Session, i int) error) {
 		var next atomic.Int64
@@ -448,7 +448,7 @@ func (p *Pool) MinCover(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 			defer func() {
 				if r := recover(); r != nil {
 					if i >= 0 && i < len(work) {
-						errs[i] = fmt.Errorf("implication: mincover %s panic on candidate %d: %v", phase, i, r)
+						errs[i] = parutil.Recovered(fmt.Sprintf("implication: mincover %s panic on candidate %d", phase, i), r)
 					}
 					sess.Reset()
 				}

@@ -38,8 +38,8 @@ type session struct {
 
 	// byCol is a CSR index: colCFDs[colStart[p]:colStart[p+1]] lists the
 	// standard (non-equality) CFDs whose LHS mentions universe position p.
-	// It indexes dead CFDs too (filtered at use), so only replaceCompiled
-	// and setSigma dirty it.
+	// It indexes dead CFDs too (filtered at use), so only setSigma dirties
+	// it.
 	colStart []int32
 	colCFDs  []int32
 	idxDirty bool
@@ -280,18 +280,6 @@ func (s *session) setSkip(i int) {
 func (s *session) markDead(i int) {
 	s.dead[i] = true
 	s.fp.dirty = true
-}
-
-// replaceCompiled swaps the i-th CFD for a recompiled one.
-func (s *session) replaceCompiled(i int, c *cfd.CFD) error {
-	cc, err := s.compile(c)
-	if err != nil {
-		return err
-	}
-	s.sigma[i] = cc
-	s.idxDirty = true
-	s.fp.dirty = true
-	return nil
 }
 
 // buildColIndex rebuilds the LHS-position CSR index.

@@ -2,7 +2,8 @@
 // fan-outs (core's per-relation MinCover and RBR block pruning, cfdcheck's
 // rule validation): n independent items, a bounded worker count, an atomic
 // cursor. Callers write results into per-item slots, so output order never
-// depends on scheduling.
+// depends on scheduling. PanicError is the error the library's compute
+// workers report a recovered panic as.
 package parutil
 
 import (
@@ -112,10 +113,29 @@ func DoCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 func call(fn func(i int), i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("parutil: worker panic on item %d: %v\n%s", i, r, debug.Stack())
+			err = Recovered(fmt.Sprintf("parutil: worker panic on item %d", i), r)
 		}
 	}()
 	faultinject.Hit(faultinject.SiteParutilWorker)
 	fn(i)
 	return nil
+}
+
+// PanicError is the one error a panic recovered at a compute-worker
+// boundary becomes: these fan-outs, propagation's task and enumeration
+// workers, and implication.Pool.MinCover's workers. A caller that must
+// tell a crash from a bad input finds it with errors.As; the daemon
+// answers it with a 500, as it answers a panic on the request goroutine.
+type PanicError struct {
+	Where string // which worker, e.g. "parutil: worker panic on item 3"
+	Value any    // the value the worker panicked with
+	Stack []byte // the worker's stack at the recovery
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("%s: %v\n%s", e.Where, e.Value, e.Stack) }
+
+// Recovered builds the PanicError for a panic value just recovered in a
+// deferred call, capturing the panicking goroutine's stack.
+func Recovered(where string, v any) *PanicError {
+	return &PanicError{Where: where, Value: v, Stack: debug.Stack()}
 }

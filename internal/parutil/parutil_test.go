@@ -71,6 +71,10 @@ func TestDoCtxPanicCaptured(t *testing.T) {
 		if !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("workers=%d: panic value lost: %v", workers, err)
 		}
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "boom" {
+			t.Fatalf("workers=%d: err = %v, want a PanicError carrying the panic value", workers, err)
+		}
 	}
 }
 

@@ -60,97 +60,8 @@ func belowSizes(plan enumPlan) []int {
 	return below
 }
 
-// runFactorised is the serial factorised enumeration, the Parallelism = 1
-// counterpart of the reference loop in runSetting. It is a recursive
-// descent over the mixed-radix digits — deliberately NOT sharing its
-// traversal with the parallel scanFactorised (an iterative window scan),
-// for the same differential-strength reason runSetting and scanChunk are
-// independent.
-func runFactorised(ci *chase.Inst, db *rel.DBSchema, opts Options, res *Result, ev *pairEval, plan enumPlan) (bool, int, error) {
-	st := ci.St
-	rs, err := ci.RunPrefix(ev.sigmaN)
-	if err != nil {
-		if isUndefined(err) {
-			// Prefix undefined ⇒ every assignment's chase is undefined ⇒
-			// all of them are vacuously satisfied.
-			res.Instantiations += plan.limit
-			if plan.capped {
-				res.Truncated = true
-			}
-			return true, 0, nil
-		}
-		return false, 0, err
-	}
-	defer rs.Release()
-
-	below := belowSizes(plan)
-	idx := 0
-	refuted := false
-	var stopErr error
-	var rec func(d int)
-	rec = func(d int) {
-		for v := 0; v < len(plan.domains[d]); v++ {
-			if idx >= plan.limit || refuted || stopErr != nil {
-				return
-			}
-			if idx&63 == 0 && opts.sp != nil {
-				if r := opts.sp.check(); r != StopNone {
-					stopErr = opts.sp.errFor(r)
-					return
-				}
-			}
-			m := rs.Mark()
-			vacuous := st.Bind(sym.Variable(plan.roots[d]), plan.domains[d][v]) != nil
-			if !vacuous {
-				if err := rs.Extend(); err != nil {
-					if isUndefined(err) {
-						vacuous = true
-					} else {
-						stopErr = err
-						return
-					}
-				}
-			}
-			switch {
-			case vacuous:
-				rem := below[d]
-				if idx+rem > plan.limit {
-					rem = plan.limit - idx
-				}
-				res.Instantiations += rem
-				idx += rem
-			case d == 0:
-				res.Instantiations++
-				idx++
-				if !ev.verdict() {
-					refuted = true
-					if opts.WantCounterexample {
-						if witness, err := ci.Concrete(db, true); err == nil {
-							res.Counterexample = witness
-						}
-					}
-				}
-			default:
-				rec(d - 1)
-			}
-			rs.Rewind(m)
-		}
-	}
-	rec(len(plan.roots) - 1)
-	switch {
-	case stopErr != nil:
-		return false, 0, stopErr
-	case refuted:
-		return false, 0, nil
-	}
-	if plan.capped {
-		res.Truncated = true
-	}
-	return true, 0, nil
-}
-
 // scanFactorised scans assignment indexes [lo, hi) with the factorised
-// chase — the drop-in counterpart of scanChunk for the parallel path. It
+// chase — the default range scan, a drop-in counterpart of scanChunk. It
 // walks the window iteratively with a mark stack: marks[d] is the rewind
 // point taken just before digit d was bound, and moving to the next index
 // rewinds only up to the highest digit whose value changes.

@@ -95,18 +95,28 @@ func zeroMemoCounters(r *Result) *Result {
 	return &c
 }
 
-// TestMemoReplayByteIdentical: a warm Check served from the memo must
-// reproduce the cold Result exactly (verdict, Instantiations, Truncated,
-// counterexample bytes) at every parallelism level, and must actually hit.
+// TestMemoReplayByteIdentical: a cold Check that fills a memo must match
+// the serial oracle, and a warm Check served from the memo must reproduce
+// the cold Result exactly (verdict, Instantiations, Truncated,
+// counterexample bytes) at every parallelism level — memo counters
+// included, across levels — for pair and equality φs alike, and must
+// actually hit: every pair verdict replays, and the scout answers every
+// disjunct's emptiness from the memo instead of building its tableau.
 func TestMemoReplayByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	hits := int64(0)
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		db := finiteSchema(2)
 		view := randomUnionView(rng, []string{"A", "B", "C", "D"})
 		sigma := randomSmallCFDs(rng, 2)
-		phi := randomSmallViewCFD(rng, view.Disjuncts[0])
-		if phi == nil {
+		var phi *cfd.CFD
+		if trial%4 == 3 {
+			attrs := view.Disjuncts[0].Projection
+			phi = cfd.NewEquality("V", attrs[rng.Intn(len(attrs))], attrs[rng.Intn(len(attrs))])
+			if phi.LHS[0].Attr == phi.RHS[0].Attr {
+				continue
+			}
+		} else if phi = randomSmallViewCFD(rng, view.Disjuncts[0]); phi == nil {
 			continue
 		}
 		memo := NewMemo()
@@ -115,19 +125,39 @@ func TestMemoReplayByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref, err := serialOracle(db, view, sigma, phi, Options{General: true, WantCounterexample: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(zeroMemoCounters(cold), ref) {
+			t.Fatalf("cold memo run diverged from the oracle (V=%s φ=%s Σ=%v)\n got: %+v\nwant: %+v",
+				view, phi, sigma, cold, ref)
+		}
+		var warm1 *Result
 		for _, par := range []int{1, 4, 8} {
 			o := opts
 			o.Parallelism = par
+			before := memo.Stats()
 			warm, err := Check(db, view, sigma, phi, o)
 			if err != nil {
 				t.Fatal(err)
 			}
+			after := memo.Stats()
 			if !reflect.DeepEqual(zeroMemoCounters(warm), zeroMemoCounters(cold)) {
 				t.Fatalf("parallelism %d: warm run diverged (V=%s φ=%s Σ=%v)\n got: %+v\nwant: %+v",
 					par, view, phi, sigma, warm, cold)
 			}
+			if warm1 == nil {
+				warm1 = warm
+			} else if !reflect.DeepEqual(warm, warm1) {
+				t.Fatalf("parallelism %d: warm memo counters differ from parallelism 1: %+v vs %+v", par, warm, warm1)
+			}
 			if warm.MemoMisses != 0 {
 				t.Fatalf("parallelism %d: warm run recomputed %d pairs", par, warm.MemoMisses)
+			}
+			if after.EmptyMisses != before.EmptyMisses || after.EmptyHits == before.EmptyHits {
+				t.Fatalf("parallelism %d: warm scout did not answer emptiness from the memo: %+v -> %+v",
+					par, before, after)
 			}
 			hits += int64(warm.MemoHits)
 		}
@@ -140,15 +170,15 @@ func TestMemoReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSerialEmptyPreseedParity: the serial path pre-seeds disjunct
-// emptiness from the memo like the parallel scout, so a warm serial run
-// skips the doomed tableau builds while staying byte-identical — to a
-// memo-free serial run, and to a warm parallel run including the per-call
-// MemoHits/MemoMisses counters. The memo's EmptyHits counter proves the
-// serial path actually consulted the cache at Parallelism 1.
+// TestSerialEmptyPreseedParity: at Parallelism 1 the lone worker's scout
+// pre-seeds disjunct emptiness from the memo like the parallel one, so a
+// warm serial run skips the doomed tableau builds while staying
+// byte-identical — to a memo-free serial run, and to a warm Parallelism 4
+// run including the per-call MemoHits/MemoMisses counters. The memo's
+// EmptyHits counter proves the serial run actually consulted the cache.
 func TestSerialEmptyPreseedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	preseededTrials := 0
+	checked := 0
 	for trial := 0; trial < 40; trial++ {
 		db := finiteSchema(2)
 		view := randomUnionView(rng, []string{"A", "B", "C", "D"})
@@ -160,13 +190,10 @@ func TestSerialEmptyPreseedParity(t *testing.T) {
 			if phi.LHS[0].Attr == phi.RHS[0].Attr {
 				continue
 			}
-		} else {
-			phi = randomSmallViewCFD(rng, view.Disjuncts[0])
-			if phi == nil {
-				continue
-			}
+		} else if phi = randomSmallViewCFD(rng, view.Disjuncts[0]); phi == nil {
+			continue
 		}
-		base := Options{General: true, WantCounterexample: true}
+		base := Options{General: true, WantCounterexample: true, Parallelism: 1}
 		cold, err := Check(db, view, sigma, phi, base)
 		if err != nil {
 			t.Fatal(err)
@@ -188,8 +215,8 @@ func TestSerialEmptyPreseedParity(t *testing.T) {
 			t.Fatalf("warm serial diverged from memo-free run (V=%s φ=%s Σ=%v)\n got: %+v\nwant: %+v",
 				view, phi, sigma, serial, cold)
 		}
-		if after.EmptyHits > before.EmptyHits {
-			preseededTrials++
+		if after.EmptyMisses != before.EmptyMisses || after.EmptyHits == before.EmptyHits {
+			t.Fatalf("warm serial run did not answer emptiness from the memo: %+v -> %+v", before, after)
 		}
 		par := warm
 		par.Parallelism = 4
@@ -201,9 +228,10 @@ func TestSerialEmptyPreseedParity(t *testing.T) {
 			t.Fatalf("warm serial diverged from warm parallel (V=%s φ=%s Σ=%v)\n got: %+v\nwant: %+v",
 				view, phi, sigma, serial, parallel)
 		}
+		checked++
 	}
-	if preseededTrials == 0 {
-		t.Fatal("no trial ever pre-seeded emptiness from the memo; the sweep is degenerate")
+	if checked == 0 {
+		t.Fatal("every trial was skipped; the sweep is degenerate")
 	}
 }
 

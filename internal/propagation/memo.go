@@ -20,9 +20,9 @@ import (
 // besides the keyed φ. Callers must use a fresh Memo whenever Σ or the
 // view changes (the daemon allocates one per cache entry, so its Σ-edit
 // generation bump invalidates the memo for free), or migrate the old one
-// across the edit with Migrate. Entries replay the exact serial-equivalent
-// counters (Instantiations, Truncated, the counterexample bytes), so a
-// Result assembled from hits is byte-identical to one computed fresh.
+// across the edit with Migrate. Entries replay the exact counters of a
+// fresh evaluation (Instantiations, Truncated, the counterexample bytes),
+// so a Result assembled from hits is byte-identical to one computed fresh.
 // Stopped or errored pair checks are never stored.
 type Memo struct {
 	mu    sync.Mutex
@@ -53,7 +53,7 @@ type Memo struct {
 	carriedPairs, carriedEmpty int64
 }
 
-// memoPairEntry is one pair check's serial-equivalent contribution.
+// memoPairEntry is one pair check's contribution to the Result.
 type memoPairEntry struct {
 	refuted   bool
 	insts     int
@@ -82,9 +82,8 @@ type MemoStats struct {
 	Misses    int64 `json:"misses"`
 	// EmptyHits/EmptyMisses count lookupEmpty outcomes: how often a
 	// disjunct's intrinsic emptiness was answered from the cache versus
-	// unknown. Both the parallel scout and the serial pre-seed consult the
-	// cache once per disjunct, so the counters advance identically at every
-	// Parallelism.
+	// unknown. The scout consults the cache once per disjunct, so the
+	// counters advance identically at every Parallelism.
 	EmptyHits   int64 `json:"empty_hits"`
 	EmptyMisses int64 `json:"empty_misses"`
 	// CarriedPairs/CarriedEmpty count the entries this memo inherited from
@@ -213,7 +212,7 @@ func equalStrings(a, b []string) bool {
 type memoTxn struct {
 	m  *Memo
 	mu sync.Mutex
-	// stores is ordered: serial assembly order, so flushing preserves the
+	// stores is ordered: schedule assembly order, so flushing preserves the
 	// first-computed entry when a key repeats.
 	stores []memoStore
 }

@@ -2,25 +2,27 @@ package propagation
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/faultinject"
+	"cfdprop/internal/parutil"
 	"cfdprop/internal/rel"
 	"cfdprop/internal/sym"
 )
 
-// The parallel front-end replays the serial loop's exact decision sequence
-// across a worker group. The key observation is that everything the serial
-// loop does besides chasing is deterministic and cheap to precompute:
+// The schedule executor is the one implementation of the §3 pair loop, at
+// every worker count. The paper's procedure is a nested loop over union
+// disjunct pairs (i, j ≥ i), skipping disjuncts found empty on the way,
+// with a per-pair finite-domain enumeration. Everything it does besides
+// chasing is deterministic and cheap to precompute:
 //
 //   - which disjuncts are unconditionally empty is an intrinsic property
 //     of each disjunct (its selection is self-contradictory), independent
 //     of the pair it appears in;
-//   - given the emptiness vector, the exact sequence of pairs the serial
+//   - given the emptiness vector, the exact sequence of pairs the nested
 //     loop visits — including the (i,i) visits that merely discover an
 //     empty disjunct, which still count toward PairsChecked — is a pure
 //     function of k (buildSchedule);
@@ -31,11 +33,13 @@ import (
 // Pairs therefore fan out over a shared atomic cursor, instantiation
 // ranges fan out within a pair, and a monotonically decreasing "bound"
 // (the lowest schedule index that refuted or errored so far) cancels work
-// that the serial loop would never have reached. Work at or below the
+// that the nested loop would never have reached. Work at or below the
 // final bound always completes, which makes PairsChecked, Instantiations,
-// Truncated and the counterexample byte-identical to the serial path.
+// Truncated and the counterexample the same at every worker count. With
+// one worker the cursor hands out the entries in order on the calling
+// goroutine, and the bound stops the loop at the first refutation.
 
-// taskKind labels one entry of the serial pair schedule.
+// taskKind labels one entry of the pair schedule.
 type taskKind uint8
 
 const (
@@ -52,28 +56,28 @@ type pairTask struct {
 
 // taskOutcome is one schedule entry's contribution to the Result.
 type taskOutcome struct {
+	err       error
+	insts     int // applicable assignments examined
+	cex       *rel.Database
 	skipped   bool       // cancelled past the final bound; contributes nothing
 	stopped   StopReason // a stop control fired before this task started
-	err       error
 	refuted   bool
-	insts     int // applicable assignments examined (serial-equivalent)
 	truncated bool
-	cex       *rel.Database
 	memoHit   bool // served from Options.Memo; counters above are a replay
 	evaluated bool // the pair reached evaluation (prepOK and the loop ran)
 	// unrealizable marks a freshly discovered unrealizable premise: stored
-	// in the memo at assembly (counter-free, like the serial path), so the
-	// next call skips the pair's tableau builds.
+	// in the memo at assembly (counter-free), so the next call skips the
+	// pair's tableau builds.
 	unrealizable bool
 }
 
-// buildSchedule replays the serial loop's iteration order given the
+// buildSchedule replays the nested loop's iteration order given the
 // intrinsic emptiness vector, producing the exact sequence of pair visits
-// (and their kinds) that checkNormal performs when nothing refutes.
+// (and their kinds) it performs when nothing refutes.
 func buildSchedule(k int, empty []bool, equality bool) []pairTask {
-	var sched []pairTask
 	if equality {
 		// The equality loop visits every disjunct once, in order.
+		sched := make([]pairTask, 0, k)
 		for i := 0; i < k; i++ {
 			kind := taskEquality
 			if empty[i] {
@@ -83,14 +87,15 @@ func buildSchedule(k int, empty []bool, equality bool) []pairTask {
 		}
 		return sched
 	}
+	sched := make([]pairTask, 0, k*(k+1)/2)
 	known := make([]bool, k)
 	for i := 0; i < k; i++ {
 		if known[i] {
 			continue
 		}
 		if empty[i] {
-			// Serial checks (i,i), fails building t1, marks i empty and
-			// abandons the row.
+			// The loop checks (i,i), fails building t1, marks i empty
+			// and abandons the row.
 			sched = append(sched, pairTask{i, i, taskEmptyFirst})
 			known[i] = true
 			continue
@@ -100,7 +105,7 @@ func buildSchedule(k int, empty []bool, equality bool) []pairTask {
 				continue
 			}
 			if empty[j] {
-				// j > i here (i is not empty): serial builds t1 fine and
+				// j > i here (i is not empty): the loop builds t1 fine and
 				// discovers t2's inconsistency, marking j empty.
 				sched = append(sched, pairTask{i, j, taskEmptySecond})
 				known[j] = true
@@ -126,18 +131,18 @@ func (m *atomicMin) min(v int64) {
 	}
 }
 
-// checkNormalParallel is the Parallelism > 1 implementation of
-// checkNormal; its Result is byte-identical to the serial path's.
-func checkNormalParallel(db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options) (*Result, error) {
+// runSchedule checks one normal-form φ: it scouts disjunct emptiness,
+// builds the pair schedule, runs opts.Parallelism workers over it and
+// assembles the Result in schedule order.
+func runSchedule(db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options) (*Result, error) {
 	k := len(view.Disjuncts)
 
 	// Intrinsic emptiness of each disjunct: its lone tableau build fails
-	// with an inconsistency. Serial discovers this lazily pair-by-pair;
-	// precomputing it (k cheap builds, no chasing) fixes the schedule.
-	scout, err := newPairWorker(db)
-	if err != nil {
-		return nil, err
-	}
+	// with an inconsistency. The nested loop discovers this lazily pair by
+	// pair; precomputing it (k cheap builds, no chasing) fixes the
+	// schedule. The scout's worker is created only when the memo cannot
+	// answer, and is handed on to the pair loop.
+	var scout *pairWorker
 	var km *pairKeyMaker
 	if opts.Memo != nil {
 		km = opts.Memo.keyMaker(view, phi, opts)
@@ -145,12 +150,18 @@ func checkNormalParallel(db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD
 	empty := make([]bool, k)
 	for d := 0; d < k; d++ {
 		// Emptiness is intrinsic to the disjunct, so the memo can answer
-		// without a build — the main cross-candidate win in PropCFDSPCU,
-		// where every union candidate re-scouts the same k disjuncts.
+		// without a build — the main cross-candidate win in union covers,
+		// where every candidate re-scouts the same k disjuncts.
 		if opts.Memo != nil {
 			if e, known := opts.Memo.lookupEmpty(km.disjunct[d]); known {
 				empty[d] = e
 				continue
+			}
+		}
+		if scout == nil {
+			var err error
+			if scout, err = newPairWorker(db); err != nil {
+				return nil, err
 			}
 		}
 		scout.reset()
@@ -159,18 +170,21 @@ func checkNormalParallel(db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD
 				empty[d] = true
 			} else {
 				// Non-inconsistency build errors are deliberately NOT
-				// returned (or memoised) here: the serial path only
+				// returned (or memoised) here: the nested loop only
 				// surfaces them at the first pair that builds the disjunct
 				// — which a refutation at a lower pair index preempts —
 				// and the workers reproduce the error at exactly that
 				// schedule position, where the bound/assembly logic orders
-				// it against refutations just like serial.
+				// it against refutations.
 				continue
 			}
 		}
 		if opts.Memo != nil {
 			opts.Memo.storeEmpty(km.disjunct[d], empty[d])
 		}
+	}
+	if scout != nil {
+		scout.attach(opts)
 	}
 
 	sched := buildSchedule(k, empty, phi.Equality)
@@ -182,7 +196,7 @@ func checkNormalParallel(db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD
 	}
 	// Budget inner (per-pair enumeration) workers so that pairs × inner
 	// roughly fills Parallelism: a lone general-setting pair gets the
-	// whole budget, many pairs each run their enumeration serially.
+	// whole budget, many pairs each run their enumeration on one worker.
 	innerP := 1
 	if nEval > 0 {
 		innerP = opts.Parallelism / nEval
@@ -195,83 +209,88 @@ func checkNormalParallel(db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD
 	var cursor atomic.Int64
 	var bound atomicMin
 	bound.store(int64(len(sched)))
-	outer := opts.Parallelism
-	if outer > len(sched) {
-		outer = len(sched)
-	}
-	var wg sync.WaitGroup
-	wg.Add(outer)
-	for n := 0; n < outer; n++ {
-		go func() {
-			defer wg.Done()
-			var w *pairWorker
-			for {
-				t := int(cursor.Add(1) - 1)
-				if t >= len(sched) {
-					return
-				}
-				if int64(t) > bound.load() {
-					outcomes[t].skipped = true
-					continue
-				}
-				// Stop controls are observed before a task starts, mirroring
-				// the serial loop's check before each pairCheck; the bound
-				// makes every later entry skip, so the assembly sees the
-				// stop at the lowest schedule index that observed it.
-				if r := opts.stopCheck(); r != StopNone {
-					outcomes[t].stopped = r
-					bound.min(int64(t))
-					continue
-				}
-				task := sched[t]
-				if task.kind == taskEmptyFirst || task.kind == taskEmptySecond {
-					continue // zero outcome: counts one pair, nothing else
-				}
-				if opts.txn != nil {
-					if e, hit := opts.txn.lookupPair(km.phiKey, taskCode(task), opts.WantCounterexample); hit {
-						if e.unrealizable {
-							// Like the fresh discovery: propagated, no
-							// counters — only the tableau builds are saved.
-							outcomes[t] = taskOutcome{}
-							continue
-						}
-						outcomes[t] = taskOutcome{
-							memoHit:   true,
-							refuted:   e.refuted,
-							insts:     e.insts,
-							truncated: e.truncated,
-							cex:       e.cex,
-						}
-						if e.refuted {
-							bound.min(int64(t))
-						}
+	work := func(w *pairWorker) {
+		for {
+			t := int(cursor.Add(1) - 1)
+			if t >= len(sched) {
+				return
+			}
+			if int64(t) > bound.load() {
+				outcomes[t].skipped = true
+				continue
+			}
+			// Stop controls are observed before a task starts, so a pair
+			// never half-counts; the bound makes every later entry skip,
+			// so the assembly sees the stop at the lowest schedule index
+			// that observed it.
+			if r := opts.stopCheck(); r != StopNone {
+				outcomes[t].stopped = r
+				bound.min(int64(t))
+				continue
+			}
+			task := sched[t]
+			if task.kind == taskEmptyFirst || task.kind == taskEmptySecond {
+				continue // zero outcome: counts one pair, nothing else
+			}
+			if opts.txn != nil {
+				if e, hit := opts.txn.lookupPair(km.phiKey, taskCode(task), opts.WantCounterexample); hit {
+					if e.unrealizable {
+						// Like the fresh discovery: propagated, no
+						// counters — only the tableau builds are saved.
+						outcomes[t] = taskOutcome{}
 						continue
 					}
-				}
-				if w == nil {
-					var err error
-					if w, err = newPairWorker(db); err != nil {
-						outcomes[t].err = err
+					outcomes[t] = taskOutcome{
+						memoHit:   true,
+						refuted:   e.refuted,
+						insts:     e.insts,
+						truncated: e.truncated,
+						cex:       e.cex,
+					}
+					if e.refuted {
 						bound.min(int64(t))
-						continue
 					}
-					w.attach(opts)
-				}
-				outcomes[t] = safeRunEvalTask(w, db, view, sigmaN, phi, opts, task, t, &bound, innerP)
-				if outcomes[t].err != nil || outcomes[t].refuted {
-					bound.min(int64(t))
+					continue
 				}
 			}
-		}()
+			if w == nil {
+				var err error
+				if w, err = newPairWorker(db); err != nil {
+					outcomes[t].err = err
+					bound.min(int64(t))
+					continue
+				}
+				w.attach(opts)
+			}
+			outcomes[t] = safeRunEvalTask(w, db, view, sigmaN, phi, opts, task, t, &bound, innerP)
+			if outcomes[t].err != nil || outcomes[t].refuted {
+				bound.min(int64(t))
+			}
+		}
 	}
-	wg.Wait()
+	// The calling goroutine is always one of the workers; with
+	// Parallelism 1 it is the only one, and no goroutine is started.
+	if outer := min(opts.Parallelism, len(sched)); outer > 1 {
+		var wg sync.WaitGroup
+		wg.Add(outer - 1)
+		for n := 1; n < outer; n++ {
+			go func() {
+				defer wg.Done()
+				work(nil)
+			}()
+		}
+		work(scout)
+		wg.Wait()
+	} else {
+		work(scout)
+	}
 
-	// Replay the serial accumulation over the outcomes: counters advance
-	// in schedule order and stop at the first refutation or error, exactly
-	// where the serial loop returns. Entries past the final bound are
+	// Replay the nested loop's accumulation over the outcomes: counters
+	// advance in schedule order and stop at the first refutation or error,
+	// exactly where the loop returns. Entries past the final bound are
 	// skipped and contribute nothing. Memo stores also happen here, in
 	// schedule order over exactly the consumed entries, so the memo ends a
-	// parallel call with the same contents a serial call would leave.
+	// call with the same contents at every worker count.
 	res := &Result{Propagated: true}
 	for t := range outcomes {
 		o := &outcomes[t]
@@ -279,8 +298,8 @@ func checkNormalParallel(db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD
 			continue
 		}
 		if o.stopped != StopNone {
-			// The stop fired before this pair started: like the serial
-			// loop's pre-pair check, it contributes no counters.
+			// The stop fired before this pair started: it contributes no
+			// counters.
 			res.Stopped = o.stopped
 			return res, nil
 		}
@@ -331,13 +350,13 @@ func taskCode(task pairTask) uint32 {
 }
 
 // safeRunEvalTask is runEvalTask behind the faultinject seam and a panic
-// boundary: a panicking worker surfaces as an error on its schedule entry
-// (ordered against refutations by the bound/assembly logic like any other
-// error) instead of crashing the process.
+// boundary: a panicking worker surfaces as a parutil.PanicError on its
+// schedule entry (ordered against refutations by the bound/assembly logic
+// like any other error) instead of crashing the process.
 func safeRunEvalTask(w *pairWorker, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options, task pairTask, taskIdx int, bound *atomicMin, innerP int) (out taskOutcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = taskOutcome{err: fmt.Errorf("propagation: worker panic on schedule entry %d: %v\n%s", taskIdx, r, debug.Stack())}
+			out = taskOutcome{err: parutil.Recovered(fmt.Sprintf("propagation: worker panic on schedule entry %d", taskIdx), r)}
 		}
 	}()
 	faultinject.Hit(faultinject.SitePropWorker)
@@ -416,16 +435,8 @@ func runEvalTask(w *pairWorker, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*
 
 	// Decide the fan-out: splitting is only worth a tableau rebuild per
 	// sub-worker when the range is long enough.
-	chunks := innerP
-	if chunks > plan.limit/minChunk {
-		chunks = plan.limit / minChunk
-	}
-	var out taskOutcome
-	if chunks < 2 {
-		out = scanSerial(w, db, opts, plan, ev, taskIdx, bound)
-	} else {
-		out = scanParallel(w, ev, db, view, sigmaN, phi, opts, task, plan, taskIdx, bound, chunks)
-	}
+	chunks := max(min(innerP, plan.limit/minChunk), 1)
+	out := scanPlan(w, ev, db, view, sigmaN, phi, opts, task, plan, taskIdx, bound, chunks)
 	if !out.skipped {
 		out.evaluated = true
 	}
@@ -447,25 +458,6 @@ func refutedOutcome(w *pairWorker, db *rel.DBSchema, opts Options, insts int) ta
 	return o
 }
 
-// scanSerial enumerates the whole plan on one worker — one chunk scan over
-// the full index range with an inert inner bound, so the two paths cannot
-// drift apart. The outer bound still cancels the task when a lower
-// schedule index refutes.
-func scanSerial(w *pairWorker, db *rel.DBSchema, opts Options, plan enumPlan, ev *pairEval, taskIdx int, bound *atomicMin) taskOutcome {
-	var inner atomicMin
-	inner.store(int64(plan.limit))
-	r := chunkScanner(opts)(w, db, opts, plan, ev, 0, plan.limit, taskIdx, bound, &inner)
-	switch {
-	case r.aborted:
-		return taskOutcome{skipped: true}
-	case r.stopErr != nil:
-		return taskOutcome{err: r.stopErr, insts: r.count}
-	case r.stopIdx >= 0:
-		return taskOutcome{refuted: true, insts: r.count, cex: r.cex}
-	}
-	return taskOutcome{insts: r.count, truncated: plan.capped}
-}
-
 // chunkResult is one contiguous index range's contribution.
 type chunkResult struct {
 	count   int // applicable assignments examined; a prefix count when stopped
@@ -475,15 +467,18 @@ type chunkResult struct {
 	aborted bool // outer cancellation fired mid-range
 }
 
-// scanParallel splits the enumeration into contiguous chunks, one
-// sub-worker each. Every sub-worker rebuilds the pair state independently
-// (identical construction ⇒ identical variable layout, so index decoding
-// agrees across workers) and scans its range in ascending order, stopping
-// at the range's first refutation. A shared inner bound cancels indexes
-// above the lowest refutation found so far; indexes at or below the final
-// bound are never skipped, which keeps the applicable-assignment count and
-// the winning counterexample exact.
-func scanParallel(w *pairWorker, ev *pairEval, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options, task pairTask, plan enumPlan, taskIdx int, bound *atomicMin, chunks int) taskOutcome {
+// scanPlan splits the enumeration into contiguous chunks, one worker
+// each: w scans the first chunk with its prepared state, and every other
+// chunk gets a sub-worker on its own goroutine (none when chunks is 1).
+// Every sub-worker rebuilds the pair state independently (identical
+// construction ⇒ identical variable layout, so index decoding agrees
+// across workers) and scans its range in ascending order, stopping at the
+// range's first refutation. A shared inner bound cancels indexes above the
+// lowest refutation found so far; indexes at or below the final bound are
+// never skipped, which keeps the applicable-assignment count and the
+// winning counterexample exact. The outer bound cancels the whole task
+// when a lower schedule index refutes.
+func scanPlan(w *pairWorker, ev *pairEval, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options, task pairTask, plan enumPlan, taskIdx int, bound *atomicMin, chunks int) taskOutcome {
 	scan := chunkScanner(opts)
 	results := make([]chunkResult, chunks)
 	var inner atomicMin
@@ -499,7 +494,7 @@ func scanParallel(w *pairWorker, ev *pairEval, db *rel.DBSchema, view *algebra.S
 			defer func() {
 				if r := recover(); r != nil {
 					lo := chunkLo(plan.limit, chunks, c)
-					results[c] = chunkResult{stopIdx: lo, stopErr: fmt.Errorf("propagation: enumeration worker panic: %v\n%s", r, debug.Stack())}
+					results[c] = chunkResult{stopIdx: lo, stopErr: parutil.Recovered("propagation: enumeration worker panic", r)}
 					inner.min(int64(lo))
 				}
 			}()

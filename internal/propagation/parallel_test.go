@@ -10,17 +10,20 @@ import (
 	"cfdprop/internal/rel"
 )
 
-// These tests pin the parallel front-end to the serial reference path:
-// for Parallelism ∈ {1, 4, 8} the Result must be identical in every field
-// — verdict, counterexample bytes, PairsChecked, Instantiations,
+// These tests pin the schedule executor to an independent serial oracle:
+// for Parallelism ∈ {1, 4, 8} the Result must equal the oracle's in every
+// field — verdict, counterexample bytes, PairsChecked, Instantiations,
 // Truncated — over randomized schemas, unions and finite domains. Run
 // with -race to exercise the worker interleavings.
 
 // checkAllLevels runs Check at the three parallelism levels and requires
-// identical Results.
+// each Result to equal the serial oracle's.
 func checkAllLevels(t *testing.T, db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD, opts Options) *Result {
 	t.Helper()
-	var ref *Result
+	ref, err := serialOracle(db, view, sigma, phi, opts)
+	if err != nil {
+		t.Fatalf("oracle: %v (V=%s φ=%s Σ=%v)", err, view, phi, sigma)
+	}
 	for _, par := range []int{1, 4, 8} {
 		o := opts
 		o.Parallelism = par
@@ -28,16 +31,121 @@ func checkAllLevels(t *testing.T, db *rel.DBSchema, view *algebra.SPCU, sigma []
 		if err != nil {
 			t.Fatalf("parallelism %d: %v (V=%s φ=%s Σ=%v)", par, err, view, phi, sigma)
 		}
-		if ref == nil {
-			ref = r
-			continue
-		}
 		if !reflect.DeepEqual(r, ref) {
-			t.Fatalf("parallelism %d diverged (V=%s φ=%s Σ=%v)\n got: %+v\nwant: %+v",
+			t.Fatalf("parallelism %d diverged from the oracle (V=%s φ=%s Σ=%v)\n got: %+v\nwant: %+v",
 				par, view, phi, sigma, r, ref)
 		}
 	}
 	return ref
+}
+
+// serialOracle decides Σ |=V φ with the paper's §3 procedure written as
+// the plain nested loop over disjunct pairs (i, j ≥ i): it finds empty
+// disjuncts as it goes and enumerates each pair's finite-domain
+// assignments in order, re-chasing every one (scanChunk over the whole
+// range). It shares only the pair preparation and the chase with Check,
+// and has no memo and no stop controls: TestMemoReplayByteIdentical and
+// stop_test.go cover those.
+func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD, opts Options) (*Result, error) {
+	if opts.MaxInstantiations <= 0 {
+		opts.MaxInstantiations = DefaultMaxInstantiations
+	}
+	sigmaN := cfd.NormalizeAll(sigma)
+	w, err := newPairWorker(db)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Propagated: true}
+	// run evaluates one prepared pair; it reports false on a refutation.
+	run := func(ev *pairEval) (bool, error) {
+		roots := 0
+		var plan enumPlan
+		if opts.General {
+			var emptyDomain bool
+			if plan, emptyDomain = planEnumeration(w.st, opts.MaxInstantiations); emptyDomain {
+				return true, nil
+			}
+			roots = len(plan.roots)
+			if roots == 0 {
+				res.Instantiations++
+			}
+		}
+		if roots == 0 {
+			ok, err := ev.evaluate()
+			if err == nil && !ok && opts.WantCounterexample {
+				// Like Check, leave out a witness that cannot be built.
+				res.Counterexample, _ = w.ci.Concrete(db, true)
+			}
+			return ok, err
+		}
+		var bound, inner atomicMin
+		bound.store(1)
+		inner.store(int64(plan.limit))
+		r := scanChunk(w, db, opts, plan, ev, 0, plan.limit, 0, &bound, &inner)
+		res.Instantiations += r.count
+		switch {
+		case r.stopErr != nil:
+			return false, r.stopErr
+		case r.stopIdx >= 0:
+			res.Counterexample = r.cex
+			return false, nil
+		}
+		res.Truncated = res.Truncated || plan.capped
+		return true, nil
+	}
+	for _, p := range phi.Normalize() {
+		k := len(view.Disjuncts)
+		empty := make([]bool, k)
+		for i := 0; i < k; i++ {
+			last := k - 1
+			if p.Equality {
+				last = i // an equality CFD is checked on each disjunct alone
+			}
+			for j := i; j <= last && !empty[i]; j++ {
+				if empty[j] {
+					continue
+				}
+				res.PairsChecked++
+				w.reset()
+				ev := &pairEval{sigmaN: sigmaN}
+				if p.Equality {
+					t, outcome, err := prepareEquality(w, db, view.Disjuncts[i])
+					if err != nil {
+						return nil, err
+					}
+					if outcome == prepEmptyFirst {
+						continue
+					}
+					ev.evaluate = equalityEvaluate(w, sigmaN, t, p.LHS[0].Attr, p.RHS[0].Attr)
+				} else {
+					t1, t2, outcome, err := preparePair(w, db, view.Disjuncts[i], view.Disjuncts[j], p)
+					if err != nil {
+						return nil, err
+					}
+					switch outcome {
+					case prepEmptyFirst:
+						empty[i] = true
+						continue
+					case prepEmptySecond:
+						empty[j] = true
+						continue
+					case prepUnrealizable:
+						continue
+					}
+					ev.evaluate = pairEvaluate(w, sigmaN, t1, t2, p.RHS[0])
+				}
+				ok, err := run(ev)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					res.Propagated = false
+					return res, nil
+				}
+			}
+		}
+	}
+	return res, nil
 }
 
 // randomUnionView builds a 2–4 disjunct union over S with random

@@ -64,17 +64,19 @@
 //
 // # Concurrency model
 //
-// Check is a pure function and safe to call concurrently. Internally it is
-// parallel: with Options.Parallelism > 1 (the default is GOMAXPROCS) the
-// O(k²) union-disjunct pair loop and the general-setting instantiation
-// enumeration fan out across a worker group, each worker owning one pooled
-// sym.State + chase.Inst pair reused via Reset across pair checks. The
-// first counterexample in the serial (i, j, instantiation) order cancels
-// outstanding work, and the Result — Propagated, Counterexample,
-// PairsChecked, Instantiations, Truncated — is byte-identical to the
-// serial reference path (Parallelism = 1): workers past the winning index
-// are discarded, and every pair at or below it completes exactly as the
-// serial loop would.
+// Check is a pure function and safe to call concurrently. It runs one
+// executor at every worker count (parallel.go): the O(k²) union-disjunct
+// pair loop is laid out up front as a schedule, Options.Parallelism
+// workers claim its entries (the default is GOMAXPROCS), and a pair's
+// general-setting instantiation enumeration splits across the workers the
+// pairs leave idle. Each worker owns one pooled sym.State + chase.Inst
+// pair reused via Reset across pair checks; with Parallelism 1 the lone
+// worker runs on the calling goroutine. The first counterexample in the
+// paper's (i, j ≥ i, instantiation) order cancels outstanding work, and
+// the Result — Propagated, Counterexample, PairsChecked, Instantiations,
+// Truncated — is byte-identical at every worker count: work past the
+// winning index is discarded, and every pair at or below it completes
+// exactly as the nested loop would.
 package propagation
 
 import (
@@ -111,8 +113,8 @@ type Options struct {
 	WantCounterexample bool
 	// Parallelism is the number of workers the pair loop and the
 	// general-setting instantiation enumeration fan out over. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs the serial reference path. Results
-	// are identical at every setting.
+	// runtime.GOMAXPROCS(0); 1 runs one worker on the calling goroutine.
+	// Results are identical at every setting.
 	Parallelism int
 	// Context, when non-nil, cancels the check cooperatively: the pair
 	// loops, the finite-domain enumerations and the chase worklists all
@@ -134,17 +136,17 @@ type Options struct {
 	// FullRechase reference path, so a fixed budget stops the two at
 	// different points.
 	MaxChaseSteps int64
-	// FullRechase forces the pre-factorisation general-setting
-	// enumeration: every assignment re-chases the whole tableau pair from
-	// a pre-chase snapshot instead of extending a shared chased prefix.
-	// It is the differential oracle the factorised path is tested against
+	// FullRechase selects the other general-setting enumeration, scanChunk:
+	// every assignment re-chases the whole tableau pair from a pre-chase
+	// snapshot instead of extending a shared chased prefix (scanFactorised).
+	// It is the differential oracle the factorised scan is tested against
 	// (the SkipPreMinCover precedent); Results are byte-identical either
 	// way, only speed and chase-step consumption differ.
 	FullRechase bool
 	// Memo, when non-nil, caches pair outcomes, counterexamples and
 	// disjunct emptiness across Check calls sharing one (schema, Σ, V)
 	// scope — see the Memo type for the invalidation contract. Hits
-	// replay the exact serial-equivalent counters; Result.MemoHits and
+	// replay the exact counters of a fresh evaluation; Result.MemoHits and
 	// Result.MemoMisses report the traffic.
 	Memo *Memo
 	// Prevalidated asserts the caller has already established Check's
@@ -252,13 +254,7 @@ func Check(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD,
 		defer func() { opts.txn.commit(total.MemoHits, total.MemoMisses) }()
 	}
 	for _, p := range phi.Normalize() {
-		var r *Result
-		var err error
-		if opts.Parallelism > 1 {
-			r, err = checkNormalParallel(db, view, sigmaN, p, opts)
-		} else {
-			r, err = checkNormal(db, view, sigmaN, p, opts)
-		}
+		r, err := runSchedule(db, view, sigmaN, p, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -289,7 +285,7 @@ func CheckAuto(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.
 // pairWorker owns one sym.State + chase.Inst pair with the source
 // relations declared, reused via reset across pair checks instead of
 // re-allocating state and re-declaring relations per pair. Workers are
-// not goroutine-safe; the parallel path gives each goroutine its own.
+// not goroutine-safe; the schedule executor gives each goroutine its own.
 type pairWorker struct {
 	st *sym.State
 	ci *chase.Inst
@@ -450,255 +446,10 @@ func equalityEvaluate(w *pairWorker, sigmaN []*cfd.CFD, t *tableau.Tableau, a, b
 	}
 }
 
-// checkNormal is the serial reference implementation of the per-pair loop
-// (Parallelism = 1). The parallel path in parallel.go replicates its
-// outcome — including the counters and the emptiness bookkeeping — and is
-// differentially tested against it.
-func checkNormal(db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options) (*Result, error) {
-	res := &Result{Propagated: true}
-	k := len(view.Disjuncts)
-	emptyDisjunct := make([]bool, k)
-	// Pre-seed intrinsic emptiness from the memo, like the parallel scout
-	// (parallel.go): emptiness is intrinsic to a disjunct, so a warm memo
-	// answers without building the tableau. The discovery visit is still
-	// replayed below — pre-visit stop check plus one PairsChecked — so the
-	// Result stays byte-identical to a cold serial run and to the parallel
-	// path; only the redundant build is skipped.
-	knownEmpty := make([]bool, k)
-	var km *pairKeyMaker
-	if opts.Memo != nil {
-		km = opts.Memo.keyMaker(view, phi, opts)
-		for d := 0; d < k; d++ {
-			if e, known := opts.Memo.lookupEmpty(km.disjunct[d]); known && e {
-				knownEmpty[d] = true
-			}
-		}
-	}
-	w, err := newPairWorker(db)
-	if err != nil {
-		return nil, err
-	}
-	w.attach(opts)
-
-	// stopOn folds one check's error into res: a stop control firing ends
-	// the loop with the partial result (counters kept, Stopped set); any
-	// other error propagates. The stop check runs BEFORE each pair, so a
-	// pair never half-counts: PairsChecked covers exactly the pairs whose
-	// check began.
-	stopOn := func(err error) (done bool, rerr error) {
-		if err == nil {
-			return false, nil
-		}
-		if r := stopReasonOf(err); r != StopNone {
-			res.Stopped = r
-			return true, nil
-		}
-		return true, err
-	}
-
-	if phi.Equality {
-		for i := 0; i < k; i++ {
-			if r := opts.stopCheck(); r != StopNone {
-				res.Stopped = r
-				return res, nil
-			}
-			if knownEmpty[i] {
-				// The visit that would discover the emptiness, minus the
-				// doomed tableau build.
-				res.PairsChecked++
-				continue
-			}
-			ok, err := equalityCheck(w, db, view, i, km, sigmaN, phi, opts, res)
-			if done, rerr := stopOn(err); done {
-				return res, rerr
-			}
-			if !ok {
-				res.Propagated = false
-				return res, nil
-			}
-		}
-		return res, nil
-	}
-
-	for i := 0; i < k; i++ {
-		if emptyDisjunct[i] {
-			continue
-		}
-		if knownEmpty[i] {
-			// Serial would check (i,i), fail building t1, and mark i empty;
-			// replay the visit's counters without the build.
-			if r := opts.stopCheck(); r != StopNone {
-				res.Stopped = r
-				return res, nil
-			}
-			res.PairsChecked++
-			emptyDisjunct[i] = true
-			continue
-		}
-		for j := i; j < k; j++ {
-			if emptyDisjunct[j] {
-				continue
-			}
-			if knownEmpty[j] {
-				// j > i, i non-empty: serial builds t1 fine and discovers
-				// t2's inconsistency. One visit, then j is skipped for good.
-				if r := opts.stopCheck(); r != StopNone {
-					res.Stopped = r
-					return res, nil
-				}
-				res.PairsChecked++
-				emptyDisjunct[j] = true
-				continue
-			}
-			if r := opts.stopCheck(); r != StopNone {
-				res.Stopped = r
-				return res, nil
-			}
-			ok, markEmpty, err := pairCheck(w, db, view, i, j, km, sigmaN, phi, opts, res)
-			if done, rerr := stopOn(err); done {
-				return res, rerr
-			}
-			switch markEmpty {
-			case 1:
-				emptyDisjunct[i] = true
-			case 2:
-				emptyDisjunct[j] = true
-			}
-			if markEmpty == 1 {
-				break // all pairs with i are fine
-			}
-			if !ok {
-				res.Propagated = false
-				return res, nil
-			}
-		}
-	}
-	return res, nil
-}
-
-// replayPair folds a memoised pair outcome into res, exactly as the fresh
-// evaluation would have.
-func replayPair(e *memoPairEntry, opts Options, res *Result) (ok bool) {
-	res.MemoHits++
-	res.Instantiations += e.insts
-	if e.truncated {
-		res.Truncated = true
-	}
-	if e.refuted {
-		if opts.WantCounterexample {
-			res.Counterexample = e.cex
-		}
-		return false
-	}
-	return true
-}
-
-// evaluatePair runs a prepared pair's setting loop into a fresh sub-result
-// (so the pair's own contribution is known exactly), merges it into res,
-// and — when the pair completed — stores it in the memo transaction and
-// counts the miss.
-func evaluatePair(w *pairWorker, db *rel.DBSchema, opts Options, res *Result, ev *pairEval, km *pairKeyMaker, code uint32) (bool, error) {
-	sub := &Result{}
-	ok, _, err := runSetting(w.ci, db, opts, sub, ev)
-	res.Instantiations += sub.Instantiations
-	res.Truncated = res.Truncated || sub.Truncated
-	if !ok && sub.Counterexample != nil {
-		res.Counterexample = sub.Counterexample
-	}
-	if err == nil && opts.txn != nil {
-		res.MemoMisses++
-		opts.txn.storePair(km.phiKey, code, &memoPairEntry{
-			refuted:   !ok,
-			insts:     sub.Instantiations,
-			truncated: sub.Truncated,
-			cex:       sub.Counterexample,
-		})
-	}
-	return ok, err
-}
-
-// pairCheck tests the disjunct pair (i, j). markEmpty reports that the
-// first (1) or second (2) disjunct is unconditionally empty. km is non-nil
-// exactly when opts.Memo is.
-func pairCheck(w *pairWorker, db *rel.DBSchema, view *algebra.SPCU, i, j int, km *pairKeyMaker, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options, res *Result) (ok bool, markEmpty int, err error) {
-	e1, e2 := view.Disjuncts[i], view.Disjuncts[j]
-	res.PairsChecked++
-	code := uint32(0)
-	if opts.txn != nil {
-		code = pairCode(i, j)
-		if e, hit := opts.txn.lookupPair(km.phiKey, code, opts.WantCounterexample); hit {
-			if e.unrealizable {
-				// Replays like the fresh discovery: propagated, no counters.
-				return true, 0, nil
-			}
-			return replayPair(e, opts, res), 0, nil
-		}
-	}
-	w.reset()
-	t1, t2, outcome, err := preparePair(w, db, e1, e2, phi)
-	switch {
-	case err != nil:
-		return false, 0, err
-	case outcome == prepEmptyFirst:
-		if opts.Memo != nil {
-			opts.Memo.storeEmpty(km.disjunct[i], true)
-		}
-		return true, 1, nil
-	case outcome == prepEmptySecond:
-		if opts.Memo != nil {
-			opts.Memo.storeEmpty(km.disjunct[j], true)
-		}
-		return true, 2, nil
-	case outcome == prepUnrealizable:
-		if opts.txn != nil {
-			opts.txn.storePair(km.phiKey, code, &memoPairEntry{unrealizable: true})
-		}
-		return true, 0, nil
-	}
-	ev := &pairEval{
-		sigmaN:   sigmaN,
-		evaluate: pairEvaluate(w, sigmaN, t1, t2, phi.RHS[0]),
-		verdict:  pairVerdict(w, t1, t2, phi.RHS[0]),
-	}
-	ok, err = evaluatePair(w, db, opts, res, ev, km, code)
-	return ok, 0, err
-}
-
-// equalityCheck tests a special-form view CFD V(A → B, (x ‖ x)) against
-// disjunct i. km is non-nil exactly when opts.Memo is.
-func equalityCheck(w *pairWorker, db *rel.DBSchema, view *algebra.SPCU, i int, km *pairKeyMaker, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options, res *Result) (bool, error) {
-	e := view.Disjuncts[i]
-	res.PairsChecked++
-	code := uint32(0)
-	if opts.txn != nil {
-		code = eqCode(i)
-		if me, hit := opts.txn.lookupPair(km.phiKey, code, opts.WantCounterexample); hit {
-			return replayPair(me, opts, res), nil
-		}
-	}
-	w.reset()
-	t, outcome, err := prepareEquality(w, db, e)
-	if err != nil {
-		return false, err
-	}
-	if outcome == prepEmptyFirst {
-		if opts.Memo != nil {
-			opts.Memo.storeEmpty(km.disjunct[i], true)
-		}
-		return true, nil
-	}
-	ev := &pairEval{
-		sigmaN:   sigmaN,
-		evaluate: equalityEvaluate(w, sigmaN, t, phi.LHS[0].Attr, phi.RHS[0].Attr),
-		verdict:  equalityVerdict(w, t, phi.LHS[0].Attr, phi.RHS[0].Attr),
-	}
-	return evaluatePair(w, db, opts, res, ev, km, code)
-}
-
 // enumPlan describes a pair's finite-domain enumeration: the unbound
 // finite roots, their domains, and the (possibly capped) number of
 // assignment indexes to examine in mixed-radix order — digit 0 varies
-// fastest, matching the serial increment order.
+// fastest, matching the nested loop's increment order.
 type enumPlan struct {
 	roots   []int
 	domains [][]string
@@ -743,94 +494,4 @@ func (p *enumPlan) decode(idx int, choice []int) {
 		choice[i] = idx % len(p.domains[i])
 		idx /= len(p.domains[i])
 	}
-}
-
-// runSetting runs the pair's evaluation once (infinite-domain) or per
-// finite-domain instantiation (general setting), extracting a
-// counterexample on failure. The general-setting enumeration defaults to
-// the factorised path (runFactorised); Options.FullRechase selects the
-// historical re-chase-per-assignment loop below, kept verbatim as the
-// differential oracle. That loop deliberately does NOT share code with the
-// parallel path's scanChunk: it is the serial reference implementation the
-// determinism tests compare every other path against, and an independent
-// copy is what lets those tests catch a bug in either one.
-func runSetting(ci *chase.Inst, db *rel.DBSchema, opts Options, res *Result, ev *pairEval) (bool, int, error) {
-	st := ci.St
-	evaluate := ev.evaluate
-	fail := func() (bool, int, error) {
-		if opts.WantCounterexample {
-			// In the general setting every finite-domain variable was bound
-			// by the enumeration; in the infinite-domain setting none exist.
-			witness, err := ci.Concrete(db, true)
-			if err == nil {
-				res.Counterexample = witness
-			}
-		}
-		return false, 0, nil
-	}
-
-	if !opts.General {
-		ok, err := evaluate()
-		if err != nil {
-			return false, 0, err
-		}
-		if ok {
-			return true, 0, nil
-		}
-		return fail()
-	}
-
-	plan, emptyDomain := planEnumeration(st, opts.MaxInstantiations)
-	if emptyDomain {
-		return true, 0, nil // empty domain: premise unrealizable
-	}
-	if len(plan.roots) == 0 {
-		res.Instantiations++
-		ok, err := evaluate()
-		if err != nil {
-			return false, 0, err
-		}
-		if ok {
-			return true, 0, nil
-		}
-		return fail()
-	}
-	if !opts.FullRechase {
-		return runFactorised(ci, db, opts, res, ev, plan)
-	}
-	base := st.Save()
-	choice := make([]int, len(plan.roots))
-	for idx := 0; idx < plan.limit; idx++ {
-		// Poll the stop controls directly: with an empty (or quickly
-		// fixpointed) Σ the chase may take no steps, so the enumeration loop
-		// itself must observe cancellation.
-		if idx&63 == 0 && opts.sp != nil {
-			if r := opts.sp.check(); r != StopNone {
-				return false, 0, opts.sp.errFor(r)
-			}
-		}
-		st.Restore(base)
-		plan.decode(idx, choice)
-		applicable := true
-		for i, r := range plan.roots {
-			if st.Bind(sym.Variable(r), plan.domains[i][choice[i]]) != nil {
-				applicable = false
-				break
-			}
-		}
-		if applicable {
-			res.Instantiations++
-			ok, err := evaluate()
-			if err != nil {
-				return false, 0, err
-			}
-			if !ok {
-				return fail()
-			}
-		}
-	}
-	if plan.capped {
-		res.Truncated = true
-	}
-	return true, 0, nil
 }

@@ -73,8 +73,8 @@ func (r *StopReason) UnmarshalText(text []byte) error {
 // stopper carries a Check call's stop controls: the effective context
 // (wrapping Options.Context with Options.Deadline when set) and the shared
 // chase-step budget. One stopper serves every worker of the call — the
-// budget is global, not per-worker, so the serial and parallel paths
-// exhaust it after the same total number of chase steps.
+// budget is global, not per-worker: every worker draws its chase steps
+// from the one pool.
 type stopper struct {
 	ctx    context.Context
 	cancel context.CancelFunc

@@ -204,9 +204,9 @@ func TestRefutationDefinitiveUnderBudget(t *testing.T) {
 	}
 }
 
-// TestBudgetSharedAcrossWorkers: serial and parallel runs share one global
-// step pool, so a budget that stops the serial path also stops (or
-// finishes) every parallel run — never an error, never a refutation.
+// TestBudgetSharedAcrossWorkers: runs at every worker count share one
+// global step pool, so a budget that stops the one-worker run also stops
+// (or finishes) every parallel run — never an error, never a refutation.
 func TestBudgetSharedAcrossWorkers(t *testing.T) {
 	db, view, sigma, phiYes, _ := chainUnionWorkload(t)
 	for _, budget := range []int64{3, 17, 64} {
