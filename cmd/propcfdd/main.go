@@ -16,7 +16,7 @@
 // triggers the same drain after that long — handy for smoke tests.
 //
 // Endpoints: POST /v1/check, /v1/cover, /v1/implies, /v1/universe;
-// GET /v1/universe/{fp}; PUT /v1/universe/{fp}/sigma; GET /healthz,
+// GET /v1/universe/{fp}; PUT, PATCH /v1/universe/{fp}/sigma; GET /healthz,
 // /readyz, /statusz. See internal/daemon for the wire format and the
 // 429/503 degradation contract.
 package main

@@ -11,8 +11,8 @@
 //   - internal/algebra   — SPC / SPCU views in normal form, evaluator
 //   - internal/sym, internal/chase, internal/tableau — the chase machinery
 //     (sym journals class changes so chase fixpoints are worklist-driven)
-//   - internal/implication — CFD implication, consistency, MinCover; the
-//     pooled Session API reuses one compiled Σ, worklist chase state and
+//   - internal/implication — CFD implication and MinCover; the pooled
+//     Session API reuses one compiled Σ, worklist chase state and
 //     closure fast path across many queries, and the sharded Pool fans
 //     concurrent queries and MinCover's redundancy screen across
 //     per-worker Sessions (see the package comment)

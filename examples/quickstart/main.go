@@ -13,14 +13,15 @@
 // returns its fingerprint; /v1/check, /v1/cover and /v1/implies then take
 // either an inline "spec" or that "universe" fingerprint — fingerprinted
 // queries reuse the warm compiled state and implication pool across
-// requests. PUT /v1/universe/{fp}/sigma replaces Σ wholesale and returns a
-// new fingerprint (the old one 404s, so stale clients fail loudly), but
-// starts the successor cold. PATCH /v1/universe/{fp}/sigma takes an
-// add/remove delta instead: the implication pool replays the edit from its
-// delta log, the verdict memo migrates (every pair the edit provably
-// cannot affect carries over), and the response reports the carry
-// ("carried": pairs/empty entries kept vs dropped) — a single-CFD edit on
-// a warm universe re-covers an order of magnitude faster than a PUT
+// requests. PUT /v1/universe/{fp}/sigma replaces Σ wholesale and PATCH
+// /v1/universe/{fp}/sigma takes an add/remove delta; both return a new
+// fingerprint (the old one 404s, so stale clients fail loudly) and keep
+// the universe warm, a PUT being diffed against the current Σ and applied
+// as a delta: the implication pool replays the edit from its delta log,
+// the verdict memo migrates (every pair the edit provably cannot affect
+// carries over), and the response reports the carry ("carried":
+// pairs/empty entries kept vs dropped) — a single-CFD edit on a warm
+// universe re-covers an order of magnitude faster than a cold cover
 // (cmd/benchfig -exp incremental reproduces the measurement).
 //
 // In the library the same incremental path is core.NewCoverSession:

@@ -14,7 +14,6 @@ package algebra
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cfdprop/internal/rel"
@@ -310,12 +309,4 @@ func (q *SPC) String() string {
 		s += ")"
 	}
 	return q.Name + " = " + s + ")"
-}
-
-// SortedProjection returns the projection attributes sorted (helper for
-// deterministic reporting).
-func (q *SPC) SortedProjection() []string {
-	out := append([]string(nil), q.Projection...)
-	sort.Strings(out)
-	return out
 }

@@ -218,24 +218,6 @@ func (c *CFD) IsFD() bool {
 	return true
 }
 
-// LHSAttrs returns the LHS attribute names in order.
-func (c *CFD) LHSAttrs() []string {
-	out := make([]string, len(c.LHS))
-	for i, it := range c.LHS {
-		out[i] = it.Attr
-	}
-	return out
-}
-
-// RHSAttrs returns the RHS attribute names in order.
-func (c *CFD) RHSAttrs() []string {
-	out := make([]string, len(c.RHS))
-	for i, it := range c.RHS {
-		out[i] = it.Attr
-	}
-	return out
-}
-
 // LHSItem returns the LHS item for attr, if present.
 func (c *CFD) LHSItem(attr string) (Item, bool) {
 	for _, it := range c.LHS {

@@ -155,22 +155,6 @@ func projectKey(t rel.Tuple, idx []int) string {
 	return b.String()
 }
 
-// SatisfiesAll reports whether the instance satisfies every CFD; on failure
-// it returns the first violation found.
-func SatisfiesAll(in *rel.Instance, cs []*CFD) (bool, *Violation, error) {
-	for _, c := range cs {
-		vs, err := violations(in, c, true)
-		if err != nil {
-			return false, nil, err
-		}
-		if len(vs) > 0 {
-			v := vs[0]
-			return false, &v, nil
-		}
-	}
-	return true, nil, nil
-}
-
 // DatabaseSatisfies reports whether every relation instance of the database
 // satisfies the CFDs defined on it.
 func DatabaseSatisfies(db *rel.Database, cs []*CFD) (bool, *Violation, error) {

@@ -149,15 +149,6 @@ func (ci *Inst) checkpoint(qh int) error {
 	return nil
 }
 
-// col returns the term of the named attribute in a row.
-func (ci *Inst) col(r *Row, attr string) (sym.Term, error) {
-	i, ok := ci.attrIdx[r.Relation][attr]
-	if !ok {
-		return sym.Term{}, fmt.Errorf("chase: relation %q has no attribute %q", r.Relation, attr)
-	}
-	return r.Cols[i], nil
-}
-
 // ErrUndefined wraps the conflict that made the chase undefined.
 type ErrUndefined struct{ Cause error }
 

@@ -2,33 +2,33 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"strings"
+	"errors"
 
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/implication"
+	"cfdprop/internal/parutil"
 	"cfdprop/internal/propagation"
 	"cfdprop/internal/rel"
 )
 
-// CoverSession is the incremental face of PropCFDSPC/PropCFDSPCU: one
-// compiled (db, view) pair whose propagation cover is repaired across Σ
-// edits instead of rebuilt. It holds, per disjunct, the per-relation
-// MinCover bucket cache of Fig. 2 line 1 (a Σ edit re-covers only the
-// touched relation's bucket; every other bucket replays its cached cover)
-// and the line 2-13 tail result keyed by the covered Σ (when an edit does
-// not change the covered Σ reaching a disjunct — e.g. it touches a
-// relation the disjunct does not embed — the whole tail is skipped), plus
-// persistent warm implication sessions whose compiled buffers and
-// tombstone masks live across edits.
+// CoverSession is the one cover implementation: PropCFDSPC and
+// PropCFDSPCU are a CoverSession used once, and the daemon keeps one per
+// universe so that a propagation cover is repaired across Σ edits instead
+// of rebuilt. It holds, per disjunct, the per-relation MinCover bucket
+// cache of Fig. 2 line 1 (a Σ edit re-covers only the touched relation's
+// bucket; every other bucket replays its cached cover) and the line 2-13
+// tail result keyed by the covered Σ (when an edit does not change the
+// covered Σ reaching a disjunct — e.g. it touches a relation the disjunct
+// does not embed — the whole tail is skipped), plus persistent warm
+// implication sessions and final-MinCover pools whose compiled buffers
+// live across edits.
 //
-// Results are byte-identical to the one-shot algorithms by construction:
-// every cache is keyed by the exact input of a deterministic stage, and
-// cache misses run the same code (propSPCTail, Session.MinCover) the
-// one-shot path runs — PropCFDSPCU is a CoverSession used once. The only
-// fields that may differ are UnionResult's MemoHits/MemoMisses, which
-// reflect the memo state of the computing run.
+// A warm session's results are byte-identical to a cold one's: every
+// cache is keyed by the exact input of a deterministic stage (compared
+// member by member, see sameCFDs), and a cache miss runs the code a cold
+// session runs. The only fields that may differ are UnionResult's
+// MemoHits/MemoMisses, which reflect the memo state of the computing run.
 //
 // A CoverSession is not safe for concurrent use; callers (the daemon entry
 // lock) must serialize access. Returned results are shared with the cache
@@ -41,10 +41,10 @@ type CoverSession struct {
 
 	disjuncts []*coverSPC
 
-	memo      *propagation.Memo
-	finalSess *implication.Session // union final MinCover, warm across edits
-	lastFP    string
-	last      *UnionResult
+	memo   *propagation.Memo
+	final  *implication.Pool // union final MinCover, warm across edits
+	lastIn []*cfd.CFD        // the normalized Σ last was computed from
+	last   *UnionResult
 
 	// lastSigma is the normalized Σ the memo's entries are scoped to; Cover
 	// migrates the memo across DiffSigma(lastSigma, Σ') before consulting
@@ -58,23 +58,24 @@ type coverSPC struct {
 	view       *algebra.SPC
 	viewSchema *rel.Schema
 	buckets    map[string]*bucketEntry
-	finalSess  *implication.Session
-	lastFP     string
+	final      *implication.Pool // line 13 MinCover, Options.Parallelism shards
+	lastIn     []*cfd.CFD        // the covered Σ last was computed from
 	last       *Result
 }
 
-// bucketEntry caches one source relation's line-1 MinCover: the bucket
-// fingerprint it was computed from, the cover, and the persistent
-// implication session (with its tombstone buffers) that computes it.
+// bucketEntry caches one source relation's line-1 MinCover: the bucket it
+// was computed from, the cover, and the persistent implication session
+// (with its tombstone buffers) that computes it.
 type bucketEntry struct {
-	fp    string
+	in    []*cfd.CFD
 	cover []*cfd.CFD
 	sess  *implication.Session
 }
 
 // NewCoverSession compiles a (db, view) pair for incremental covering.
-// opts fixes the algorithm knobs for the session's lifetime (Context is
-// overridden per call; Memo via SetMemo).
+// opts fixes the algorithm knobs for the session's lifetime, Parallelism
+// included (Context is overridden per call; Memo is the initial memo, see
+// SetMemo).
 func NewCoverSession(db *rel.DBSchema, view *algebra.SPCU, opts Options) (*CoverSession, error) {
 	if err := view.Validate(db); err != nil {
 		return nil, err
@@ -103,13 +104,14 @@ func NewCoverSession(db *rel.DBSchema, view *algebra.SPCU, opts Options) (*Cover
 // session must be fresh); subsequent edits migrate it automatically.
 func (cs *CoverSession) SetMemo(m *propagation.Memo) { cs.memo = m }
 
-// RebaseMemo installs a memo already migrated to sigma's scope. The daemon
-// PATCH path migrates the entry memo once (it is shared with the check
-// endpoint) and rebases the transferred session on the result, so the next
-// Cover call sees an empty DiffSigma and does not migrate a second time.
+// RebaseMemo installs a memo already migrated to sigma's scope. The
+// daemon's Σ edits (PUT and PATCH) migrate the entry memo once (it is
+// shared with the check endpoint) and rebase the transferred session on
+// the result, so the next Cover call sees an empty DiffSigma and does not
+// migrate a second time.
 func (cs *CoverSession) RebaseMemo(m *propagation.Memo, sigma []*cfd.CFD) {
 	cs.memo = m
-	cs.lastSigma = cfd.NormalizeAll(sigma)
+	cs.lastSigma = append([]*cfd.CFD(nil), cfd.NormalizeAll(sigma)...)
 }
 
 // CarryStats returns the cumulative memo-migration tallies over every Σ
@@ -120,29 +122,33 @@ func (cs *CoverSession) CarryStats() propagation.CarryStats { return cs.carry }
 // MemoStats snapshots the session's memo.
 func (cs *CoverSession) MemoStats() propagation.MemoStats { return cs.memo.Stats() }
 
-// errFiniteAttrs is the same rejection PropCFDSPC/PropCFDSPCU raise.
-func errFiniteAttrs() error {
-	return fmt.Errorf("core: schema has finite-domain attributes; §4 assumes their absence (set Options.AllowFiniteDomains to force)")
-}
+// errFiniteAttrs rejects schemas outside §4's infinite-domain setting.
+var errFiniteAttrs = errors.New("core: schema has finite-domain attributes; §4 assumes their absence (set Options.AllowFiniteDomains to force)")
 
-// sigmaFP fingerprints an ordered CFD list. Stage outputs are
-// order-deterministic, so string concatenation is an exact input key.
-func sigmaFP(sigma []*cfd.CFD) string {
-	var b strings.Builder
-	for _, c := range sigma {
-		b.WriteString(c.String())
-		b.WriteByte(0)
+// sameCFDs reports whether two CFD lists are equal member by member, in
+// order. Stage outputs are order-deterministic, so this is an exact input
+// key. An unchanged member is usually the same *CFD on both sides, so the
+// pointer comparison settles most members without rendering them.
+func sameCFDs(a, b []*cfd.CFD) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	return b.String()
+	for i := range a {
+		if a[i] != b[i] && a[i].String() != b[i].String() {
+			return false
+		}
+	}
+	return true
 }
 
-// CoverDisjunct computes disjunct i's minimal propagation cover — the
-// incremental equivalent of PropCFDSPC(db, view.Disjuncts[i], sigma, opts).
+// CoverDisjunct computes disjunct i's minimal propagation cover, Fig. 2 on
+// the session's caches: PropCFDSPC(db, view.Disjuncts[i], sigma, opts) is
+// this call on a fresh session.
 func (cs *CoverSession) CoverDisjunct(ctx context.Context, i int, sigma []*cfd.CFD) (*Result, error) {
 	opts := cs.opts
 	opts.Context = ctx
 	if cs.db.HasFiniteAttr() && !opts.AllowFiniteDomains {
-		return nil, errFiniteAttrs()
+		return nil, errFiniteAttrs
 	}
 	if err := cfd.ValidateAll(sigma, cs.db); err != nil {
 		return nil, err
@@ -153,36 +159,38 @@ func (cs *CoverSession) CoverDisjunct(ctx context.Context, i int, sigma []*cfd.C
 // cover runs one disjunct's PropCFDSPC with the bucket cache and the
 // cached tail. sigma is normalized and validated.
 func (d *coverSPC) cover(db *rel.DBSchema, sigma []*cfd.CFD, opts Options) (*Result, error) {
-	ctx := optContext(opts)
 	covered := sigma
 	if !opts.SkipPreMinCover {
 		var err error
-		covered, err = d.minCoverBuckets(ctx, db, sigma)
+		covered, err = d.minCoverBuckets(optContext(opts), db, sigma, optParallelism(opts))
 		if err != nil {
 			return nil, err
 		}
 	}
-	fp := sigmaFP(covered)
-	if d.last != nil && fp == d.lastFP {
+	if d.last != nil && sameCFDs(d.lastIn, covered) {
 		return d.last, nil
 	}
-	if d.finalSess == nil && !opts.SkipFinalMinCover {
-		d.finalSess = implication.NewSession(implication.UniverseOf(d.viewSchema))
+	if d.final == nil && !opts.SkipFinalMinCover {
+		d.final = implication.NewPool(implication.UniverseOf(d.viewSchema), optParallelism(opts))
 	}
-	res, err := propSPCTail(db, d.view, d.viewSchema, covered, opts, d.finalSess)
+	res, err := propSPCTail(db, d.view, d.viewSchema, covered, opts, d.final)
 	if err != nil {
 		return nil, err
 	}
-	d.lastFP, d.last = fp, res
+	// Under SkipPreMinCover, covered may be the caller's own slice, which
+	// the caller may edit in place; the key is a private copy.
+	d.lastIn, d.last = append([]*cfd.CFD(nil), covered...), res
 	return res, nil
 }
 
-// minCoverBuckets is minCoverPerRelation with a per-relation cache: a
-// bucket whose contents (order-sensitively) match the previous edit's
-// replays its cached cover; a changed bucket re-covers on its persistent
-// warm session. Output order — first-appearance relation order, covered
-// CFDs per bucket — is exactly minCoverPerRelation's.
-func (d *coverSPC) minCoverBuckets(ctx context.Context, db *rel.DBSchema, sigma []*cfd.CFD) ([]*cfd.CFD, error) {
+// minCoverBuckets is Fig. 2 line 1, Σ := MinCover(Σ), one implication
+// session per source relation. A bucket whose contents match the previous
+// call's (member by member, in order) replays its cached cover. The
+// changed buckets are independent, so they fan out over par workers; each
+// re-covers on its bucket's persistent session, minted by the worker that
+// first runs it. The output keeps the first-appearance relation order,
+// covered CFDs per bucket.
+func (d *coverSPC) minCoverBuckets(ctx context.Context, db *rel.DBSchema, sigma []*cfd.CFD, par int) ([]*cfd.CFD, error) {
 	byRel := make(map[string][]*cfd.CFD)
 	var order []string
 	for _, c := range sigma {
@@ -191,25 +199,47 @@ func (d *coverSPC) minCoverBuckets(ctx context.Context, db *rel.DBSchema, sigma 
 		}
 		byRel[c.Relation] = append(byRel[c.Relation], c)
 	}
-	var out []*cfd.CFD
+	var changed []string
 	for _, r := range order {
-		bucket := byRel[r]
-		fp := sigmaFP(bucket)
 		e := d.buckets[r]
 		if e == nil {
-			e = &bucketEntry{sess: implication.NewSession(implication.UniverseOf(db.Relation(r)))}
+			e = &bucketEntry{}
 			d.buckets[r] = e
 		}
-		if e.cover == nil || e.fp != fp {
-			e.sess.SetContext(ctx)
-			cover, err := e.sess.MinCover(bucket)
-			if err != nil {
-				e.cover = nil // do not cache a partial cover
-				return nil, err
-			}
-			e.fp, e.cover = fp, cover
+		if !sameCFDs(e.in, byRel[r]) {
+			changed = append(changed, r)
 		}
-		out = append(out, e.cover...)
+	}
+	errs := make([]error, len(changed))
+	if err := parutil.DoCtx(ctx, len(changed), par, func(i int) {
+		r := changed[i]
+		e := d.buckets[r]
+		if e.sess == nil {
+			e.sess = implication.NewSession(implication.UniverseOf(db.Relation(r)))
+		}
+		e.sess.SetContext(ctx)
+		cover, err := e.sess.MinCover(byRel[r])
+		if err != nil {
+			errs[i] = err // the bucket keeps its last complete cover
+			return
+		}
+		e.in, e.cover = byRel[r], cover
+	}); err != nil {
+		// A worker may have panicked mid-query; the next call mints fresh
+		// sessions for these buckets.
+		for _, r := range changed {
+			d.buckets[r].sess = nil
+		}
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	var out []*cfd.CFD
+	for _, r := range order {
+		out = append(out, d.buckets[r].cover...)
 	}
 	return out, nil
 }
@@ -223,16 +253,18 @@ func (cs *CoverSession) Cover(ctx context.Context, sigma []*cfd.CFD) (*UnionResu
 	opts := cs.opts
 	opts.Context = ctx
 	if cs.db.HasFiniteAttr() && !opts.AllowFiniteDomains {
-		return nil, errFiniteAttrs()
+		return nil, errFiniteAttrs
 	}
 	if err := cfd.ValidateAll(sigma, cs.db); err != nil {
 		return nil, err
 	}
 	sigmaN := cfd.NormalizeAll(sigma)
-	fp := sigmaFP(sigmaN)
-	if cs.last != nil && fp == cs.lastFP {
+	if cs.last != nil && sameCFDs(cs.lastIn, sigmaN) {
 		return cs.last, nil
 	}
+	// NormalizeAll may return the caller's slice, which the caller may edit
+	// in place between calls; the session keys on a private copy.
+	sigmaN = append([]*cfd.CFD(nil), sigmaN...)
 
 	// Migrate the memo across the Σ edit: verdicts whose pairs the edit
 	// provably cannot affect carry forward; the rest recompute as misses.
@@ -321,11 +353,11 @@ func (cs *CoverSession) Cover(ctx context.Context, sigma []*cfd.CFD) (*UnionResu
 			kept = append(kept, c)
 		}
 	}
-	if cs.finalSess == nil {
-		cs.finalSess = implication.NewSession(implication.UniverseOf(cs.viewSchema))
+	if cs.final == nil {
+		cs.final = implication.NewPool(implication.UniverseOf(cs.viewSchema), optParallelism(opts))
 	}
-	cs.finalSess.SetContext(opts.Context)
-	cover, err := cs.finalSess.MinCover(kept)
+	cs.final.SetContext(opts.Context)
+	cover, err := cs.final.MinCover(kept)
 	if err != nil {
 		return nil, err
 	}
@@ -336,6 +368,6 @@ func (cs *CoverSession) Cover(ctx context.Context, sigma []*cfd.CFD) (*UnionResu
 		MemoHits:   memoHits,
 		MemoMisses: memoMisses,
 	}
-	cs.lastFP, cs.last = fp, res
+	cs.lastIn, cs.last = sigmaN, res
 	return res, nil
 }

@@ -8,8 +8,69 @@ import (
 
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
+	"cfdprop/internal/implication"
+	"cfdprop/internal/parutil"
 	"cfdprop/internal/rel"
 )
+
+// scratchPropCFDSPC computes PropCFDSPC's cover outside CoverSession,
+// kept as the reference the sessions are compared with: Fig. 2 line 1 as a
+// per-relation MinCover on fresh sessions, then propSPCTail with a fresh
+// final-MinCover pool. It assumes an infinite-domain schema.
+func scratchPropCFDSPC(db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD, opts Options) (*Result, error) {
+	if err := view.Validate(db); err != nil {
+		return nil, err
+	}
+	if err := cfd.ValidateAll(sigma, db); err != nil {
+		return nil, err
+	}
+	viewSchema, err := view.ViewSchema(db)
+	if err != nil {
+		return nil, err
+	}
+	sigma = cfd.NormalizeAll(sigma)
+	if !opts.SkipPreMinCover {
+		if sigma, err = minCoverPerRelation(optContext(opts), db, sigma, optParallelism(opts)); err != nil {
+			return nil, err
+		}
+	}
+	var final *implication.Pool
+	if !opts.SkipFinalMinCover {
+		final = implication.NewPool(implication.UniverseOf(viewSchema), optParallelism(opts))
+	}
+	return propSPCTail(db, view, viewSchema, sigma, opts, final)
+}
+
+// minCoverPerRelation applies MinCover to each relation's bucket of Σ on a
+// fresh session per relation, fanned out over par workers; the output
+// keeps the first-appearance relation order.
+func minCoverPerRelation(ctx context.Context, db *rel.DBSchema, sigma []*cfd.CFD, par int) ([]*cfd.CFD, error) {
+	byRel := make(map[string][]*cfd.CFD)
+	var order []string
+	for _, c := range sigma {
+		if _, seen := byRel[c.Relation]; !seen {
+			order = append(order, c.Relation)
+		}
+		byRel[c.Relation] = append(byRel[c.Relation], c)
+	}
+	covers := make([][]*cfd.CFD, len(order))
+	errs := make([]error, len(order))
+	if err := parutil.DoCtx(ctx, len(order), par, func(i int) {
+		sess := implication.NewSession(implication.UniverseOf(db.Relation(order[i])))
+		sess.SetContext(ctx)
+		covers[i], errs[i] = sess.MinCover(byRel[order[i]])
+	}); err != nil {
+		return nil, err
+	}
+	var out []*cfd.CFD
+	for i := range order {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		out = append(out, covers[i]...)
+	}
+	return out, nil
+}
 
 // coverScriptWorkload builds a multi-relation schema, a union view whose
 // disjuncts each embed one relation (so a one-relation Σ edit leaves most
@@ -78,8 +139,9 @@ func stripUnionCounters(r *UnionResult) UnionResult {
 
 // TestCoverSessionMatchesScratch replays randomized Σ edit scripts through
 // CoverSession (one session per parallelism level) and requires every
-// incremental cover — union and per-disjunct — to match the from-scratch
-// PropCFDSPCU/PropCFDSPC output, including the cover contents.
+// incremental cover to match a from-scratch one, cover contents included:
+// the union cover a cold PropCFDSPCU computes, and each disjunct's cover
+// from scratchPropCFDSPC, which runs outside CoverSession.
 func TestCoverSessionMatchesScratch(t *testing.T) {
 	seeds := int64(5)
 	if testing.Short() {
@@ -140,7 +202,7 @@ func TestCoverSessionMatchesScratch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d disjunct %d: %v", seed, step, d, err)
 			}
-			wantD, err := PropCFDSPC(db, view.Disjuncts[d], sigma, Options{Parallelism: 1})
+			wantD, err := scratchPropCFDSPC(db, view.Disjuncts[d], sigma, Options{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,8 +218,8 @@ func TestCoverSessionMatchesScratch(t *testing.T) {
 }
 
 // TestCoverSessionCachesUnchangedSigma: repeating Cover with an unchanged Σ
-// (even in a different list order) returns the cached result without
-// recomputing.
+// returns the cached result without recomputing, and an edit — including
+// one made in place in the caller's slice — recomputes.
 func TestCoverSessionCachesUnchangedSigma(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db, view, pool := coverScriptWorkload(rng)
@@ -192,5 +254,54 @@ func TestCoverSessionCachesUnchangedSigma(t *testing.T) {
 	}
 	if cs.MemoStats().Misses == misses && cs.MemoStats().Hits == 0 {
 		t.Fatal("edited Σ neither hit nor missed the memo; checks did not run")
+	}
+
+	// Editing the caller's slice in place between two calls is an edit
+	// too: the session keys on its own copy of Σ, so it recomputes. The
+	// disjunct path is checked under SkipPreMinCover, where the covered Σ
+	// is the caller's slice itself.
+	other := pool[len(pool)-2]
+	for _, c := range edited {
+		if c.String() == other.String() {
+			t.Fatalf("workload: %s already in Σ", other)
+		}
+	}
+	ds, err := NewCoverSession(db, view, Options{SkipPreMinCover: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := cs.Cover(ctx, edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beforeD, err := ds.CoverDisjunct(ctx, 0, edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited[0] = other
+	after, err := cs.Cover(ctx, edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterD, err := ds.CoverDisjunct(ctx, 0, edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == before || afterD == beforeD {
+		t.Fatal("an in-place edit of the caller's Σ slice returned the cached result")
+	}
+	want, err := PropCFDSPCU(db, view, edited, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := stripUnionCounters(after), stripUnionCounters(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("cover after an in-place edit differs from scratch\n got: %+v\nwant: %+v", g, w)
+	}
+	wantD, err := scratchPropCFDSPC(db, view.Disjuncts[0], edited, Options{SkipPreMinCover: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(afterD, wantD) {
+		t.Fatalf("disjunct cover after an in-place edit differs from scratch\n got: %+v\nwant: %+v", afterD, wantD)
 	}
 }

@@ -6,12 +6,13 @@
 // (Fig. 4) and RBR, reduction by resolution (Fig. 3, extending Gottlob's
 // algorithm for embedded FDs to CFDs).
 //
-// Beyond the one-shot PropCFDSPC/PropCFDSPCU entry points, CoverSession
-// keeps one (db, view) pair compiled across a stream of Σ revisions:
-// consecutive Cover calls diff the incoming Σ against the last one
-// (propagation.DiffSigma), migrate the pair memo across the edit, and
+// CoverSession computes every cover: the one-shot PropCFDSPC and
+// PropCFDSPCU entry points run a fresh session once, and a session kept
+// across calls keeps one (db, view) pair compiled across a stream of Σ
+// revisions: consecutive Cover calls diff the incoming Σ against the last
+// one (propagation.DiffSigma), migrate the pair memo across the edit, and
 // re-certify only what the delta could have changed — the incremental path
-// the daemon's PATCH sigma endpoint is built on.
+// the daemon's PUT and PATCH sigma endpoints are built on.
 package core
 
 import (

@@ -2,13 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/implication"
-	"cfdprop/internal/parutil"
 	"cfdprop/internal/propagation"
 	"cfdprop/internal/rel"
 )
@@ -44,9 +42,11 @@ type Options struct {
 	// (Fig. 2 line 13); exposed for the ablation benchmarks.
 	SkipFinalMinCover bool
 	// Parallelism is the number of workers the independent sub-problems
-	// fan out over: the per-relation pre-MinCover, RBR's block-wise
-	// pruning, the final MinCover's reduction and redundancy screen, and
-	// (through PropCFDSPCU) the §3 decision procedure. 0 selects
+	// fan out over: the per-relation pre-MinCover of every changed bucket,
+	// RBR's block-wise pruning, the final MinCover's reduction and
+	// redundancy screen (on a pool of that many shards, which a
+	// CoverSession sizes once, at its construction), and (through
+	// PropCFDSPCU) the §3 decision procedure. 0 selects
 	// runtime.GOMAXPROCS(0); 1 runs each of them on one worker, on the
 	// same code. The output is identical at every setting.
 	Parallelism int
@@ -82,33 +82,19 @@ type Result struct {
 
 // PropCFDSPC computes a minimal cover of all CFDs propagated from Σ via
 // the SPC view (Fig. 2). Σ may contain FDs (all-wildcard CFDs) or CFDs on
-// the source relations; the infinite-domain setting is assumed.
+// the source relations; the infinite-domain setting is assumed. It is a
+// CoverSession used once: CoverSession.CoverDisjunct runs line 1 and
+// propSPCTail lines 2-13. The view is validated as an SPC query first, so
+// its errors read as they do for an SPC view, not a one-disjunct union.
 func PropCFDSPC(db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD, opts Options) (*Result, error) {
 	if err := view.Validate(db); err != nil {
 		return nil, err
 	}
-	if db.HasFiniteAttr() && !opts.AllowFiniteDomains {
-		return nil, fmt.Errorf("core: schema has finite-domain attributes; §4 assumes their absence (set Options.AllowFiniteDomains to force)")
-	}
-	if err := cfd.ValidateAll(sigma, db); err != nil {
-		return nil, err
-	}
-	viewSchema, err := view.ViewSchema(db)
+	cs, err := NewCoverSession(db, algebra.Single(view), opts)
 	if err != nil {
 		return nil, err
 	}
-	par := optParallelism(opts)
-	ctx := optContext(opts)
-
-	// Line 1: Σ := MinCover(Σ), per source relation.
-	sigma = cfd.NormalizeAll(sigma)
-	if !opts.SkipPreMinCover {
-		sigma, err = minCoverPerRelation(ctx, db, sigma, par)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return propSPCTail(db, view, viewSchema, sigma, opts, nil)
+	return cs.CoverDisjunct(opts.Context, 0, sigma)
 }
 
 // optParallelism resolves Options.Parallelism to an effective worker count.
@@ -132,13 +118,12 @@ func optContext(opts Options) context.Context {
 }
 
 // propSPCTail runs Fig. 2 lines 2-13 over an already-covered Σ (the line 1
-// output). It is shared by the one-shot PropCFDSPC and the incremental
-// CoverSession: the tail is a pure function of (db, view, sigma, opts), so
-// replaying it over an unchanged sigma reproduces the cover byte for byte.
-// finalSess, when non-nil, supplies a warm implication session for the
-// final MinCover — its output is deterministic in (universe, input) and
-// identical to the pool the one-shot path builds.
-func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, sigma []*cfd.CFD, opts Options, finalSess *implication.Session) (*Result, error) {
+// output). The tail is a pure function of (db, view, sigma, opts), so
+// CoverSession replays its cached result for an unchanged sigma. final is
+// the disjunct's warm pool over the view schema that runs the line 13
+// MinCover (nil under SkipFinalMinCover); its output is deterministic in
+// (universe, input) at every shard count.
+func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, sigma []*cfd.CFD, opts Options, final *implication.Pool) (*Result, error) {
 	blockSize := opts.RBRBlockSize
 	if blockSize == 0 {
 		blockSize = DefaultRBRBlockSize
@@ -215,15 +200,8 @@ func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, si
 	// Line 13: return MinCover(Σc ∪ Σd).
 	all := cfd.Dedup(append(append([]*cfd.CFD{}, sigmaC...), sigmaD...))
 	if !opts.SkipFinalMinCover {
-		if finalSess != nil {
-			finalSess.SetContext(ctx)
-			all, err = finalSess.MinCover(all)
-		} else {
-			pool := implication.NewPool(implication.UniverseOf(viewSchema), par)
-			pool.SetContext(ctx)
-			all, err = pool.MinCover(all)
-		}
-		if err != nil {
+		final.SetContext(ctx)
+		if all, err = final.MinCover(all); err != nil {
 			return nil, err
 		}
 	}
@@ -304,39 +282,6 @@ func renameToView(db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD) ([]*cfd
 		}
 	}
 	return cfd.Dedup(out), nil
-}
-
-// minCoverPerRelation applies MinCover to each relation's bucket of Σ,
-// one implication session per source relation. The buckets are
-// independent, so with par > 1 they fan out across workers; the output
-// keeps the first-appearance relation order either way.
-func minCoverPerRelation(ctx context.Context, db *rel.DBSchema, sigma []*cfd.CFD, par int) ([]*cfd.CFD, error) {
-	byRel := make(map[string][]*cfd.CFD)
-	var order []string
-	for _, c := range sigma {
-		if _, seen := byRel[c.Relation]; !seen {
-			order = append(order, c.Relation)
-		}
-		byRel[c.Relation] = append(byRel[c.Relation], c)
-	}
-	covers := make([][]*cfd.CFD, len(order))
-	errs := make([]error, len(order))
-	if err := parutil.DoCtx(ctx, len(order), par, func(i int) {
-		r := order[i]
-		sess := implication.NewSession(implication.UniverseOf(db.Relation(r)))
-		sess.SetContext(ctx)
-		covers[i], errs[i] = sess.MinCover(byRel[r])
-	}); err != nil {
-		return nil, err
-	}
-	var out []*cfd.CFD
-	for i := range order {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out = append(out, covers[i]...)
-	}
-	return out, nil
 }
 
 // IsPropagated decides whether a view CFD φ is propagated, given a

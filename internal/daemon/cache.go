@@ -34,19 +34,15 @@ type entry struct {
 	// memo caches §3 pair verdicts and disjunct emptiness across this
 	// universe's /v1/check and cover requests. A propagation.Memo is valid
 	// for exactly one (schema, Σ, V) — which is exactly what an entry pins
-	// down. A full Σ replacement (editSigma) invalidates it by construction
-	// — new entry, fresh memo; a Σ delta (patchSigma) instead migrates it:
-	// verdicts the edit provably cannot affect carry into the new entry.
+	// down. A Σ edit, PUT or PATCH, migrates it into the successor entry:
+	// verdicts the edit provably cannot affect carry forward.
 	memo *propagation.Memo
-	// carry reports what this entry's creating PATCH preserved (zero for
-	// entries not born from a patch).
-	carry propagation.CarryStats
 
 	mu sync.Mutex
 	// pool is the warm implication.Pool over the view schema, its Σ set to
 	// the memoized cover — the cross-query cache the /v1/implies fast path
 	// runs on. Created lazily by the first cover computation and closed
-	// (with an async drain) when the entry is evicted. patchSigma transfers
+	// (with an async drain) when the entry is evicted. A Σ edit transfers
 	// it to the successor entry, which repairs its Σ with the cover delta
 	// (Pool.EditSigma) instead of a full recompile.
 	pool     *implication.Pool
@@ -57,8 +53,8 @@ type entry struct {
 	// pool in place.
 	prevCover *coverOutcome
 	// cs is the incremental cover session (bucket caches, warm implication
-	// sessions, migrated memo); patchSigma transfers it so a post-edit
-	// cover repairs the per-relation MinCovers instead of recomputing them.
+	// sessions, migrated memo); a Σ edit transfers it so a post-edit cover
+	// repairs the per-relation MinCovers instead of recomputing them.
 	cs     *core.CoverSession
 	closed bool
 }
@@ -84,13 +80,12 @@ func compileEntry(p *spec.Problem, poolSize int) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	canonical, err := spec.Encode(db, sigma, view)
+	fp, err := fingerprint(db, sigma, view)
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(canonical)
 	return &entry{
-		fp:       hex.EncodeToString(sum[:8]),
+		fp:       fp,
 		gen:      1,
 		db:       db,
 		sigma:    sigma,
@@ -101,63 +96,54 @@ func compileEntry(p *spec.Problem, poolSize int) (*entry, error) {
 	}, nil
 }
 
-// editSigma derives a new entry with Σ replaced, sharing the immutable
-// schema and view. The new entry starts cold (no pool, no cover memo):
-// invalidation is by construction, and the pool's own generation counter
-// handles the lazy shard recompiles once a new cover warms it.
-func (e *entry) editSigma(cfds []string) (*entry, error) {
-	sigma := make([]*cfd.CFD, 0, len(cfds))
-	for _, src := range cfds {
-		c, err := cfd.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		sigma = append(sigma, c)
-	}
-	if err := cfd.ValidateAll(sigma, e.db); err != nil {
-		return nil, err
-	}
-	canonical, err := spec.Encode(e.db, sigma, e.view)
+// fingerprint is the cache key of a compiled (Σ, V): a hash of its
+// canonical encoding.
+func fingerprint(db *rel.DBSchema, sigma []*cfd.CFD, view *algebra.SPCU) (string, error) {
+	canonical, err := spec.Encode(db, sigma, view)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	sum := sha256.Sum256(canonical)
-	return &entry{
-		fp:       hex.EncodeToString(sum[:8]),
-		gen:      e.gen + 1,
-		db:       e.db,
-		sigma:    sigma,
-		view:     e.view,
-		vs:       e.vs,
-		memo:     propagation.NewMemo(),
-		poolSize: e.poolSize,
-	}, nil
+	return hex.EncodeToString(sum[:8]), nil
+}
+
+// parseCFDs parses a request's CFD texts.
+func parseCFDs(srcs []string) ([]*cfd.CFD, error) {
+	out := make([]*cfd.CFD, 0, len(srcs))
+	for _, src := range srcs {
+		c, err := cfd.Parse(src)
+		if err != nil {
+			return nil, fmt.Errorf("cfd %q: %w", src, err)
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
+// replaceSigma derives the successor entry of a whole-Σ replacement (PUT):
+// the new Σ is parsed and validated, then diffed against the current one,
+// and the delta goes through successor exactly as a PATCH does.
+func (e *entry) replaceSigma(cfds []string) (*entry, propagation.CarryStats, error) {
+	sigma, err := parseCFDs(cfds)
+	if err != nil {
+		return nil, propagation.CarryStats{}, err
+	}
+	if err := cfd.ValidateAll(sigma, e.db); err != nil {
+		return nil, propagation.CarryStats{}, err
+	}
+	return e.successor(sigma, propagation.DiffSigma(e.sigma, sigma))
 }
 
 // patchSigma derives the successor entry of a Σ delta (PATCH): parse and
 // apply add/remove against the current Σ (removals match by normalized
 // form; a removal absent from Σ is an error before any state changes),
-// migrate the memo so verdicts the edit cannot affect carry forward, and
-// transfer the warm pool and cover session to the new entry. The old entry
-// is closed — in-flight requests on it answer 503 + Retry-After and the
-// retry resolves the new fingerprint.
+// then hand the delta to successor.
 func (e *entry) patchSigma(add, remove []string) (*entry, propagation.CarryStats, error) {
-	parse := func(srcs []string) ([]*cfd.CFD, error) {
-		out := make([]*cfd.CFD, 0, len(srcs))
-		for _, src := range srcs {
-			c, err := cfd.Parse(src)
-			if err != nil {
-				return nil, fmt.Errorf("cfd %q: %w", src, err)
-			}
-			out = append(out, c)
-		}
-		return out, nil
-	}
-	adds, err := parse(add)
+	adds, err := parseCFDs(add)
 	if err != nil {
 		return nil, propagation.CarryStats{}, err
 	}
-	removes, err := parse(remove)
+	removes, err := parseCFDs(remove)
 	if err != nil {
 		return nil, propagation.CarryStats{}, err
 	}
@@ -183,14 +169,22 @@ func (e *entry) patchSigma(add, remove []string) (*entry, propagation.CarryStats
 	}
 	addsN := cfd.NormalizeAll(adds)
 	next = append(next, addsN...)
+	return e.successor(next, propagation.EditSet{AddedSigma: addsN, RemovedSigma: removesN})
+}
 
-	canonical, err := spec.Encode(e.db, next, e.view)
+// successor derives the entry that replaces e after a Σ edit — the one
+// constructor behind PUT and PATCH. next is the new Σ as the entry keeps
+// it and edit the delta from e's Σ. The memo migrates across the edit, so
+// verdicts the edit provably cannot affect carry forward, and the warm
+// pool and cover session transfer to the new entry. The old entry is
+// closed: in-flight requests on it answer 503 + Retry-After and the retry
+// resolves the new fingerprint.
+func (e *entry) successor(next []*cfd.CFD, edit propagation.EditSet) (*entry, propagation.CarryStats, error) {
+	fp, err := fingerprint(e.db, next, e.view)
 	if err != nil {
 		return nil, propagation.CarryStats{}, err
 	}
-	sum := sha256.Sum256(canonical)
-
-	memo, st := e.memo.Migrate(e.view, propagation.EditSet{AddedSigma: addsN, RemovedSigma: removesN})
+	memo, st := e.memo.Migrate(e.view, edit)
 
 	// Transfer the warm state; the old entry stops serving.
 	e.mu.Lock()
@@ -200,14 +194,13 @@ func (e *entry) patchSigma(add, remove []string) (*entry, propagation.CarryStats
 	e.mu.Unlock()
 
 	fresh := &entry{
-		fp:        hex.EncodeToString(sum[:8]),
+		fp:        fp,
 		gen:       e.gen + 1,
 		db:        e.db,
 		sigma:     next,
 		view:      e.view,
 		vs:        e.vs,
 		memo:      memo,
-		carry:     st,
 		poolSize:  e.poolSize,
 		pool:      pool,
 		prevCover: prev,
@@ -237,7 +230,7 @@ func (e *entry) ensureCover(ctx context.Context, parallelism int) (out *coverOut
 	if err != nil {
 		return nil, false, err
 	}
-	// A pool transferred by patchSigma still holds the pre-edit cover as
+	// A pool transferred by a Σ edit still holds the pre-edit cover as
 	// its Σ; repair it with the cover delta so its shards replay a small
 	// edit instead of recompiling from scratch.
 	transferred := e.pool != nil && e.prevCover != nil
@@ -279,42 +272,31 @@ func (e *entry) coverWith(ctx context.Context, parallelism, maxCoverSize int) (*
 
 // coverLocked runs the cover computation for this universe through the
 // entry's incremental CoverSession (created on first need, transferred
-// across Σ patches). Heuristic covers (maxCoverSize > 0) bypass the
-// session: they are never memoized and must not pollute its caches.
+// across Σ edits). Heuristic covers (maxCoverSize > 0) run on a one-off
+// session instead: they are never memoized and must not pollute the warm
+// session's caches. Both share the entry memo: verdicts carried by a Σ
+// edit replay here, and cover-time verdicts serve later /v1/check
+// requests.
 func (e *entry) coverLocked(ctx context.Context, parallelism, maxCoverSize int) (*coverOutcome, error) {
-	if maxCoverSize > 0 {
-		opts := core.Options{Context: ctx, Parallelism: parallelism, MaxCoverSize: maxCoverSize, Memo: e.memo}
-		if len(e.view.Disjuncts) == 1 {
-			res, err := core.PropCFDSPC(e.db, e.view.Disjuncts[0], e.sigma, opts)
-			if err != nil {
-				return nil, err
-			}
-			return &coverOutcome{cover: res.Cover, alwaysEmpty: res.AlwaysEmpty, truncated: res.Truncated}, nil
-		}
-		res, err := core.PropCFDSPCU(e.db, e.view, e.sigma, opts)
+	cs := e.cs
+	if cs == nil || maxCoverSize > 0 {
+		var err error
+		cs, err = core.NewCoverSession(e.db, e.view, core.Options{Parallelism: parallelism, MaxCoverSize: maxCoverSize, Memo: e.memo})
 		if err != nil {
 			return nil, err
 		}
-		return &coverOutcome{cover: res.Cover}, nil
-	}
-	if e.cs == nil {
-		cs, err := core.NewCoverSession(e.db, e.view, core.Options{Parallelism: parallelism})
-		if err != nil {
-			return nil, err
+		if maxCoverSize == 0 {
+			e.cs = cs
 		}
-		// Share the entry memo: carried verdicts from a PATCH replay here,
-		// and cover-time verdicts serve later /v1/check requests.
-		cs.SetMemo(e.memo)
-		e.cs = cs
 	}
 	if len(e.view.Disjuncts) == 1 {
-		res, err := e.cs.CoverDisjunct(ctx, 0, e.sigma)
+		res, err := cs.CoverDisjunct(ctx, 0, e.sigma)
 		if err != nil {
 			return nil, err
 		}
 		return &coverOutcome{cover: res.Cover, alwaysEmpty: res.AlwaysEmpty, truncated: res.Truncated}, nil
 	}
-	res, err := e.cs.Cover(ctx, e.sigma)
+	res, err := cs.Cover(ctx, e.sigma)
 	if err != nil {
 		return nil, err
 	}

@@ -19,13 +19,15 @@
 //     503 + Retry-After while in-flight requests complete.
 //
 // Incremental Σ edits: PUT /v1/universe/{fp}/sigma replaces a registered
-// universe's Σ and recompiles it cold, while PATCH applies an add/remove
-// delta and keeps the warm state — the implication pool catches up through
-// its delta log and the propagation memo migrates across the edit, so the
-// next cover request replays every pair verdict the edit could not have
-// changed. The response reports the carry-over (pairs/empty entries
-// carried and dropped). /statusz exposes per-endpoint latency histograms
-// with interpolated p50/p95/p99 plus cache and memo hit rates.
+// universe's Σ and PATCH applies an add/remove delta. A PUT is diffed
+// against the current Σ, and both go through one successor constructor
+// that keeps the warm state: the implication pool catches up through its
+// delta log, the cover session re-covers only the touched relations, and
+// the propagation memo migrates across the edit, so the next cover or
+// check replays every pair verdict the edit could not have changed. Both
+// answer with the carry-over (pairs/empty entries carried and dropped).
+// /statusz exposes per-endpoint latency histograms with interpolated
+// p50/p95/p99 plus cache and memo hit rates.
 package daemon
 
 import (
@@ -155,7 +157,7 @@ func New(cfg Config) *Server {
 	s.mux.Handle("POST /v1/implies", s.timed("implies", s.compute(s.handleImplies)))
 	s.mux.Handle("POST /v1/universe", s.timed("universe_register", s.compute(s.handleUniverseRegister)))
 	s.mux.Handle("GET /v1/universe/{fp}", s.timed("universe_get", http.HandlerFunc(s.handleUniverseGet)))
-	s.mux.Handle("PUT /v1/universe/{fp}/sigma", s.timed("sigma_put", s.compute(s.handleSigmaEdit)))
+	s.mux.Handle("PUT /v1/universe/{fp}/sigma", s.timed("sigma_put", s.compute(s.handleSigmaPut)))
 	s.mux.Handle("PATCH /v1/universe/{fp}/sigma", s.timed("sigma_patch", s.compute(s.handleSigmaPatch)))
 	return s
 }
@@ -478,32 +480,19 @@ func (s *Server) handleUniverseGet(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, universeResponse(e))
 }
 
-func (s *Server) handleSigmaEdit(w http.ResponseWriter, r *http.Request) {
+// handleSigmaPut replaces Σ wholesale. The new Σ is diffed against the
+// current one, so the successor keeps the warm state just as a PATCH's.
+func (s *Server) handleSigmaPut(w http.ResponseWriter, r *http.Request) {
 	var req SigmaRequest
 	if !s.readBody(w, r, &req) {
 		return
 	}
-	old, ok := s.cache.lookup(r.PathValue("fp"))
-	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown universe %q", r.PathValue("fp")))
-		return
-	}
-	fresh, err := old.editSigma(req.CFDs)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	e, err := s.cache.replace(old, fresh)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, universeResponse(e))
+	s.replaceEntry(w, r, func(old *entry) (*entry, propagation.CarryStats, error) {
+		return old.replaceSigma(req.CFDs)
+	})
 }
 
-// handleSigmaPatch applies a Σ delta in place: same universe chain (new
-// fingerprint, generation + 1) but with the memo migrated and the warm
-// pool + cover session transferred instead of starting cold.
+// handleSigmaPatch applies a Σ delta.
 func (s *Server) handleSigmaPatch(w http.ResponseWriter, r *http.Request) {
 	var req SigmaPatchRequest
 	if !s.readBody(w, r, &req) {
@@ -513,15 +502,25 @@ func (s *Server) handleSigmaPatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	s.replaceEntry(w, r, func(old *entry) (*entry, propagation.CarryStats, error) {
+		return old.patchSigma(req.Add, req.Remove)
+	})
+}
+
+// replaceEntry is the tail PUT and PATCH share: derive the universe's
+// successor entry (same universe chain, new fingerprint, generation + 1,
+// memo migrated, warm pool and cover session transferred), swap it into
+// the cache and answer with it and the memo carry-over.
+func (s *Server) replaceEntry(w http.ResponseWriter, r *http.Request, derive func(old *entry) (*entry, propagation.CarryStats, error)) {
 	old, ok := s.cache.lookup(r.PathValue("fp"))
 	if !ok {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown universe %q", r.PathValue("fp")))
 		return
 	}
-	// The crash suite injects here: a panic before patchSigma leaves the
-	// old universe fully intact (validation precedes any state transfer).
+	// The crash suite injects here: a panic before derive leaves the old
+	// universe fully intact (validation precedes any state transfer).
 	faultinject.Hit(faultinject.SiteSigmaEdit)
-	fresh, carried, err := old.patchSigma(req.Add, req.Remove)
+	fresh, carried, err := derive(old)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -532,7 +531,7 @@ func (s *Server) handleSigmaPatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if e != fresh {
-		// A concurrent identical patch won the insert race; release the
+		// A concurrent identical edit won the insert race; release the
 		// transferred pool our loser entry is holding.
 		fresh.close(s.cfg.DrainWait)
 	}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"cfdprop/internal/cfd"
+	"cfdprop/internal/core"
 	"cfdprop/internal/propagation"
 	"cfdprop/internal/spec"
 )
@@ -664,8 +666,8 @@ func TestAdmissionUnit(t *testing.T) {
 
 // TestCheckMemoAcrossRequests: a universe's verdict memo carries across
 // /v1/check requests — a repeat of an identical request replays from the
-// memo with no misses — a Σ edit swaps in a fresh memo, and /statusz
-// aggregates the counters over the live entries.
+// memo with no misses — a Σ edit drops the verdicts it can affect, and
+// /statusz aggregates the counters over the live entries.
 func TestCheckMemoAcrossRequests(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	problem := mustProblem(t, exampleSpecJSON)
@@ -716,8 +718,10 @@ func TestCheckMemoAcrossRequests(t *testing.T) {
 		t.Errorf("statusz memo stats not aggregated: %+v", st.Cache.Memo)
 	}
 
-	// A Σ edit re-keys the universe with a fresh memo: the next check on
-	// the new fingerprint starts cold again.
+	// A Σ edit re-keys the universe and migrates its memo, dropping every
+	// pair verdict the edit can affect. This PUT touches R1, the view's
+	// only relation, so no pair verdict carries and the next check on the
+	// new fingerprint chases every pair again.
 	code, _, body = post(t, hs.URL+"/v1/universe", nil, &UniverseRequest{Spec: problem})
 	if code != http.StatusOK {
 		t.Fatalf("register: status %d: %s", code, body)
@@ -752,8 +756,65 @@ func TestCheckMemoAcrossRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after.Results[0].MemoHits != 0 || after.Results[0].MemoMisses == 0 {
-		t.Errorf("post-edit check must start on a fresh memo: hits=%d misses=%d",
+		t.Errorf("post-edit check must replay no pair verdict: hits=%d misses=%d",
 			after.Results[0].MemoHits, after.Results[0].MemoMisses)
+	}
+}
+
+// chainSpecJSON projects away the middle of an FD chain, so RBR's
+// resolvents outgrow a small max_cover_size and the heuristic truncates.
+const chainSpecJSON = `{
+  "relations": [{"name": "R1", "attrs": ["A", "B", "C", "D", "E"]}],
+  "cfds": ["R1(A -> B)", "R1(B -> C)", "R1(C -> D)", "R1(D -> E)", "R1([E, B] -> [A])"],
+  "view": {"name": "V", "atoms": [{"source": "R1", "attrs": ["A", "B", "C", "D", "E"]}], "projection": ["A", "C", "E"]}
+}`
+
+// TestCoverHeuristicIsOneOff: a max_cover_size cover runs on a one-off
+// cover session, for a single-SPC view and a union alike. It answers what
+// the library answers under the same bound, and the exact cover served
+// after it is the library's exact cover, not a cached heuristic one.
+func TestCoverHeuristicIsOneOff(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	client := &Client{Base: hs.URL}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		src   string
+		bound int
+	}{{chainSpecJSON, 3}, {unionSpecJSON, 1}} {
+		problem := mustProblem(t, tc.src)
+		db, sigma, view, err := spec.Compile(problem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, maxSize := range []int{tc.bound, 0} {
+			got, err := client.Cover(ctx, &CoverRequest{Spec: problem, MaxCoverSize: maxSize, Parallelism: 1})
+			if err != nil {
+				t.Fatalf("cover max %d: %v", maxSize, err)
+			}
+			opts := core.Options{MaxCoverSize: maxSize, Parallelism: 1}
+			var want []*cfd.CFD
+			truncated := false
+			if len(view.Disjuncts) == 1 {
+				res, err := core.PropCFDSPC(db, view.Disjuncts[0], sigma, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, truncated = res.Cover, res.Truncated
+				if maxSize > 0 && !truncated {
+					t.Fatalf("workload: max_cover_size %d did not truncate the cover", maxSize)
+				}
+			} else {
+				res, err := core.PropCFDSPCU(db, view, sigma, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = res.Cover
+			}
+			if fmt.Sprint(got.Cover) != fmt.Sprint(cfdStrings(want)) || got.Truncated != truncated || got.Cached {
+				t.Fatalf("%s max %d: daemon cover %v (truncated %v, cached %v), library %v (truncated %v)",
+					view.Name, maxSize, got.Cover, got.Truncated, got.Cached, cfdStrings(want), truncated)
+			}
+		}
 	}
 }
 

@@ -152,6 +152,60 @@ func TestSigmaPatchCarriesWarmState(t *testing.T) {
 	}
 }
 
+// TestSigmaPutCarriesWarmState: a PUT replaces Σ through the same
+// successor entry a PATCH builds. Onto a warmed universe it yields the
+// universe a from-scratch registration of the new Σ would (fingerprint
+// and cover), and it carries the verdicts of the pairs its R2-only delta
+// cannot affect: the next check of a φ guarded to the R1 disjunct replays
+// them from the memo.
+func TestSigmaPutCarriesWarmState(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	client := &Client{Base: hs.URL}
+	ctx := context.Background()
+
+	cov, err := client.Cover(ctx, &CoverRequest{Spec: mustProblem(t, unionSpecJSON)})
+	if err != nil {
+		t.Fatalf("cover: %v", err)
+	}
+	patchedSpec := mustProblem(t, unionSpecPatchedJSON)
+	put, err := client.EditSigma(ctx, cov.Universe, &SigmaRequest{CFDs: patchedSpec.CFDs})
+	if err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if put.Universe == cov.Universe || put.Generation != 2 || put.SigmaSize != 4 {
+		t.Fatalf("put response: %+v", put)
+	}
+	if put.Carried.PairsCarried == 0 {
+		t.Fatalf("put carried no pair verdicts (R1-only pairs must survive an R2 edit): %+v", put.Carried)
+	}
+
+	// The guarded candidate the warm cover checked; its (R1, R1) verdict
+	// carried across the edit.
+	check, err := client.Check(ctx, &CheckRequest{Universe: put.Universe, Phi: "V([A, CC=1] -> [B])", Parallelism: 1})
+	if err != nil {
+		t.Fatalf("check after put: %v", err)
+	}
+	if r := check.Results[0]; r.MemoHits == 0 || !r.Propagated {
+		t.Fatalf("check after put replayed nothing or changed its answer: %+v", r)
+	}
+
+	_, hs2 := newTestServer(t, Config{})
+	oracle, err := (&Client{Base: hs2.URL}).Cover(ctx, &CoverRequest{Spec: patchedSpec})
+	if err != nil {
+		t.Fatalf("oracle cover: %v", err)
+	}
+	if oracle.Universe != put.Universe {
+		t.Fatalf("put universe %q != from-scratch fingerprint %q", put.Universe, oracle.Universe)
+	}
+	got, err := client.Cover(ctx, &CoverRequest{Universe: put.Universe})
+	if err != nil {
+		t.Fatalf("cover after put: %v", err)
+	}
+	if fmt.Sprint(got.Cover) != fmt.Sprint(oracle.Cover) || got.Generation != 2 {
+		t.Fatalf("cover after put diverged from from-scratch:\n got: %v (generation %d)\nwant: %v", got.Cover, got.Generation, oracle.Cover)
+	}
+}
+
 // TestSigmaPatchErrors: malformed deltas answer 400 and leave the universe
 // untouched and serving.
 func TestSigmaPatchErrors(t *testing.T) {

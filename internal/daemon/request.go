@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"cfdprop/internal/propagation"
 	"cfdprop/internal/rel"
@@ -93,14 +92,6 @@ func (r *CheckRequest) validate() error {
 		return errors.New("parallelism, max_instantiations, deadline_ms and max_chase_steps must be non-negative")
 	}
 	return nil
-}
-
-// limits are the server-side caps folded into every request→Options
-// mapping.
-type limits struct {
-	parallelism int           // default and cap for per-request workers
-	maxDeadline time.Duration // cap and default wall-clock budget; 0 = none
-	maxPhis     int           // batch size cap
 }
 
 // options maps the request onto propagation.Options — the PR 3 contract:
@@ -321,20 +312,22 @@ type UniverseResponse struct {
 }
 
 // SigmaRequest replaces a registered universe's Σ (PUT
-// /v1/universe/{fp}/sigma). The response carries the NEW fingerprint —
-// universes are content-addressed, so an edit re-keys the entry — with the
+// /v1/universe/{fp}/sigma). The new Σ is diffed against the current one
+// and the delta applied as a PATCH applies its own: the verdict memo
+// migrates and the warm implication pool and cover session transfer. The
+// response (SigmaPatchResponse) carries the NEW fingerprint — universes
+// are content-addressed, so an edit re-keys the entry — with the
 // generation bumped; the old fingerprint stops resolving.
 type SigmaRequest struct {
 	CFDs []string `json:"cfds"`
 }
 
 // SigmaPatchRequest applies a Σ delta to a registered universe (PATCH
-// /v1/universe/{fp}/sigma). Unlike the PUT replacement — which starts the
-// new universe cold — a patch migrates the verdict memo (entries the edit
-// provably cannot affect carry forward) and transfers the warm implication
-// pool and cover session, repairing them in place. Removals match Σ
-// members by normalized form; removing a CFD not in Σ is an error and the
-// universe is left untouched.
+// /v1/universe/{fp}/sigma). Like the PUT replacement, a patch migrates
+// the verdict memo (entries the edit provably cannot affect carry forward)
+// and transfers the warm implication pool and cover session, repairing
+// them in place. Removals match Σ members by normalized form; removing a
+// CFD not in Σ is an error and the universe is left untouched.
 type SigmaPatchRequest struct {
 	Add    []string `json:"add,omitempty"`
 	Remove []string `json:"remove,omitempty"`
@@ -347,8 +340,9 @@ func (r *SigmaPatchRequest) validate() error {
 	return nil
 }
 
-// SigmaPatchResponse answers PATCH /v1/universe/{fp}/sigma: the successor
-// universe plus the memo-carryover tallies of this edit's migration.
+// SigmaPatchResponse answers PUT and PATCH /v1/universe/{fp}/sigma: the
+// successor universe plus the memo-carryover tallies of this edit's
+// migration.
 type SigmaPatchResponse struct {
 	UniverseResponse
 	Carried propagation.CarryStats `json:"carried"`

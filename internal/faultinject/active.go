@@ -52,8 +52,6 @@ type siteState struct {
 var (
 	mu    sync.Mutex
 	sites atomic.Pointer[map[string]*siteState]
-
-	fired atomic.Int64
 )
 
 // Install arms the given rules, replacing any previously installed set and
@@ -71,7 +69,6 @@ func Install(rules ...Rule) {
 		ss.rules = append(ss.rules, r)
 	}
 	sites.Store(&m)
-	fired.Store(0)
 }
 
 // Reset removes all rules and counters.
@@ -79,11 +76,7 @@ func Reset() {
 	mu.Lock()
 	defer mu.Unlock()
 	sites.Store(nil)
-	fired.Store(0)
 }
-
-// Fired returns how many rules have fired since the last Install/Reset.
-func Fired() int64 { return fired.Load() }
 
 // Hits returns the visit count of a site since the last Install/Reset.
 func Hits(site string) int64 {
@@ -113,7 +106,6 @@ func Hit(site string) {
 		if r.Nth != n {
 			continue
 		}
-		fired.Add(1)
 		switch r.Act {
 		case Panic:
 			panic(Injected{Site: site, Hit: n})

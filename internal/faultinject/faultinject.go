@@ -49,7 +49,7 @@ const (
 	SiteStreamChunk = "stream.chunk"
 	// SiteSigmaEdit fires on the delta-edit paths: inside
 	// implication.Pool.EditSigma before the delta is validated, and inside
-	// the daemon's PATCH handler before the edited universe replaces the
-	// old cache entry.
+	// the daemon's Σ-edit handler (PUT and PATCH) before the successor
+	// universe is derived.
 	SiteSigmaEdit = "sigma.edit"
 )

@@ -210,29 +210,28 @@ func TestPoolContextStampedOnBorrow(t *testing.T) {
 }
 
 // TestSessionResetAfterGeneralBudgetStopThenEdit: a chase-step budget that
-// runs dry inside ImpliesGeneral's factorised enumeration surfaces
-// chase.ErrStepBudget mid-query; Reset followed by delta edits
-// (RemoveCFD + AddCFD) must leave a session that answers ImpliesGeneral
-// exactly like one freshly compiled with the edited Σ — the aborted
-// enumeration leaves no residue in the pooled chase state, and Reset does
-// not resurrect the removal.
+// runs dry inside Implies' worklist chase surfaces chase.ErrStepBudget
+// mid-query; Reset followed by delta edits (RemoveCFD + AddCFD) must leave
+// a session that answers Implies exactly like one freshly compiled with
+// the edited Σ — the aborted chase leaves no residue in the pooled chase
+// state, and Reset does not resurrect the removal.
 func TestSessionResetAfterGeneralBudgetStopThenEdit(t *testing.T) {
 	stops := 0
 	for seed := int64(0); seed < 8; seed++ {
-		uni, sigma, phis := generalWorkload(seed)
+		uni, sigma, phis := diffWorkload(seed, 50)
 		cur := cfd.NormalizeAll(sigma)
 		sess := NewSession(uni)
 		if err := sess.SetSigma(cur); err != nil {
 			t.Fatalf("seed %d: SetSigma: %v", seed, err)
 		}
 
-		// Exhaust a 1-step budget mid-enumeration: enough to start the
-		// factorised chase, never enough to finish it.
+		// Exhaust a 1-step budget mid-chase: enough to start a chase, never
+		// enough to finish one.
 		var budget atomic.Int64
 		budget.Store(1)
 		sess.SetBudget(&budget)
 		for _, phi := range phis {
-			if _, err := sess.ImpliesGeneral(phi, 0); errors.Is(err, chase.ErrStepBudget) {
+			if _, err := sess.Implies(phi); errors.Is(err, chase.ErrStepBudget) {
 				stops++
 				break
 			}
@@ -254,8 +253,8 @@ func TestSessionResetAfterGeneralBudgetStopThenEdit(t *testing.T) {
 			t.Fatalf("seed %d: fresh SetSigma: %v", seed, err)
 		}
 		for i, phi := range phis {
-			want, wantErr := fresh.ImpliesGeneral(phi, 0)
-			got, gotErr := sess.ImpliesGeneral(phi, 0)
+			want, wantErr := fresh.Implies(phi)
+			got, gotErr := sess.Implies(phi)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("seed %d phi %d (%s): fresh err %v, edited err %v", seed, i, phi, wantErr, gotErr)
 			}

@@ -6,14 +6,18 @@ import (
 	"testing"
 
 	"cfdprop/internal/cfd"
+	"cfdprop/internal/chase"
 	"cfdprop/internal/gen"
+	"cfdprop/internal/rel"
 	"cfdprop/internal/sym"
 )
 
-// This file keeps the pre-worklist implication engine — fresh state and
-// template per call, full rescan of Σ per fixpoint round, no fast path —
-// as the differential oracle for the incremental engine in session.go and
-// fastpath.go.
+// This file keeps two earlier implication engines as differential oracles
+// for the incremental engine in session.go and fastpath.go: the
+// pre-worklist session (refSession: fresh state and template per call,
+// full rescan of Σ per fixpoint round, no fast path) and the one-shot
+// chase.Inst engine (implies), which chases a template over the attributes
+// Σ and φ mention with the relational chase the §3 procedures use.
 
 type refSession struct {
 	u     Universe
@@ -189,6 +193,189 @@ func (s *refSession) implies(phi *cfd.CFD) (bool, error) {
 	return !a1.IsVar && a1.Const == rhs.Pat.Const, nil
 }
 
+// mentioned collects the attributes referenced by sigma and phi, keeping
+// universe order. Restricting the chase template to these attributes is a
+// pure optimization: untouched columns cannot influence the outcome.
+func (u Universe) mentioned(sigma []*cfd.CFD, phi *cfd.CFD) []rel.Attribute {
+	want := make([]bool, len(u.Attrs))
+	mark := func(c *cfd.CFD) {
+		for _, it := range c.LHS {
+			if i, ok := u.pos(it.Attr); ok {
+				want[i] = true
+			}
+		}
+		for _, it := range c.RHS {
+			if i, ok := u.pos(it.Attr); ok {
+				want[i] = true
+			}
+		}
+	}
+	for _, c := range sigma {
+		mark(c)
+	}
+	if phi != nil {
+		mark(phi)
+	}
+	out := make([]rel.Attribute, 0, len(u.Attrs))
+	for i, a := range u.Attrs {
+		if want[i] {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// template holds the symbolic instance used by the implication chase.
+type template struct {
+	inst  *chase.Inst
+	attrs []rel.Attribute
+	cols  map[string]int
+	rows  []*chase.Row
+}
+
+// newTemplate builds an n-row template over the mentioned attributes.
+// shared maps attributes to a pattern: entries present with a constant are
+// fixed to it in every row; entries present with a wildcard share one fresh
+// variable across all rows; all other attributes get per-row fresh
+// variables.
+func (u Universe) newTemplate(n int, attrs []rel.Attribute, shared map[string]cfd.Pattern) (*template, error) {
+	st := sym.NewState()
+	ci := chase.NewInst(st)
+	names := make([]string, len(attrs))
+	cols := make(map[string]int, len(attrs))
+	for i, a := range attrs {
+		names[i] = a.Name
+		cols[a.Name] = i
+	}
+	if err := ci.DeclareRelation(u.Relation, names); err != nil {
+		return nil, err
+	}
+	sharedVar := make(map[string]sym.Term)
+	t := &template{inst: ci, attrs: attrs, cols: cols}
+	for r := 0; r < n; r++ {
+		row := make([]sym.Term, len(attrs))
+		for i, a := range attrs {
+			if pat, ok := shared[a.Name]; ok {
+				if !pat.Wildcard {
+					if !a.Domain.Contains(pat.Const) {
+						return nil, fmt.Errorf("implication: constant %q outside domain of %s", pat.Const, a.Name)
+					}
+					row[i] = sym.Constant(pat.Const)
+					continue
+				}
+				v, have := sharedVar[a.Name]
+				if !have {
+					v = st.NewVar(a.Domain)
+					sharedVar[a.Name] = v
+				}
+				row[i] = v
+				continue
+			}
+			row[i] = st.NewVar(a.Domain)
+		}
+		cr, err := ci.AddRow(u.Relation, row)
+		if err != nil {
+			return nil, err
+		}
+		t.rows = append(t.rows, cr)
+	}
+	return t, nil
+}
+
+// filterSigma keeps normalized, applicable CFDs of the universe's relation.
+func (u Universe) filterSigma(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
+	var out []*cfd.CFD
+	for _, c := range sigma {
+		if c.Relation != u.Relation {
+			continue
+		}
+		if err := u.checkCFD(c); err != nil {
+			return nil, err
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
+// implies is the one-shot chase.Inst engine: a fresh template per call
+// over the attributes Σ and φ mention, chased by the general-purpose
+// relational chase with no fast path.
+func implies(u Universe, sigma []*cfd.CFD, phi *cfd.CFD) (bool, error) {
+	u = u.indexed()
+	if err := u.checkCFD(phi); err != nil {
+		return false, err
+	}
+	sigma, err := u.filterSigma(sigma)
+	if err != nil {
+		return false, err
+	}
+	sigma = cfd.NormalizeAll(sigma)
+	for _, p := range phi.Normalize() {
+		ok, err := impliesNormal(u, sigma, p)
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+func impliesNormal(u Universe, sigma []*cfd.CFD, phi *cfd.CFD) (bool, error) {
+	attrs := u.mentioned(sigma, phi)
+
+	if phi.Equality {
+		a, b := phi.LHS[0].Attr, phi.RHS[0].Attr
+		if a == b {
+			return true, nil
+		}
+		t, err := u.newTemplate(1, attrs, nil)
+		if err != nil {
+			return false, err
+		}
+		if err := t.inst.Run(sigma); err != nil {
+			if isUndefined(err) {
+				return true, nil // no tuple can exist at all
+			}
+			return false, err
+		}
+		return t.inst.St.SameTerm(t.rows[0].Cols[t.cols[a]], t.rows[0].Cols[t.cols[b]]), nil
+	}
+
+	shared := make(map[string]cfd.Pattern, len(phi.LHS))
+	for _, it := range phi.LHS {
+		shared[it.Attr] = it.Pat
+	}
+	t, err := u.newTemplate(2, attrs, shared)
+	if err != nil {
+		return false, err
+	}
+	rhs := phi.RHS[0]
+	ai := t.cols[rhs.Attr]
+	if err := t.inst.Run(sigma); err != nil {
+		if isUndefined(err) {
+			return true, nil // premise unsatisfiable: vacuously implied
+		}
+		return false, err
+	}
+	st := t.inst.St
+	a1 := st.Resolve(t.rows[0].Cols[ai])
+	a2 := st.Resolve(t.rows[1].Cols[ai])
+	if !st.SameTerm(a1, a2) {
+		return false, nil
+	}
+	if rhs.Pat.Wildcard {
+		return true, nil
+	}
+	return !a1.IsVar && a1.Const == rhs.Pat.Const, nil
+}
+
+func isUndefined(err error) bool {
+	_, ok := err.(chase.ErrUndefined)
+	return ok
+}
+
 // diffWorkload builds one randomized (universe, Σ, φ-pool) triple. varPct
 // sweeps the pattern mix from pure FDs (the exact closure fast path)
 // through mixed CFDs to all-constant patterns; equality CFDs are injected
@@ -243,15 +430,24 @@ func TestWorklistMatchesReferenceChase(t *testing.T) {
 					t.Fatalf("seed %d var%%=%d: worklist says %v, reference says %v for %s under %v",
 						seed, varPct, got, want, phi, sigma)
 				}
-				// The public one-shot path exercises the chase.Inst
-				// worklist over the mentioned-attribute template.
-				got2, err := Implies(u, sigma, phi)
+				// The chase.Inst engine over the mentioned-attribute
+				// template is the second oracle; the public one-shot
+				// Implies runs on a session.
+				got2, err := implies(u, sigma, phi)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got2 != want {
-					t.Fatalf("seed %d var%%=%d: public Implies says %v, reference says %v for %s",
+					t.Fatalf("seed %d var%%=%d: chase.Inst engine says %v, reference says %v for %s",
 						seed, varPct, got2, want, phi)
+				}
+				got3, err := Implies(u, sigma, phi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got3 != want {
+					t.Fatalf("seed %d var%%=%d: public Implies says %v, reference says %v for %s",
+						seed, varPct, got3, want, phi)
 				}
 				compared++
 			}

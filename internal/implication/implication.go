@@ -1,14 +1,16 @@
 // Package implication implements reasoning about CFDs on a single relation:
-// the implication test Σ |= φ, the consistency (satisfiability) test, and
-// MinCover, the minimal-cover procedure of Fan et al. (TODS, cited as [8])
-// that PropCFD_SPC uses as a subroutine (Fig. 2 lines 1 and 13).
+// the implication test Σ |= φ and MinCover, the minimal-cover procedure of
+// Fan et al. (TODS, cited as [8]) that PropCFD_SPC uses as a subroutine
+// (Fig. 2 lines 1 and 13).
 //
 // Implication is decided by chasing a canonical two-tuple template: the
 // most general pair of tuples agreeing on φ's LHS and matching its LHS
 // pattern. In the absence of finite-domain attributes the test is sound and
 // complete and runs in polynomial time, matching the quadratic-time result
-// of [8]; with finite domains the *General variants enumerate instantiations
-// of finite-domain variables (the problem is coNP-complete, [8]).
+// of [8]. Finite domains are outside that setting: there the test stays
+// sound but may miss implications that hold only by case analysis over a
+// finite domain (deciding those is coNP-complete, [8]). The §3 propagation
+// checks in internal/propagation handle finite domains themselves.
 //
 // # Architecture: sessions, worklist chase, closure fast path
 //
@@ -62,9 +64,7 @@ import (
 	"fmt"
 
 	"cfdprop/internal/cfd"
-	"cfdprop/internal/chase"
 	"cfdprop/internal/rel"
-	"cfdprop/internal/sym"
 )
 
 // Universe is the attribute space CFDs are interpreted over: the schema of
@@ -121,14 +121,6 @@ func (u Universe) pos(attr string) (int, bool) {
 	return i, ok
 }
 
-func (u Universe) domain(attr string) (rel.Domain, bool) {
-	i, ok := u.idx[attr]
-	if !ok {
-		return rel.Domain{}, false
-	}
-	return u.Attrs[i].Domain, true
-}
-
 func (u Universe) checkCFD(c *cfd.CFD) error {
 	if c.Relation != u.Relation {
 		return fmt.Errorf("implication: %s is on relation %q, universe is %q", c, c.Relation, u.Relation)
@@ -146,325 +138,14 @@ func (u Universe) checkCFD(c *cfd.CFD) error {
 	return nil
 }
 
-// mentioned collects the attributes referenced by sigma and phi, keeping
-// universe order. Restricting the chase template to these attributes is a
-// pure optimization: untouched columns cannot influence the outcome.
-func (u Universe) mentioned(sigma []*cfd.CFD, phi *cfd.CFD) []rel.Attribute {
-	want := make([]bool, len(u.Attrs))
-	mark := func(c *cfd.CFD) {
-		for _, it := range c.LHS {
-			if i, ok := u.pos(it.Attr); ok {
-				want[i] = true
-			}
-		}
-		for _, it := range c.RHS {
-			if i, ok := u.pos(it.Attr); ok {
-				want[i] = true
-			}
-		}
-	}
-	for _, c := range sigma {
-		mark(c)
-	}
-	if phi != nil {
-		mark(phi)
-	}
-	out := make([]rel.Attribute, 0, len(u.Attrs))
-	for i, a := range u.Attrs {
-		if want[i] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// template holds the symbolic instance used by the implication chase.
-type template struct {
-	inst  *chase.Inst
-	attrs []rel.Attribute
-	cols  map[string]int
-	rows  []*chase.Row
-}
-
-// newTemplate builds an n-row template over the mentioned attributes.
-// shared maps attributes to a pattern: entries present with a constant are
-// fixed to it in every row; entries present with a wildcard share one fresh
-// variable across all rows; all other attributes get per-row fresh
-// variables.
-func (u Universe) newTemplate(n int, attrs []rel.Attribute, shared map[string]cfd.Pattern) (*template, error) {
-	st := sym.NewState()
-	ci := chase.NewInst(st)
-	names := make([]string, len(attrs))
-	cols := make(map[string]int, len(attrs))
-	for i, a := range attrs {
-		names[i] = a.Name
-		cols[a.Name] = i
-	}
-	if err := ci.DeclareRelation(u.Relation, names); err != nil {
-		return nil, err
-	}
-	sharedVar := make(map[string]sym.Term)
-	t := &template{inst: ci, attrs: attrs, cols: cols}
-	for r := 0; r < n; r++ {
-		row := make([]sym.Term, len(attrs))
-		for i, a := range attrs {
-			if pat, ok := shared[a.Name]; ok {
-				if !pat.Wildcard {
-					if !a.Domain.Contains(pat.Const) {
-						return nil, fmt.Errorf("implication: constant %q outside domain of %s", pat.Const, a.Name)
-					}
-					row[i] = sym.Constant(pat.Const)
-					continue
-				}
-				v, have := sharedVar[a.Name]
-				if !have {
-					v = st.NewVar(a.Domain)
-					sharedVar[a.Name] = v
-				}
-				row[i] = v
-				continue
-			}
-			row[i] = st.NewVar(a.Domain)
-		}
-		cr, err := ci.AddRow(u.Relation, row)
-		if err != nil {
-			return nil, err
-		}
-		t.rows = append(t.rows, cr)
-	}
-	return t, nil
-}
-
-// filterSigma keeps normalized, applicable CFDs of the universe's relation.
-func (u Universe) filterSigma(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
-	var out []*cfd.CFD
-	for _, c := range sigma {
-		if c.Relation != u.Relation {
-			continue
-		}
-		if err := u.checkCFD(c); err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-// Implies reports whether Σ |= φ in the absence of finite-domain
-// attributes. CFDs in sigma defined on other relations are ignored. The
-// result is sound but possibly incomplete when finite domains are present;
-// use ImpliesGeneral there.
+// Implies is the one-shot form of Session.Implies: it reports whether
+// Σ |= φ in the absence of finite-domain attributes. CFDs in sigma defined
+// on other relations are ignored. The result is sound but possibly
+// incomplete when finite domains are present.
 func Implies(u Universe, sigma []*cfd.CFD, phi *cfd.CFD) (bool, error) {
-	return implies(u, sigma, phi, false, 0)
-}
-
-// ImpliesGeneral decides Σ |= φ in the general setting by enumerating
-// instantiations of finite-domain template variables, up to maxInst
-// combinations (0 means DefaultMaxInstantiations).
-func ImpliesGeneral(u Universe, sigma []*cfd.CFD, phi *cfd.CFD, maxInst int) (bool, error) {
-	if maxInst <= 0 {
-		maxInst = DefaultMaxInstantiations
-	}
-	return implies(u, sigma, phi, true, maxInst)
-}
-
-// DefaultMaxInstantiations caps the finite-domain enumeration of the
-// *General procedures.
-const DefaultMaxInstantiations = 1 << 20
-
-func implies(u Universe, sigma []*cfd.CFD, phi *cfd.CFD, general bool, maxInst int) (bool, error) {
-	u = u.indexed()
-	if err := u.checkCFD(phi); err != nil {
+	s := NewSession(u)
+	if err := s.SetSigma(sigma); err != nil {
 		return false, err
 	}
-	sigma, err := u.filterSigma(sigma)
-	if err != nil {
-		return false, err
-	}
-	sigma = cfd.NormalizeAll(sigma)
-	for _, p := range phi.Normalize() {
-		ok, err := impliesNormal(u, sigma, p, general, maxInst)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func impliesNormal(u Universe, sigma []*cfd.CFD, phi *cfd.CFD, general bool, maxInst int) (bool, error) {
-	attrs := u.mentioned(sigma, phi)
-
-	if phi.Equality {
-		a, b := phi.LHS[0].Attr, phi.RHS[0].Attr
-		if a == b {
-			return true, nil
-		}
-		t, err := u.newTemplate(1, attrs, nil)
-		if err != nil {
-			return false, err
-		}
-		check := func() (bool, error) {
-			if err := t.inst.Run(sigma); err != nil {
-				if isUndefined(err) {
-					return true, nil // no tuple can exist at all
-				}
-				return false, err
-			}
-			return t.inst.St.SameTerm(t.rows[0].Cols[t.cols[a]], t.rows[0].Cols[t.cols[b]]), nil
-		}
-		return forAllInstantiations(t, general, maxInst, check)
-	}
-
-	shared := make(map[string]cfd.Pattern, len(phi.LHS))
-	for _, it := range phi.LHS {
-		shared[it.Attr] = it.Pat
-	}
-	t, err := u.newTemplate(2, attrs, shared)
-	if err != nil {
-		return false, err
-	}
-	rhs := phi.RHS[0]
-	ai := t.cols[rhs.Attr]
-	check := func() (bool, error) {
-		if err := t.inst.Run(sigma); err != nil {
-			if isUndefined(err) {
-				return true, nil // premise unsatisfiable: vacuously implied
-			}
-			return false, err
-		}
-		st := t.inst.St
-		a1 := st.Resolve(t.rows[0].Cols[ai])
-		a2 := st.Resolve(t.rows[1].Cols[ai])
-		if !st.SameTerm(a1, a2) {
-			return false, nil
-		}
-		if rhs.Pat.Wildcard {
-			return true, nil
-		}
-		return !a1.IsVar && a1.Const == rhs.Pat.Const, nil
-	}
-	return forAllInstantiations(t, general, maxInst, check)
-}
-
-func isUndefined(err error) bool {
-	_, ok := err.(chase.ErrUndefined)
-	return ok
-}
-
-// forAllInstantiations runs check once (infinite-domain mode) or once per
-// instantiation of the template's unbound finite-domain variables (general
-// mode), requiring check to succeed for all of them.
-func forAllInstantiations(t *template, general bool, maxInst int, check func() (bool, error)) (bool, error) {
-	st := t.inst.St
-	if !general {
-		return check()
-	}
-	roots := st.UnboundFiniteRoots()
-	if len(roots) == 0 {
-		return check()
-	}
-	domains := make([][]string, len(roots))
-	total := 1
-	for i, r := range roots {
-		d := st.Domain(sym.Variable(r))
-		domains[i] = d.Values
-		if len(domains[i]) == 0 {
-			return false, fmt.Errorf("implication: variable with empty finite domain")
-		}
-		if total > maxInst/len(domains[i]) {
-			return false, fmt.Errorf("implication: instantiation count exceeds cap %d", maxInst)
-		}
-		total *= len(domains[i])
-	}
-	base := st.Save()
-	choice := make([]int, len(roots))
-	for {
-		st.Restore(base)
-		okAssign := true
-		for i, r := range roots {
-			if err := st.Bind(sym.Variable(r), domains[i][choice[i]]); err != nil {
-				// Can only happen through domain interactions; treat the
-				// assignment as inapplicable.
-				okAssign = false
-				break
-			}
-		}
-		if okAssign {
-			ok, err := check()
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		// next assignment
-		i := 0
-		for ; i < len(choice); i++ {
-			choice[i]++
-			if choice[i] < len(domains[i]) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i == len(choice) {
-			return true, nil
-		}
-	}
-}
-
-// Consistent reports whether some nonempty instance satisfies Σ, in the
-// absence of finite-domain attributes (chase a single generic tuple).
-func Consistent(u Universe, sigma []*cfd.CFD) (bool, error) {
-	return consistent(u, sigma, false, 0)
-}
-
-// ConsistentGeneral is Consistent in the general setting: it searches for
-// some finite-domain instantiation under which the chase succeeds.
-func ConsistentGeneral(u Universe, sigma []*cfd.CFD, maxInst int) (bool, error) {
-	if maxInst <= 0 {
-		maxInst = DefaultMaxInstantiations
-	}
-	return consistent(u, sigma, true, maxInst)
-}
-
-func consistent(u Universe, sigma []*cfd.CFD, general bool, maxInst int) (bool, error) {
-	u = u.indexed()
-	sigma, err := u.filterSigma(sigma)
-	if err != nil {
-		return false, err
-	}
-	sigma = cfd.NormalizeAll(sigma)
-	attrs := u.mentioned(sigma, nil)
-	t, err := u.newTemplate(1, attrs, nil)
-	if err != nil {
-		return false, err
-	}
-	check := func() (bool, error) {
-		if err := t.inst.Run(sigma); err != nil {
-			if isUndefined(err) {
-				return false, nil
-			}
-			return false, err
-		}
-		return true, nil
-	}
-	if !general {
-		return check()
-	}
-	// Existential: some instantiation must chase through.
-	ok, err := forAllInstantiations(t, true, maxInst, func() (bool, error) {
-		v, err := check()
-		if err != nil {
-			return false, err
-		}
-		return !v, nil // invert: forAll(!ok) == !exists(ok)
-	})
-	if err != nil {
-		return false, err
-	}
-	return !ok, nil
+	return s.Implies(phi)
 }

@@ -95,44 +95,6 @@ func (s *Session) Implies(phi *cfd.CFD) (bool, error) {
 	return true, nil
 }
 
-// ImpliesGeneral decides Σ |= φ in the general (finite-domain) setting on
-// the session's compiled Σ, enumerating up to maxInst instantiations of
-// the finite-domain template variables (0 means DefaultMaxInstantiations).
-// Unlike the one-shot ImpliesGeneral — kept as the differential oracle —
-// the session enumerates over a factorised chase: the instantiation-
-// independent prefix is chased once, each assignment re-chases only the
-// consequences of its root bindings, and the suffix is rolled back through
-// the sym undo journal. Multi-RHS φ are normalized on the fly.
-func (s *Session) ImpliesGeneral(phi *cfd.CFD, maxInst int) (bool, error) {
-	if maxInst <= 0 {
-		maxInst = DefaultMaxInstantiations
-	}
-	if err := s.inner.u.checkCFD(phi); err != nil {
-		return false, err
-	}
-	if phi.Equality || len(phi.RHS) == 1 {
-		return s.inner.impliesGeneral(phi, maxInst)
-	}
-	for _, p := range phi.Normalize() {
-		ok, err := s.inner.impliesGeneral(p, maxInst)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// ConsistentGeneral reports whether some nonempty instance satisfies the
-// session's compiled Σ in the general setting: it searches for a
-// finite-domain instantiation under which the single-tuple chase succeeds
-// (0 means DefaultMaxInstantiations).
-func (s *Session) ConsistentGeneral(maxInst int) (bool, error) {
-	if maxInst <= 0 {
-		maxInst = DefaultMaxInstantiations
-	}
-	return s.inner.consistentGeneral(maxInst)
-}
-
 // MinCover computes a minimal cover of Σ (all CFDs on the universe's
 // relation) per §4.1 of the paper: the result is equivalent to Σ, contains
 // only nontrivial normal-form CFDs, has no CFD with a redundant LHS

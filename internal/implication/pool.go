@@ -334,18 +334,6 @@ func (p *Pool) Implies(phi *cfd.CFD) (bool, error) {
 	return s.Implies(phi)
 }
 
-// ImpliesGeneral reports whether the pool's Σ implies φ in the general
-// (finite-domain) setting, on one exclusively borrowed shard; maxInst 0
-// selects DefaultMaxInstantiations. Safe for concurrent use.
-func (p *Pool) ImpliesGeneral(phi *cfd.CFD, maxInst int) (bool, error) {
-	s, err := p.Borrow()
-	if err != nil {
-		return false, err
-	}
-	defer p.returnRecovered(s)
-	return s.ImpliesGeneral(phi, maxInst)
-}
-
 // returnRecovered is Return for defer sites that may unwind through a
 // panic: the shard is reset and handed back dirty, then the panic resumes.
 func (p *Pool) returnRecovered(s *Session) {

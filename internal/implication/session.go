@@ -390,8 +390,8 @@ func (s *session) chase(rows [][]sym.Term) error {
 	return s.chaseLoop(rows)
 }
 
-// chaseLoop drains the worklist to fixpoint — the shared tail of a full
-// chase and of resumeChase's suffix chase.
+// chaseLoop drains the worklist to fixpoint: the tail of chase, once the
+// template constants and equality CFDs have seeded it.
 func (s *session) chaseLoop(rows [][]sym.Term) error {
 	st := s.st
 	for qh := 0; qh < len(s.queue); qh++ {

@@ -55,9 +55,8 @@
 // pairs whose relations the edit never touches, Σ-independent unrealizable
 // pairs) and drops the rest, so a warm re-check after a small edit replays
 // most of its pair verdicts instead of re-chasing them. The daemon's PUT
-// sigma path swaps in a fresh memo via its generation bump; the PATCH path
-// migrates, and reports the carry-over through Result counters. Replayed
-// entries
+// and PATCH sigma paths both migrate (a PUT diffs its Σ against the old
+// one with DiffSigma) and report the carry-over. Replayed entries
 // reproduce the stored Result fields byte-for-byte, and stores are
 // buffered per call and flushed in schedule order, so hit/miss counters
 // are identical at every Parallelism.
@@ -274,12 +273,6 @@ func Check(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD,
 		}
 	}
 	return total, nil
-}
-
-// CheckAuto is Check with the setting chosen from the schema: general when
-// finite-domain attributes are present, infinite-domain otherwise.
-func CheckAuto(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD) (*Result, error) {
-	return Check(db, view, sigma, phi, Options{General: db.HasFiniteAttr(), WantCounterexample: true})
 }
 
 // pairWorker owns one sym.State + chase.Inst pair with the source

@@ -133,17 +133,6 @@ type Report struct {
 	Rules  []RuleReport
 }
 
-// Violated reports how many rules have at least one violation.
-func (r *Report) Violated() int {
-	n := 0
-	for i := range r.Rules {
-		if r.Rules[i].Count > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // CheckFile streams path against the rules. The file may be re-read by
 // the multipass fallback.
 func CheckFile(path string, rules []*cfd.CFD, opts Options) (*Report, error) {

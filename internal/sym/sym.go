@@ -355,9 +355,6 @@ func (s *State) EndUndo() {
 	s.undo = s.undo[:0]
 }
 
-// UndoActive reports whether BeginUndo journaling is on.
-func (s *State) UndoActive() bool { return s.trackUndo }
-
 // MarkNow records the current state as a rewind point. Only valid while
 // undo tracking is on.
 func (s *State) MarkNow() Mark {
