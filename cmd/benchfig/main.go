@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchfig [-exp all|fig5|fig6|fig7|fig8|table1|table2|blowup|parallel|factorised|incremental|stream]
+//	benchfig [-exp all|fig5|fig6|fig7|fig8|table1|table2|blowup|parallel|incremental|stream]
 //	         [-trials N] [-seed S] [-sigma N] [-rows N] [-quick] [-parallel N] [-json]
 //
 // -json replaces the text tables with one machine-readable report whose
@@ -45,7 +45,7 @@ import (
 const defaultStreamRows = 10_000_000
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig5, fig6, fig7, fig8, table1, table2, blowup, parallel, factorised, incremental, stream")
+	exp := flag.String("exp", "all", "experiment: all, fig5, fig6, fig7, fig8, table1, table2, blowup, parallel, incremental, stream")
 	trials := flag.Int("trials", 3, "random workloads per data point")
 	rows := flag.Int("rows", defaultStreamRows, "synthetic row count for the stream experiment")
 	seed := flag.Int64("seed", 1, "base RNG seed")
@@ -142,20 +142,6 @@ func main() {
 			} else {
 				bench.PrintParallel(os.Stdout, cases)
 			}
-		case "factorised":
-			sizes := []int{2, 3, 4} // 4^4, 4^6, 4^8 assignment spaces
-			if *quick {
-				sizes = []int{2, 3}
-			}
-			cases, err := bench.FactorisedAblation(cfg, sizes)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				report.Factorised = cases
-			} else {
-				bench.PrintFactorised(os.Stdout, cases)
-			}
 		case "incremental":
 			ks := []int{6, 12, 24}
 			if *quick {
@@ -197,7 +183,7 @@ func main() {
 
 	names := []string{*exp}
 	if *exp == "all" {
-		names = []string{"table1", "table2", "blowup", "parallel", "factorised", "incremental", "fig5", "fig6", "fig7", "fig8"}
+		names = []string{"table1", "table2", "blowup", "parallel", "incremental", "fig5", "fig6", "fig7", "fig8"}
 	}
 	// The sweeps observe cfg.Ctx cooperatively; the watchdog additionally
 	// covers the experiments that take no Config (tables, blowup), so

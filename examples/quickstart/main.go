@@ -17,17 +17,15 @@
 // /v1/universe/{fp}/sigma takes an add/remove delta; both return a new
 // fingerprint (the old one 404s, so stale clients fail loudly) and keep
 // the universe warm, a PUT being diffed against the current Σ and applied
-// as a delta: the implication pool replays the edit from its delta log,
-// the verdict memo migrates (every pair the edit provably cannot affect
-// carries over), and the response reports the carry ("carried":
-// pairs/empty entries kept vs dropped) — a single-CFD edit on a warm
-// universe re-covers an order of magnitude faster than a cold cover
+// as a delta: the verdict memo migrates (every pair the edit provably
+// cannot affect carries over), and the response reports the carry
+// ("carried": pairs/empty entries kept vs dropped) — a single-CFD edit on
+// a warm universe re-covers an order of magnitude faster than a cold cover
 // (cmd/benchfig -exp incremental reproduces the measurement).
 //
 // In the library the same incremental path is core.NewCoverSession:
 // consecutive Cover(ctx, σ) calls diff Σ against the previous call and
-// re-certify only what changed. For implication alone,
-// implication.Session.AddCFD/RemoveCFD delta-patch a compiled session.
+// re-certify only what changed.
 //
 // # Budgets
 //

@@ -63,7 +63,7 @@ func ParallelScaling(c Config, workers []int) ([]ParallelCase, error) {
 	}
 	out = append(out, *cs)
 
-	db, view, sigma, phi = generalInstWorkload(c.Seed, 3, 4)
+	db, view, sigma, phi = GeneralInstWorkload(c.Seed, 3, 4)
 	cs, err = runParallelCase("general-inst/4^6", c, workers, db, view, sigma, phi,
 		propagation.Options{General: true})
 	if err != nil {
@@ -107,12 +107,12 @@ func unionPairsWorkload(seed int64, k int) (*rel.DBSchema, *algebra.SPCU, []*cfd
 	return db, view, sigma, cfd.MustParse("V(A1 -> A9)")
 }
 
-// generalInstWorkload builds a single-disjunct view over a relation with
+// GeneralInstWorkload builds a single-disjunct view over a relation with
 // nFinite finite-domain attributes of the given domain size: the pair's
 // two tableaux leave 2·nFinite unbound finite roots, so the general
 // setting enumerates size^(2·nFinite) instantiations, each running the
 // chase.
-func generalInstWorkload(seed int64, nFinite, size int) (*rel.DBSchema, *algebra.SPCU, []*cfd.CFD, *cfd.CFD) {
+func GeneralInstWorkload(seed int64, nFinite, size int) (*rel.DBSchema, *algebra.SPCU, []*cfd.CFD, *cfd.CFD) {
 	const n = 8
 	attrs := make([]rel.Attribute, 0, n+nFinite)
 	names := make([]string, 0, n+nFinite)

@@ -49,13 +49,12 @@ type Table struct {
 // Report is the machine-readable form of a benchfig run: everything the
 // text printers show, plus the Host stamp.
 type Report struct {
-	Host       Host             `json:"host"`
-	Series     []Series         `json:"series,omitempty"`
-	Tables     []Table          `json:"tables,omitempty"`
-	Blowup     []BlowupPoint    `json:"blowup,omitempty"`
-	Parallel   []ParallelCase   `json:"parallel,omitempty"`
-	Factorised []FactorisedCase `json:"factorised,omitempty"`
-	Stream     *StreamCase      `json:"stream,omitempty"`
+	Host     Host           `json:"host"`
+	Series   []Series       `json:"series,omitempty"`
+	Tables   []Table        `json:"tables,omitempty"`
+	Blowup   []BlowupPoint  `json:"blowup,omitempty"`
+	Parallel []ParallelCase `json:"parallel,omitempty"`
+	Stream   *StreamCase    `json:"stream,omitempty"`
 
 	// Incremental is the Σ-edit ablation (warm CoverSession vs full
 	// recompile); IncrementalPatch is its daemon PATCH segment with the

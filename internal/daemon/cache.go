@@ -42,16 +42,11 @@ type entry struct {
 	// pool is the warm implication.Pool over the view schema, its Σ set to
 	// the memoized cover — the cross-query cache the /v1/implies fast path
 	// runs on. Created lazily by the first cover computation and closed
-	// (with an async drain) when the entry is evicted. A Σ edit transfers
-	// it to the successor entry, which repairs its Σ with the cover delta
-	// (Pool.EditSigma) instead of a full recompile.
+	// (with an async drain) when the entry is evicted or replaced by a Σ
+	// edit; a successor entry builds its own from its own cover.
 	pool     *implication.Pool
 	poolSize int
 	cover    *coverOutcome
-	// prevCover is the transferred pool's current Σ (the pre-edit cover);
-	// the first ensureCover diffs the new cover against it to repair the
-	// pool in place.
-	prevCover *coverOutcome
 	// cs is the incremental cover session (bucket caches, warm implication
 	// sessions, migrated memo); a Σ edit transfers it so a post-edit cover
 	// repairs the per-relation MinCovers instead of recomputing them.
@@ -175,10 +170,11 @@ func (e *entry) patchSigma(add, remove []string) (*entry, propagation.CarryStats
 // successor derives the entry that replaces e after a Σ edit — the one
 // constructor behind PUT and PATCH. next is the new Σ as the entry keeps
 // it and edit the delta from e's Σ. The memo migrates across the edit, so
-// verdicts the edit provably cannot affect carry forward, and the warm
-// pool and cover session transfer to the new entry. The old entry is
-// closed: in-flight requests on it answer 503 + Retry-After and the retry
-// resolves the new fingerprint.
+// verdicts the edit provably cannot affect carry forward, and the cover
+// session transfers to the new entry. The warm pool stays with e and
+// closes with it: a borrow already in flight answers from e's cover, and
+// any later request on e answers 503 + Retry-After, whose retry resolves
+// the new fingerprint.
 func (e *entry) successor(next []*cfd.CFD, edit propagation.EditSet) (*entry, propagation.CarryStats, error) {
 	fp, err := fingerprint(e.db, next, e.view)
 	if err != nil {
@@ -186,25 +182,23 @@ func (e *entry) successor(next []*cfd.CFD, edit propagation.EditSet) (*entry, pr
 	}
 	memo, st := e.memo.Migrate(e.view, edit)
 
-	// Transfer the warm state; the old entry stops serving.
+	// Transfer the cover session; the old entry stops serving.
 	e.mu.Lock()
-	pool, cs, prev := e.pool, e.cs, e.cover
-	e.pool, e.cs = nil, nil
+	cs := e.cs
+	e.cs = nil
 	e.closed = true
 	e.mu.Unlock()
 
 	fresh := &entry{
-		fp:        fp,
-		gen:       e.gen + 1,
-		db:        e.db,
-		sigma:     next,
-		view:      e.view,
-		vs:        e.vs,
-		memo:      memo,
-		poolSize:  e.poolSize,
-		pool:      pool,
-		prevCover: prev,
-		cs:        cs,
+		fp:       fp,
+		gen:      e.gen + 1,
+		db:       e.db,
+		sigma:    next,
+		view:     e.view,
+		vs:       e.vs,
+		memo:     memo,
+		poolSize: e.poolSize,
+		cs:       cs,
 	}
 	if cs != nil {
 		cs.RebaseMemo(memo, next)
@@ -230,29 +224,13 @@ func (e *entry) ensureCover(ctx context.Context, parallelism int) (out *coverOut
 	if err != nil {
 		return nil, false, err
 	}
-	// A pool transferred by a Σ edit still holds the pre-edit cover as
-	// its Σ; repair it with the cover delta so its shards replay a small
-	// edit instead of recompiling from scratch.
-	transferred := e.pool != nil && e.prevCover != nil
 	if e.pool == nil {
 		e.pool = implication.NewPool(implication.UniverseOf(e.vs), e.poolSize)
 	}
-	warmed := false
-	if transferred {
-		edit := propagation.DiffSigma(e.prevCover.cover, out.cover)
-		if edit.Empty() {
-			warmed = true // the edit did not change the cover
-		} else if e.pool.EditSigma(edit.AddedSigma, edit.RemovedSigma) == nil {
-			warmed = true
-		}
-	}
-	e.prevCover = nil
-	if !warmed {
-		// AlwaysEmpty covers hold Lemma 4.5's conflicting pair — a
-		// legitimate Σ for the pool (every view CFD is vacuously implied).
-		if err := e.pool.SetSigma(out.cover); err != nil {
-			return nil, false, err
-		}
+	// AlwaysEmpty covers hold Lemma 4.5's conflicting pair — a legitimate
+	// Σ for the pool (every view CFD is vacuously implied).
+	if err := e.pool.SetSigma(out.cover); err != nil {
+		return nil, false, err
 	}
 	e.cover = out
 	return out, false, nil

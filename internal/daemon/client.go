@@ -87,8 +87,8 @@ func (c *Client) Register(ctx context.Context, req *UniverseRequest) (*UniverseR
 	return &resp, nil
 }
 
-// EditSigma runs a PUT /v1/universe/{fp}/sigma request.
-func (c *Client) EditSigma(ctx context.Context, fp string, req *SigmaRequest) (*SigmaPatchResponse, error) {
+// PutSigma runs a PUT /v1/universe/{fp}/sigma request.
+func (c *Client) PutSigma(ctx context.Context, fp string, req *SigmaRequest) (*SigmaPatchResponse, error) {
 	var resp SigmaPatchResponse
 	if err := c.do(ctx, http.MethodPut, "/v1/universe/"+fp+"/sigma", req, &resp); err != nil {
 		return nil, err
@@ -97,7 +97,7 @@ func (c *Client) EditSigma(ctx context.Context, fp string, req *SigmaRequest) (*
 }
 
 // PatchSigma runs a PATCH /v1/universe/{fp}/sigma request — the delta form
-// of EditSigma.
+// of PutSigma.
 func (c *Client) PatchSigma(ctx context.Context, fp string, req *SigmaPatchRequest) (*SigmaPatchResponse, error) {
 	var resp SigmaPatchResponse
 	if err := c.do(ctx, http.MethodPatch, "/v1/universe/"+fp+"/sigma", req, &resp); err != nil {

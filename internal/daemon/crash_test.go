@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -483,11 +484,10 @@ func TestSigmaEditCrashSchedules(t *testing.T) {
 
 // TestSigmaPatchCrashSchedules injects faults at the Σ-edit seam
 // (faultinject.SiteSigmaEdit fires in the PATCH handler before any state
-// transfer, and again inside Pool.EditSigma when the transferred pool is
-// repaired) while PATCHes race warm-pool queries. Invariants: a failed
+// transfer) while PATCHes race warm-pool queries. Invariants: a failed
 // patch leaves the old universe fully serving; a successful patch serves
-// the new Σ (and only it); the transferred pool never leaks shards even
-// when its in-place repair panics mid-flight.
+// the new Σ (and only it) and covers once the faults clear; no pool of
+// either universe leaks a shard.
 func TestSigmaPatchCrashSchedules(t *testing.T) {
 	defer faultinject.Reset()
 	problem := mustProblem(t, unionSpecJSON)
@@ -574,18 +574,7 @@ func TestSigmaPatchCrashSchedules(t *testing.T) {
 			if resp.StatusCode != http.StatusNotFound {
 				t.Fatalf("seed %d: old fingerprint survived the patch: %d", seed, resp.StatusCode)
 			}
-			// Some seeds panic the transferred pool's in-place repair too:
-			// the cover retry after the fault clears must still succeed.
-			if rng.Intn(2) == 0 {
-				faultinject.Install(faultinject.Rule{Site: faultinject.SiteSigmaEdit, Nth: 1, Act: faultinject.Panic})
-			}
 			data, _ := json.Marshal(&CoverRequest{Universe: patchedFP})
-			resp, err = http.Post(hs.URL+"/v1/cover", "application/json", bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			faultinject.Reset()
 			resp, err = http.Post(hs.URL+"/v1/cover", "application/json", bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
@@ -610,6 +599,82 @@ func TestSigmaPatchCrashSchedules(t *testing.T) {
 			}
 		}
 		assertPoolsWhole(t, srv, fmt.Sprintf("seed %d", seed))
+		hs.Close()
+	}
+}
+
+// TestSigmaPatchInFlightImpliesKeepsOldCover races a /v1/implies on the
+// old fingerprint against a PATCH. A 300ms delay at the pool-borrow seam
+// holds the request after it has taken a shard of the old universe's pool
+// and before that shard is refreshed; once it is held, a PATCH removes
+// R1(B -> C) and a cover warms the successor. φ = V([B, CC=1] -> [C]) is
+// a member of the old cover, so the held request must answer 200 with
+// implied true from the old cover — or 503 had it lost the race to the
+// old pool's close. implied false would mean it read the edited cover.
+func TestSigmaPatchInFlightImpliesKeepsOldCover(t *testing.T) {
+	defer faultinject.Reset()
+	const phi = "V([B, CC=1] -> [C])"
+	for run := 0; run < 3; run++ {
+		_, hs := newTestServer(t, Config{})
+		client := &Client{Base: hs.URL}
+		ctx := context.Background()
+		cov, err := client.Cover(ctx, &CoverRequest{Spec: mustProblem(t, unionSpecJSON)})
+		if err != nil {
+			t.Fatalf("run %d: warm cover: %v", run, err)
+		}
+		if !slices.Contains(cov.Cover, phi) {
+			t.Fatalf("run %d: %s is not in the old cover %v", run, phi, cov.Cover)
+		}
+
+		held := make(chan struct{})
+		faultinject.Install(
+			faultinject.Rule{Site: faultinject.SitePoolBorrow, Nth: 1, Act: faultinject.Cancel, Cancel: func() { close(held) }},
+			faultinject.Rule{Site: faultinject.SitePoolBorrow, Nth: 1, Act: faultinject.Delay, Delay: 300 * time.Millisecond},
+		)
+		type answer struct {
+			code int
+			body []byte
+			err  error
+		}
+		done := make(chan answer, 1)
+		go func() {
+			data, _ := json.Marshal(&ImpliesRequest{Universe: cov.Universe, Phi: phi})
+			resp, err := http.Post(hs.URL+"/v1/implies", "application/json", bytes.NewReader(data))
+			if err != nil {
+				done <- answer{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			_, err = buf.ReadFrom(resp.Body)
+			done <- answer{code: resp.StatusCode, body: buf.Bytes(), err: err}
+		}()
+		<-held
+		patched, err := client.PatchSigma(ctx, cov.Universe, &SigmaPatchRequest{Remove: []string{"R1(B -> C)"}})
+		if err != nil {
+			t.Fatalf("run %d: patch: %v", run, err)
+		}
+		if _, err := client.Cover(ctx, &CoverRequest{Universe: patched.Universe}); err != nil {
+			t.Fatalf("run %d: cover after patch: %v", run, err)
+		}
+		a := <-done
+		faultinject.Reset()
+		if a.err != nil {
+			t.Fatalf("run %d: held implies: %v", run, a.err)
+		}
+		switch a.code {
+		case http.StatusServiceUnavailable:
+		case http.StatusOK:
+			var imp ImpliesResponse
+			if err := json.Unmarshal(a.body, &imp); err != nil {
+				t.Fatalf("run %d: held implies body %s: %v", run, a.body, err)
+			}
+			if imp.Universe != cov.Universe || !imp.Implied {
+				t.Fatalf("run %d: held implies on the old universe answered from the edited cover: %s", run, a.body)
+			}
+		default:
+			t.Fatalf("run %d: held implies: status %d: %s", run, a.code, a.body)
+		}
 		hs.Close()
 	}
 }

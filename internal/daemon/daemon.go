@@ -21,11 +21,12 @@
 // Incremental Σ edits: PUT /v1/universe/{fp}/sigma replaces a registered
 // universe's Σ and PATCH applies an add/remove delta. A PUT is diffed
 // against the current Σ, and both go through one successor constructor
-// that keeps the warm state: the implication pool catches up through its
-// delta log, the cover session re-covers only the touched relations, and
-// the propagation memo migrates across the edit, so the next cover or
-// check replays every pair verdict the edit could not have changed. Both
-// answer with the carry-over (pairs/empty entries carried and dropped).
+// that keeps the warm state: the cover session re-covers only the touched
+// relations, and the propagation memo migrates across the edit, so the
+// next cover or check replays every pair verdict the edit could not have
+// changed. The successor compiles a fresh implication pool from its own
+// cover; the old pool drains with the old entry. Both answer with the
+// carry-over (pairs/empty entries carried and dropped).
 // /statusz exposes per-endpoint latency histograms with interpolated
 // p50/p95/p99 plus cache and memo hit rates.
 package daemon
@@ -509,8 +510,8 @@ func (s *Server) handleSigmaPatch(w http.ResponseWriter, r *http.Request) {
 
 // replaceEntry is the tail PUT and PATCH share: derive the universe's
 // successor entry (same universe chain, new fingerprint, generation + 1,
-// memo migrated, warm pool and cover session transferred), swap it into
-// the cache and answer with it and the memo carry-over.
+// memo migrated, cover session transferred), swap it into the cache and
+// answer with it and the memo carry-over.
 func (s *Server) replaceEntry(w http.ResponseWriter, r *http.Request, derive func(old *entry) (*entry, propagation.CarryStats, error)) {
 	old, ok := s.cache.lookup(r.PathValue("fp"))
 	if !ok {
@@ -525,15 +526,12 @@ func (s *Server) replaceEntry(w http.ResponseWriter, r *http.Request, derive fun
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// A concurrent identical edit may win the insert race; our entry then
+	// never served, has no pool and is simply dropped.
 	e, err := s.cache.replace(old, fresh)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
-	}
-	if e != fresh {
-		// A concurrent identical edit won the insert race; release the
-		// transferred pool our loser entry is holding.
-		fresh.close(s.cfg.DrainWait)
 	}
 	s.writeJSON(w, http.StatusOK, SigmaPatchResponse{
 		UniverseResponse: universeResponse(e),

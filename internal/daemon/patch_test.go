@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"testing"
 )
 
@@ -168,7 +169,7 @@ func TestSigmaPutCarriesWarmState(t *testing.T) {
 		t.Fatalf("cover: %v", err)
 	}
 	patchedSpec := mustProblem(t, unionSpecPatchedJSON)
-	put, err := client.EditSigma(ctx, cov.Universe, &SigmaRequest{CFDs: patchedSpec.CFDs})
+	put, err := client.PutSigma(ctx, cov.Universe, &SigmaRequest{CFDs: patchedSpec.CFDs})
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
@@ -203,6 +204,74 @@ func TestSigmaPutCarriesWarmState(t *testing.T) {
 	}
 	if fmt.Sprint(got.Cover) != fmt.Sprint(oracle.Cover) || got.Generation != 2 {
 		t.Fatalf("cover after put diverged from from-scratch:\n got: %v (generation %d)\nwant: %v", got.Cover, got.Generation, oracle.Cover)
+	}
+}
+
+// TestSigmaPatchAndPutImpliesMatchFromScratch: after a Σ edit that removes
+// R1(B -> C) — as a PATCH and as a PUT — and a cover on the successor,
+// the successor's /v1/implies no longer derives V([B, CC=1] -> [C]), a
+// member of the old cover. On every member of the old and the new cover
+// it answers exactly as a from-scratch registration of the edited Σ.
+func TestSigmaPatchAndPutImpliesMatchFromScratch(t *testing.T) {
+	const removed, phi = "R1(B -> C)", "V([B, CC=1] -> [C])"
+	ctx := context.Background()
+	edited := mustProblem(t, unionSpecJSON)
+	edited.CFDs = slices.DeleteFunc(edited.CFDs, func(c string) bool { return c == removed })
+
+	_, hs2 := newTestServer(t, Config{})
+	scratch := &Client{Base: hs2.URL}
+	oracle, err := scratch.Cover(ctx, &CoverRequest{Spec: edited})
+	if err != nil {
+		t.Fatalf("oracle cover: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		edit func(*Client, string) (*SigmaPatchResponse, error)
+	}{
+		{"patch", func(c *Client, fp string) (*SigmaPatchResponse, error) {
+			return c.PatchSigma(ctx, fp, &SigmaPatchRequest{Remove: []string{removed}})
+		}},
+		{"put", func(c *Client, fp string) (*SigmaPatchResponse, error) {
+			return c.PutSigma(ctx, fp, &SigmaRequest{CFDs: edited.CFDs})
+		}},
+	} {
+		_, hs := newTestServer(t, Config{})
+		client := &Client{Base: hs.URL}
+		old, err := client.Cover(ctx, &CoverRequest{Spec: mustProblem(t, unionSpecJSON)})
+		if err != nil {
+			t.Fatalf("%s: warm cover: %v", tc.name, err)
+		}
+		if !slices.Contains(old.Cover, phi) {
+			t.Fatalf("%s: %s is not in the old cover %v", tc.name, phi, old.Cover)
+		}
+		next, err := tc.edit(client, old.Universe)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		cov, err := client.Cover(ctx, &CoverRequest{Universe: next.Universe})
+		if err != nil {
+			t.Fatalf("%s: cover after edit: %v", tc.name, err)
+		}
+		if next.Universe != oracle.Universe || fmt.Sprint(cov.Cover) != fmt.Sprint(oracle.Cover) {
+			t.Fatalf("%s: successor %s %v != from-scratch %s %v", tc.name, next.Universe, cov.Cover, oracle.Universe, oracle.Cover)
+		}
+		for _, q := range append(slices.Clone(old.Cover), cov.Cover...) {
+			got, err := client.Implies(ctx, &ImpliesRequest{Universe: next.Universe, Phi: q})
+			if err != nil {
+				t.Fatalf("%s: implies %q: %v", tc.name, q, err)
+			}
+			want, err := scratch.Implies(ctx, &ImpliesRequest{Universe: oracle.Universe, Phi: q})
+			if err != nil {
+				t.Fatalf("%s: oracle implies %q: %v", tc.name, q, err)
+			}
+			if got.Implied != want.Implied {
+				t.Fatalf("%s: implies %q = %v after the edit, from scratch %v", tc.name, q, got.Implied, want.Implied)
+			}
+			if q == phi && got.Implied {
+				t.Fatalf("%s: successor still implies %q without %s", tc.name, q, removed)
+			}
+		}
 	}
 }
 

@@ -314,10 +314,10 @@ type UniverseResponse struct {
 // SigmaRequest replaces a registered universe's Σ (PUT
 // /v1/universe/{fp}/sigma). The new Σ is diffed against the current one
 // and the delta applied as a PATCH applies its own: the verdict memo
-// migrates and the warm implication pool and cover session transfer. The
-// response (SigmaPatchResponse) carries the NEW fingerprint — universes
-// are content-addressed, so an edit re-keys the entry — with the
-// generation bumped; the old fingerprint stops resolving.
+// migrates and the cover session transfers. The response
+// (SigmaPatchResponse) carries the NEW fingerprint — universes are
+// content-addressed, so an edit re-keys the entry — with the generation
+// bumped; the old fingerprint stops resolving.
 type SigmaRequest struct {
 	CFDs []string `json:"cfds"`
 }
@@ -325,9 +325,9 @@ type SigmaRequest struct {
 // SigmaPatchRequest applies a Σ delta to a registered universe (PATCH
 // /v1/universe/{fp}/sigma). Like the PUT replacement, a patch migrates
 // the verdict memo (entries the edit provably cannot affect carry forward)
-// and transfers the warm implication pool and cover session, repairing
-// them in place. Removals match Σ members by normalized form; removing a
-// CFD not in Σ is an error and the universe is left untouched.
+// and transfers the cover session, which re-covers only the touched
+// relations. Removals match Σ members by normalized form; removing a CFD
+// not in Σ is an error and the universe is left untouched.
 type SigmaPatchRequest struct {
 	Add    []string `json:"add,omitempty"`
 	Remove []string `json:"remove,omitempty"`

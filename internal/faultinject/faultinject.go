@@ -47,9 +47,7 @@ const (
 	// SiteStreamChunk fires once per chunk inside the streaming detector's
 	// mapper stage, before the chunk's σ/π work begins.
 	SiteStreamChunk = "stream.chunk"
-	// SiteSigmaEdit fires on the delta-edit paths: inside
-	// implication.Pool.EditSigma before the delta is validated, and inside
-	// the daemon's Σ-edit handler (PUT and PATCH) before the successor
-	// universe is derived.
+	// SiteSigmaEdit fires inside the daemon's Σ-edit handler (PUT and
+	// PATCH) before the successor universe is derived.
 	SiteSigmaEdit = "sigma.edit"
 )

@@ -211,10 +211,10 @@ func TestPoolContextStampedOnBorrow(t *testing.T) {
 
 // TestSessionResetAfterGeneralBudgetStopThenEdit: a chase-step budget that
 // runs dry inside Implies' worklist chase surfaces chase.ErrStepBudget
-// mid-query; Reset followed by delta edits (RemoveCFD + AddCFD) must leave
-// a session that answers Implies exactly like one freshly compiled with
-// the edited Σ — the aborted chase leaves no residue in the pooled chase
-// state, and Reset does not resurrect the removal.
+// mid-query; Reset followed by SetSigma with an edited Σ (one CFD removed,
+// one added) must leave a session that answers Implies exactly like one
+// freshly compiled with the edited Σ — the aborted chase leaves no residue
+// in the pooled chase state or buffers the recompile reuses.
 func TestSessionResetAfterGeneralBudgetStopThenEdit(t *testing.T) {
 	stops := 0
 	for seed := int64(0); seed < 8; seed++ {
@@ -238,15 +238,10 @@ func TestSessionResetAfterGeneralBudgetStopThenEdit(t *testing.T) {
 		}
 
 		sess.Reset()
-		removed := cur[0]
-		if !sess.RemoveCFD(removed) {
-			t.Fatalf("seed %d: RemoveCFD(%s) = false for a member", seed, removed)
+		cur = append(cfd.NormalizeAll([]*cfd.CFD{phis[0]}), cur[1:]...)
+		if err := sess.SetSigma(cur); err != nil {
+			t.Fatalf("seed %d: SetSigma of the edited Σ: %v", seed, err)
 		}
-		added := phis[0]
-		if err := sess.AddCFD(added); err != nil {
-			t.Fatalf("seed %d: AddCFD: %v", seed, err)
-		}
-		cur = append(cfd.NormalizeAll([]*cfd.CFD{added}), cur[1:]...)
 
 		fresh := NewSession(uni)
 		if err := fresh.SetSigma(cur); err != nil {

@@ -21,8 +21,9 @@ var ErrPoolClosed = errors.New("implication: pool closed")
 // sessions per universe, one per worker, so concurrent implication work
 // never contends on the chase hot path (Sessions themselves are not
 // goroutine-safe). Σ is stored once in the pool and compiled into each
-// shard lazily on Borrow, tracked by a generation counter, so SetSigma is
-// O(1) and only the shards actually used pay compilation.
+// shard lazily on Borrow, tracked by a generation counter, so SetSigma
+// compiles one shard and only the shards actually used pay compilation.
+// SetSigma is the pool's only Σ mutator.
 //
 // Concurrency model: Borrow hands out exclusive ownership of one Session;
 // Return gives it back. Borrow blocks until a shard is free. Implies and
@@ -39,17 +40,11 @@ type Pool struct {
 	sessions chan *Session
 	size     int
 
-	// editMu serializes Σ mutations (SetSigma, EditSigma) so a validation
-	// shard always sees the generation its edit builds on; p.mu alone only
-	// guards the field reads.
-	editMu sync.Mutex
-
 	mu      sync.Mutex
-	sigma   []*cfd.CFD  // normalized pool Σ (nil until SetSigma)
-	gen     uint64      // bumped by SetSigma/EditSigma; 0 means "empty Σ"
-	deltas  []poolDelta // EditSigma log replayed by lagging shards (edit.go)
-	created int         // sessions minted so far (≤ size)
-	closed  bool        // set by Close; new Borrows are refused
+	sigma   []*cfd.CFD // normalized pool Σ (nil until SetSigma)
+	gen     uint64     // bumped by SetSigma; 0 means "empty Σ"
+	created int        // sessions minted so far (≤ size)
+	closed  bool       // set by Close; new Borrows are refused
 
 	ctx atomic.Pointer[context.Context] // stamped onto borrowed shards
 }
@@ -181,19 +176,17 @@ func (p *Pool) Drain(ctx context.Context) error {
 // Size returns the number of shards.
 func (p *Pool) Size() int { return p.size }
 
-// SetSigma stores Σ as the pool's compiled set. It validates eagerly (by
-// compiling into one shard); the remaining shards recompile lazily on
-// their next Borrow. Like Session.SetSigma, CFDs on other relations are
-// dropped.
+// SetSigma stores Σ as the pool's compiled set — the only way to change
+// it. It validates eagerly (by compiling into one shard); the remaining
+// shards recompile lazily on their next Borrow. Like Session.SetSigma,
+// CFDs on other relations are dropped.
 func (p *Pool) SetSigma(sigma []*cfd.CFD) error {
-	p.editMu.Lock()
-	defer p.editMu.Unlock()
 	if p.isClosed() {
 		return ErrPoolClosed
 	}
 	// Copy: NormalizeAll returns the input slice when already normal, and
-	// the pool Σ must not alias a slice the caller may keep mutating —
-	// EditSigma resolves removals by scanning it.
+	// lagging shards compile the pool Σ later, so it must not alias a
+	// slice the caller may keep mutating.
 	normalized := append([]*cfd.CFD(nil), cfd.NormalizeAll(sigma)...)
 	s := p.take()
 	if err := s.inner.setSigma(normalized); err != nil {
@@ -201,13 +194,14 @@ func (p *Pool) SetSigma(sigma []*cfd.CFD) error {
 		p.sessions <- s
 		return err
 	}
+	// The shard's generation is stamped in the same critical section that
+	// publishes the Σ it compiled, so poolGen == gen always means the
+	// shard holds the pool Σ, however SetSigma calls interleave.
 	p.mu.Lock()
 	p.sigma = normalized
 	p.gen++
-	gen := p.gen
-	p.deltas = p.deltas[:0] // full recompile: lagging shards cannot delta past it
+	s.poolGen = p.gen
 	p.mu.Unlock()
-	s.poolGen = gen
 	s.poolDirty = false
 	p.sessions <- s
 	return nil
@@ -281,38 +275,18 @@ func (p *Pool) Return(s *Session) {
 	p.sessions <- s
 }
 
-// refresh brings a stale shard up to the pool's Σ generation. A clean
-// shard that merely lags by logged EditSigma generations replays the
-// deltas in place (delta-compile: CSR splice per addition, tombstone per
-// removal) instead of recompiling Σ; a dirty shard, or one behind a full
-// SetSigma or a trimmed log, recompiles from scratch. A compile failure is
-// reported rather than panicking: it cannot happen for a Σ that passed
-// SetSigma (compilation is deterministic in (universe, Σ)), but a caller
-// that bypassed validation must get an error, not a crash.
+// refresh brings a stale shard — one behind the pool's Σ generation, or
+// left dirty by a borrower — up to date by recompiling the pool Σ. A
+// compile failure is reported rather than panicking: it cannot happen for
+// a Σ that passed SetSigma (compilation is deterministic in (universe,
+// Σ)), but a caller that bypassed validation must get an error, not a
+// crash.
 func (p *Pool) refresh(s *Session) error {
 	p.mu.Lock()
 	sigma, gen := p.sigma, p.gen
-	var pending []poolDelta
-	if !s.poolDirty && s.poolGen < gen {
-		pending = p.deltasSince(s.poolGen, gen)
-	}
 	p.mu.Unlock()
 	if s.poolGen == gen && !s.poolDirty {
 		return nil
-	}
-	if pending != nil {
-		ok := true
-		for _, d := range pending {
-			if err := applyDelta(s, d.add, d.remove); err != nil {
-				ok = false // unreachable for a validated delta; fall back
-				break
-			}
-		}
-		if ok {
-			s.poolGen = gen
-			s.poolDirty = false
-			return nil
-		}
 	}
 	if err := s.inner.setSigma(sigma); err != nil {
 		return fmt.Errorf("implication: pool shard recompile failed: %w", err)

@@ -31,7 +31,6 @@ type session struct {
 	u     Universe
 	sigma []compiledCFD
 	dead  []bool // tombstoned CFDs are ignored by every query
-	gone  []bool // edit tombstones (removeCFD); unlike dead, survive Reset
 	skip  int    // index temporarily excluded from Σ; -1 for none
 
 	anyFinite bool // some universe attribute has a finite domain
@@ -154,100 +153,10 @@ func (s *session) setSigma(sigma []*cfd.CFD) error {
 			s.dead[i] = false
 		}
 	}
-	if cap(s.gone) < len(s.sigma) {
-		s.gone = make([]bool, len(s.sigma))
-	} else {
-		s.gone = s.gone[:len(s.sigma)]
-		for i := range s.gone {
-			s.gone[i] = false
-		}
-	}
 	s.skip = -1
 	s.idxDirty = true
 	s.fp.dirty = true
 	return nil
-}
-
-// addCFD delta-compiles one normalized CFD into the session: the compiled
-// slice grows by one and the CSR column index is patched in place (a
-// suffix memmove plus the new entries) instead of being rebuilt from all
-// of Σ. CFDs on other relations are skipped, mirroring setSigma.
-func (s *session) addCFD(c *cfd.CFD) error {
-	if c.Relation != s.u.Relation {
-		return nil
-	}
-	cc, err := s.compile(c)
-	if err != nil {
-		return err
-	}
-	i := len(s.sigma)
-	s.sigma = append(s.sigma, cc)
-	s.dead = append(s.dead, false)
-	s.gone = append(s.gone, false)
-	s.indexAdd(i)
-	s.fp.dirty = true
-	return nil
-}
-
-// removeCFDByString tombstones the first live compiled CFD whose String
-// equals key. Unlike MinCover's dead mask, the gone mask is permanent: it
-// survives Reset, so a removed CFD stays removed across query recoveries.
-// The CSR index keeps the entry (every consumer filters through alive).
-func (s *session) removeCFDByString(key string) bool {
-	for i := range s.sigma {
-		if s.gone[i] || s.dead[i] {
-			continue
-		}
-		if s.sigma[i].c.String() == key {
-			s.gone[i] = true
-			s.fp.dirty = true
-			return true
-		}
-	}
-	return false
-}
-
-// indexAdd splices the i-th (just appended) CFD into the CSR column index:
-// each segment right of the CFD's smallest LHS position shifts by the
-// number of new entries at or before it, and the new CFD's index lands at
-// the end of each mentioned position's segment — exactly where a full
-// buildColIndex (which scans Σ in order) would put the highest index.
-// A dirty index is left dirty; the next chase rebuilds it wholesale.
-func (s *session) indexAdd(i int) {
-	if s.idxDirty {
-		return
-	}
-	cc := &s.sigma[i]
-	if cc.c.Equality {
-		return
-	}
-	n := len(s.u.Attrs)
-	add := len(cc.lhs)
-	old := len(s.colCFDs)
-	if cap(s.colCFDs) >= old+add {
-		s.colCFDs = s.colCFDs[:old+add]
-	} else {
-		grown := make([]int32, old+add, 2*(old+add))
-		copy(grown, s.colCFDs)
-		s.colCFDs = grown
-	}
-	// pre = new entries at positions <= p (descending loop invariant).
-	pre := int32(add)
-	for p := n - 1; p >= 0 && pre > 0; p-- {
-		var cnt int32
-		for _, q := range cc.lhs {
-			if q == p {
-				cnt++
-			}
-		}
-		lo, hi := s.colStart[p], s.colStart[p+1]
-		copy(s.colCFDs[lo+pre-cnt:hi+pre-cnt], s.colCFDs[lo:hi])
-		for j := int32(0); j < cnt; j++ {
-			s.colCFDs[hi+pre-cnt+j] = int32(i)
-		}
-		s.colStart[p+1] = hi + pre
-		pre -= cnt
-	}
 }
 
 // setContext installs (or, with nil, clears) a cancellation context
@@ -266,7 +175,7 @@ func (s *session) setContext(ctx context.Context) {
 func (s *session) setBudget(steps *atomic.Int64) { s.steps = steps }
 
 // alive reports whether the i-th compiled CFD participates in queries.
-func (s *session) alive(i int) bool { return !s.dead[i] && !s.gone[i] && i != s.skip }
+func (s *session) alive(i int) bool { return !s.dead[i] && i != s.skip }
 
 // setSkip temporarily excludes one compiled CFD (-1 for none) — MinCover's
 // redundancy phase tests "Σ − {φ} |= φ" this way.

@@ -13,8 +13,8 @@ import (
 // The edit-script differential suite: replay randomized Σ (and view-
 // clause) edit scripts twice — once through Memo.Migrate carryover, once
 // from scratch — and require byte-identical Results at parallelism 1/4/8.
-// This anchors the delta-edit layer the way the FullRechase oracle anchors
-// the factorised chase.
+// The from-scratch run is the oracle for memo carry-over across Σ and
+// view edits, as serialOracle is for the factorised chase.
 
 // editScriptWorkload builds a multi-relation schema (so edits have
 // nontrivial footprints), a union view whose disjuncts each embed one

@@ -16,8 +16,9 @@ import (
 // indexes differ in a low-digit suffix, so only that suffix is unbound
 // and rebound.
 //
-// Equivalence with the full-rechase reference path (Options.FullRechase),
-// relied on for byte-identical Results:
+// Equivalence with the full-rechase reference path (scanChunk, the
+// test-only oracle in parallel_test.go), relied on for byte-identical
+// Results:
 //
 //   - chase firings are monotone in the bound constants, so prefix
 //     firings are a subset of every assignment's firings, and the final
@@ -38,10 +39,10 @@ import (
 // partition at the refuting leaf is the same fixpoint both paths reach.
 //
 // The one observable divergence is resource consumption: the factorised
-// path takes far fewer chase worklist steps, so a run bounded by
-// Options.MaxChaseSteps stops at a different point than the reference
-// path would. Stop polling is preserved per examined leaf; skipped
-// vacuous subtrees are counted without polling.
+// path takes far fewer chase worklist steps than the reference path, so
+// Options.MaxChaseSteps budgets are sized for it. Stop polling is
+// preserved per examined leaf; skipped vacuous subtrees are counted
+// without polling.
 
 // belowSizes returns below[d] = Π_{i<d} |domain_i| — the number of leaves
 // in one digit-d subtree — saturated at plan.limit (indexes never reach
@@ -61,9 +62,9 @@ func belowSizes(plan enumPlan) []int {
 }
 
 // scanFactorised scans assignment indexes [lo, hi) with the factorised
-// chase — the default range scan, a drop-in counterpart of scanChunk. It
-// walks the window iteratively with a mark stack: marks[d] is the rewind
-// point taken just before digit d was bound, and moving to the next index
+// chase — the one range scan scanPlan runs in every chunk. It walks the
+// window iteratively with a mark stack: marks[d] is the rewind point
+// taken just before digit d was bound, and moving to the next index
 // rewinds only up to the highest digit whose value changes.
 func scanFactorised(w *pairWorker, db *rel.DBSchema, opts Options, plan enumPlan, ev *pairEval, lo, hi, taskIdx int, bound, inner *atomicMin) chunkResult {
 	st := w.st

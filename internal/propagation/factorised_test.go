@@ -7,31 +7,15 @@ import (
 
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
-	"cfdprop/internal/rel"
 )
 
-// The factorised-chase differential suite: Options.FullRechase keeps the
-// original re-chase-per-assignment loop alive as an in-tree oracle, and
-// these tests pin the factorised path (shared-prefix snapshots + journal
-// rollback) to it field by field — Propagated, PairsChecked,
-// Instantiations, Truncated, Stopped and the counterexample bytes — at
-// Parallelism 1, 4 and 8, over randomized unions, Σ and truncation caps.
-// Run with -race to exercise the worker interleavings.
-
-// checkBothPaths runs the factorised and full-rechase paths at every
-// parallelism level and requires all six Results to be identical.
-func checkBothPaths(t *testing.T, db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD, opts Options) *Result {
-	t.Helper()
-	opts.FullRechase = true
-	oracle := checkAllLevels(t, db, view, sigma, phi, opts)
-	opts.FullRechase = false
-	fact := checkAllLevels(t, db, view, sigma, phi, opts)
-	if !reflect.DeepEqual(fact, oracle) {
-		t.Fatalf("factorised diverged from full-rechase (V=%s φ=%s Σ=%v)\n got: %+v\nwant: %+v",
-			view, phi, sigma, fact, oracle)
-	}
-	return fact
-}
+// The factorised-chase differential suite: serialOracle keeps the
+// original re-chase-per-assignment loop (scanChunk) alive as a test-only
+// oracle, and checkAllLevels pins the factorised path (shared-prefix
+// chase + journal rollback) to it field by field — Propagated,
+// PairsChecked, Instantiations, Truncated, Stopped and the counterexample
+// bytes — at Parallelism 1, 4 and 8, over randomized unions, Σ and
+// truncation caps. Run with -race to exercise the worker interleavings.
 
 // TestFactorisedMatchesFullRechase sweeps randomized general-setting
 // workloads — union views with empty disjuncts, random Σ, finite domains,
@@ -55,7 +39,7 @@ func TestFactorisedMatchesFullRechase(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			opts.MaxInstantiations = 1 + rng.Intn(30)
 		}
-		r := checkBothPaths(t, db, view, sigma, phi, opts)
+		r := checkAllLevels(t, db, view, sigma, phi, opts)
 		if !r.Propagated {
 			refuted++
 		}
@@ -83,7 +67,7 @@ func TestFactorisedMatchesFullRechaseEquality(t *testing.T) {
 			continue
 		}
 		sigma := randomSmallCFDs(rng, 2)
-		checkBothPaths(t, db, view, sigma, phi, Options{General: true, WantCounterexample: true})
+		checkAllLevels(t, db, view, sigma, phi, Options{General: true, WantCounterexample: true})
 	}
 }
 

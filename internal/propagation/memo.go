@@ -87,9 +87,8 @@ type MemoStats struct {
 	EmptyHits   int64 `json:"empty_hits"`
 	EmptyMisses int64 `json:"empty_misses"`
 	// CarriedPairs/CarriedEmpty count the entries this memo inherited from
-	// a pre-edit memo via Migrate (0 for a memo born empty): the carryover
-	// half of the delta-edit path — verdicts replayed instead of rechased
-	// after a Σ/V edit.
+	// a pre-edit memo via Migrate (0 for a memo born empty): verdicts
+	// replayed instead of rechased after a Σ/V edit.
 	CarriedPairs int64 `json:"carried_pairs,omitempty"`
 	CarriedEmpty int64 `json:"carried_empty,omitempty"`
 }

@@ -10,7 +10,6 @@ import (
 	"cfdprop/internal/faultinject"
 	"cfdprop/internal/parutil"
 	"cfdprop/internal/rel"
-	"cfdprop/internal/sym"
 )
 
 // The schedule executor is the one implementation of the §3 pair loop, at
@@ -479,7 +478,6 @@ type chunkResult struct {
 // winning counterexample exact. The outer bound cancels the whole task
 // when a lower schedule index refutes.
 func scanPlan(w *pairWorker, ev *pairEval, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options, task pairTask, plan enumPlan, taskIdx int, bound *atomicMin, chunks int) taskOutcome {
-	scan := chunkScanner(opts)
 	results := make([]chunkResult, chunks)
 	var inner atomicMin
 	inner.store(int64(plan.limit))
@@ -516,12 +514,12 @@ func scanPlan(w *pairWorker, ev *pairEval, db *rel.DBSchema, view *algebra.SPCU,
 				results[c] = chunkResult{stopIdx: -1}
 				return
 			}
-			results[c] = scan(cw, db, opts, plan, cev, chunkLo(plan.limit, chunks, c), chunkLo(plan.limit, chunks, c+1), taskIdx, bound, &inner)
+			results[c] = scanFactorised(cw, db, opts, plan, cev, chunkLo(plan.limit, chunks, c), chunkLo(plan.limit, chunks, c+1), taskIdx, bound, &inner)
 		}(c)
 	}
 	// The owning worker takes the first chunk with its already-prepared
 	// state and evaluation bundle — no rebuild.
-	results[0] = scan(w, db, opts, plan, ev, 0, chunkLo(plan.limit, chunks, 1), taskIdx, bound, &inner)
+	results[0] = scanFactorised(w, db, opts, plan, ev, 0, chunkLo(plan.limit, chunks, 1), taskIdx, bound, &inner)
 	wg.Wait()
 
 	// Assemble: find the lowest stop event; applicable counts accumulate
@@ -562,75 +560,4 @@ func scanPlan(w *pairWorker, ev *pairEval, db *rel.DBSchema, view *algebra.SPCU,
 // chunkLo is the start of chunk c when limit splits into even chunks.
 func chunkLo(limit, chunks, c int) int {
 	return c * limit / chunks
-}
-
-// chunkScanner picks the range-scan implementation: the factorised
-// shared-prefix scan by default, the full-rechase reference scan when the
-// differential oracle is requested.
-func chunkScanner(opts Options) func(*pairWorker, *rel.DBSchema, Options, enumPlan, *pairEval, int, int, int, *atomicMin, *atomicMin) chunkResult {
-	if opts.FullRechase {
-		return scanChunk
-	}
-	return scanFactorised
-}
-
-// scanChunk scans assignment indexes [lo, hi) in ascending order,
-// re-chasing the full pair per assignment — the reference implementation
-// scanFactorised is differentially tested against.
-func scanChunk(w *pairWorker, db *rel.DBSchema, opts Options, plan enumPlan, ev *pairEval, lo, hi, taskIdx int, bound, inner *atomicMin) chunkResult {
-	st := w.st
-	base := st.Save()
-	choice := make([]int, len(plan.roots))
-	r := chunkResult{stopIdx: -1}
-	for idx := lo; idx < hi; idx++ {
-		if int64(idx) > inner.load() {
-			break // a lower refutation exists; everything ≤ it is done
-		}
-		if int64(taskIdx) > bound.load() {
-			r.aborted = true
-			return r
-		}
-		// Poll the stop controls directly (the chase may take no steps on a
-		// small Σ); the stop becomes an error event at this index so the
-		// prefix counters stay exact.
-		if idx&63 == 0 && opts.sp != nil {
-			if reason := opts.sp.check(); reason != StopNone {
-				r.stopIdx = idx
-				r.stopErr = opts.sp.errFor(reason)
-				inner.min(int64(idx))
-				return r
-			}
-		}
-		st.Restore(base)
-		plan.decode(idx, choice)
-		applicable := true
-		for i, rt := range plan.roots {
-			if st.Bind(sym.Variable(rt), plan.domains[i][choice[i]]) != nil {
-				applicable = false
-				break
-			}
-		}
-		if !applicable {
-			continue
-		}
-		r.count++
-		ok, err := ev.evaluate()
-		if err != nil {
-			r.stopIdx = idx
-			r.stopErr = err
-			inner.min(int64(idx))
-			return r
-		}
-		if !ok {
-			r.stopIdx = idx
-			if opts.WantCounterexample {
-				if witness, err := w.ci.Concrete(db, true); err == nil {
-					r.cex = witness
-				}
-			}
-			inner.min(int64(idx))
-			return r
-		}
-	}
-	return r
 }

@@ -8,6 +8,7 @@ import (
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/rel"
+	"cfdprop/internal/sym"
 )
 
 // These tests pin the schedule executor to an independent serial oracle:
@@ -42,10 +43,9 @@ func checkAllLevels(t *testing.T, db *rel.DBSchema, view *algebra.SPCU, sigma []
 // serialOracle decides Σ |=V φ with the paper's §3 procedure written as
 // the plain nested loop over disjunct pairs (i, j ≥ i): it finds empty
 // disjuncts as it goes and enumerates each pair's finite-domain
-// assignments in order, re-chasing every one (scanChunk over the whole
-// range). It shares only the pair preparation and the chase with Check,
-// and has no memo and no stop controls: TestMemoReplayByteIdentical and
-// stop_test.go cover those.
+// assignments in order, re-chasing every one (scanChunk). It shares only
+// the pair preparation and the chase with Check, and has no memo and no
+// stop controls: TestMemoReplayByteIdentical and stop_test.go cover those.
 func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD, opts Options) (*Result, error) {
 	if opts.MaxInstantiations <= 0 {
 		opts.MaxInstantiations = DefaultMaxInstantiations
@@ -78,10 +78,7 @@ func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *c
 			}
 			return ok, err
 		}
-		var bound, inner atomicMin
-		bound.store(1)
-		inner.store(int64(plan.limit))
-		r := scanChunk(w, db, opts, plan, ev, 0, plan.limit, 0, &bound, &inner)
+		r := scanChunk(w, db, opts, plan, ev)
 		res.Instantiations += r.count
 		switch {
 		case r.stopErr != nil:
@@ -146,6 +143,47 @@ func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *c
 		}
 	}
 	return res, nil
+}
+
+// scanChunk scans every assignment index of plan in ascending order,
+// re-chasing the full pair per assignment from the pre-bind state — the
+// reference enumeration scanFactorised is differentially tested against.
+// It stops at the first refuting or erroring index.
+func scanChunk(w *pairWorker, db *rel.DBSchema, opts Options, plan enumPlan, ev *pairEval) chunkResult {
+	st := w.st
+	base := st.Save()
+	choice := make([]int, len(plan.roots))
+	r := chunkResult{stopIdx: -1}
+	for idx := 0; idx < plan.limit; idx++ {
+		st.Restore(base)
+		plan.decode(idx, choice)
+		applicable := true
+		for i, rt := range plan.roots {
+			if st.Bind(sym.Variable(rt), plan.domains[i][choice[i]]) != nil {
+				applicable = false
+				break
+			}
+		}
+		if !applicable {
+			continue
+		}
+		r.count++
+		ok, err := ev.evaluate()
+		if err != nil {
+			r.stopIdx, r.stopErr = idx, err
+			return r
+		}
+		if !ok {
+			r.stopIdx = idx
+			if opts.WantCounterexample {
+				if witness, err := w.ci.Concrete(db, true); err == nil {
+					r.cex = witness
+				}
+			}
+			return r
+		}
+	}
+	return r
 }
 
 // randomUnionView builds a 2–4 disjunct union over S with random

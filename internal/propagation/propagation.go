@@ -27,8 +27,8 @@
 // worklist from exactly the CFDs whose LHS touches a changed class (the
 // sym event journal seeds it), and rolls the suffix back through the sym
 // undo journal (Mark/Rewind) before the next assignment. Correctness
-// rests on three facts, each differentially tested against the
-// Options.FullRechase reference loop:
+// rests on three facts, each differentially tested against a test-only
+// reference loop that re-chases the pair per assignment:
 //
 //   - Chase firings are monotone in the bound constants, so the prefix's
 //     firings are a subset of every assignment's and the per-assignment
@@ -130,18 +130,10 @@ type Options struct {
 	// deterministic resource budget alongside the per-pair
 	// MaxInstantiations cap. Exhaustion surfaces as Result.Stopped =
 	// StopChaseBudget; with a fixed budget and Parallelism = 1 the partial
-	// Result is fully deterministic. Note the factorised enumeration (the
-	// default general-setting path) consumes far fewer steps than the
-	// FullRechase reference path, so a fixed budget stops the two at
-	// different points.
+	// Result is fully deterministic. The general-setting enumeration
+	// chases each pair's shared prefix once and extends it per assignment,
+	// so it spends far fewer steps than re-chasing every assignment would.
 	MaxChaseSteps int64
-	// FullRechase selects the other general-setting enumeration, scanChunk:
-	// every assignment re-chases the whole tableau pair from a pre-chase
-	// snapshot instead of extending a shared chased prefix (scanFactorised).
-	// It is the differential oracle the factorised scan is tested against
-	// (the SkipPreMinCover precedent); Results are byte-identical either
-	// way, only speed and chase-step consumption differ.
-	FullRechase bool
 	// Memo, when non-nil, caches pair outcomes, counterexamples and
 	// disjunct emptiness across Check calls sharing one (schema, Σ, V)
 	// scope — see the Memo type for the invalidation contract. Hits
@@ -354,9 +346,10 @@ func preparePair(w *pairWorker, db *rel.DBSchema, e1, e2 *algebra.SPC, phi *cfd.
 }
 
 // pairEval bundles the two per-instantiation tests of a prepared pair:
-// evaluate chases from scratch and compares (the full-rechase reference
-// path and the infinite-domain setting); verdict only compares, for use on
-// a state the factorised path has already chased.
+// evaluate chases from scratch and compares (the infinite-domain setting,
+// a pair with no finite root to enumerate, and the tests' full-rechase
+// oracle); verdict only compares, for use on a state the factorised path
+// has already chased.
 type pairEval struct {
 	sigmaN   []*cfd.CFD
 	evaluate func() (bool, error)
