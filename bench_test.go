@@ -242,7 +242,7 @@ func BenchmarkImplication(b *testing.B) {
 }
 
 // BenchmarkPropCFDSPC measures the end-to-end Fig. 2 algorithm with
-// allocation reporting, at the sizes BENCH_implication.json tracks.
+// allocation reporting, at |Σ| 200 and 500.
 func BenchmarkPropCFDSPC(b *testing.B) {
 	for _, sigma := range []int{200, 500} {
 		b.Run(fmt.Sprintf("sigma=%d", sigma), func(b *testing.B) {

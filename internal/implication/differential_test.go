@@ -536,3 +536,418 @@ func TestMinCoverMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// leftReduceRestart is the left-reduction loop leftReduceOne replaced:
+// drop the first removable LHS attribute, then rescan from position 0.
+// implied decides each probe.
+func leftReduceRestart(c *cfd.CFD, implied func(*cfd.CFD) (bool, error)) (*cfd.CFD, error) {
+	if c.Equality {
+		return c, nil
+	}
+	probe := &cfd.CFD{}
+	changed := true
+	for changed && len(c.LHS) > 0 {
+		changed = false
+		for j := range c.LHS {
+			probe.Relation = c.Relation
+			probe.LHS = append(probe.LHS[:0], c.LHS[:j]...)
+			probe.LHS = append(probe.LHS, c.LHS[j+1:]...)
+			probe.RHS = c.RHS
+			if probe.IsTrivial() {
+				continue
+			}
+			ok, err := implied(probe)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				c = probe.Clone()
+				changed = true
+				break
+			}
+		}
+	}
+	return c, nil
+}
+
+// scanSeed is the seed loop the constant-pattern index replaced: one scan
+// of Σ that applies the alive equality CFDs and collects, in index order,
+// the alive standard CFDs whose constant LHS patterns the template pins.
+func scanSeed(s *session, rows [][]sym.Term) ([]int32, error) {
+	var queue []int32
+	for i := range s.sigma {
+		if !s.alive(i) {
+			continue
+		}
+		cc := &s.sigma[i]
+		if cc.c.Equality {
+			for _, r := range rows {
+				if s.st.Equate(r[cc.lhs[0]], r[cc.rhs[0]]) != nil {
+					return nil, errConflict
+				}
+			}
+			continue
+		}
+		seed := true
+		for k, it := range cc.c.LHS {
+			if it.Pat.Wildcard {
+				continue
+			}
+			p := cc.lhs[k]
+			if !s.sharedOn[p] || s.sharedPat[p].Wildcard || s.sharedPat[p].Const != it.Pat.Const {
+				seed = false
+				break
+			}
+		}
+		if seed {
+			queue = append(queue, int32(i))
+		}
+	}
+	return queue, nil
+}
+
+// scanFastImplies is the fast path the indexed one replaced, on its own
+// buffers: counters armed by a scan of Σ, a round-based "possibly fire"
+// fixpoint that rescans Σ every round, and a closure run to completion
+// over the equality edges.
+func scanFastImplies(s *session, phi *cfd.CFD, rhsPos int) (decided, result bool) {
+	if s.anyFinite {
+		return false, false
+	}
+	if s.idxDirty {
+		s.buildColIndex()
+	}
+	n := len(s.u.Attrs)
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(p int) int {
+		for parent[p] != p {
+			p = parent[p]
+		}
+		return p
+	}
+	allFD := true
+	var eqPairs [][2]int
+	missing := make([]int, len(s.sigma))
+	for i := range s.sigma {
+		cc := &s.sigma[i]
+		missing[i] = -1
+		switch {
+		case !s.alive(i):
+		case cc.c.Equality:
+			allFD = false
+			eqPairs = append(eqPairs, [2]int{cc.lhs[0], cc.rhs[0]})
+			parent[find(cc.lhs[0])] = find(cc.rhs[0])
+		default:
+			allFD = allFD && cc.isFD
+			missing[i] = len(cc.lhs)
+		}
+	}
+	inClo := make([]bool, n)
+	var cloQ []int
+	addClo := func(p int) {
+		if !inClo[p] {
+			inClo[p] = true
+			cloQ = append(cloQ, p)
+		}
+	}
+	propagate := func() {
+		for qh := 0; qh < len(cloQ); qh++ {
+			p := cloQ[qh]
+			for _, ci := range s.colCFDs[s.colStart[p]:s.colStart[p+1]] {
+				if missing[ci] > 0 {
+					missing[ci]--
+					if missing[ci] == 0 {
+						addClo(s.sigma[ci].rhs[0])
+					}
+				}
+			}
+			for _, e := range eqPairs {
+				if e[0] == p {
+					addClo(e[1])
+				} else if e[1] == p {
+					addClo(e[0])
+				}
+			}
+		}
+	}
+	for p, on := range s.sharedOn {
+		if on {
+			addClo(p)
+		}
+	}
+	rhs := phi.RHS[0]
+	if allFD {
+		for i := range s.sigma {
+			if missing[i] == 0 {
+				addClo(s.sigma[i].rhs[0])
+			}
+		}
+		propagate()
+		if !inClo[rhsPos] {
+			return true, false
+		}
+		if rhs.Pat.Wildcard {
+			return true, true
+		}
+		return true, s.sharedOn[rhsPos] && !s.sharedPat[rhsPos].Wildcard &&
+			s.sharedPat[rhsPos].Const == rhs.Pat.Const
+	}
+	compConst := make(map[int]string)
+	addCompConst := func(p int, c string) bool {
+		q := find(p)
+		if have, ok := compConst[q]; ok {
+			return have == c
+		}
+		compConst[q] = c
+		return true
+	}
+	for p, on := range s.sharedOn {
+		if on && !s.sharedPat[p].Wildcard && !addCompConst(p, s.sharedPat[p].Const) {
+			return false, false
+		}
+	}
+	fired := make([]bool, len(s.sigma))
+	for changed := true; changed; {
+		changed = false
+		for i := range s.sigma {
+			cc := &s.sigma[i]
+			if missing[i] < 0 || !cc.constRHS || fired[i] {
+				continue
+			}
+			ok := true
+			for k, it := range cc.c.LHS {
+				if c, has := compConst[find(cc.lhs[k])]; !it.Pat.Wildcard && (!has || c != it.Pat.Const) {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			fired[i] = true
+			changed = true
+			if !addCompConst(cc.rhs[0], cc.c.RHS[0].Pat.Const) {
+				return false, false
+			}
+		}
+	}
+	for i := range s.sigma {
+		if missing[i] == 0 || (missing[i] > 0 && fired[i]) {
+			addClo(s.sigma[i].rhs[0])
+		}
+	}
+	propagate()
+	if !inClo[rhsPos] {
+		return true, false
+	}
+	return false, false
+}
+
+// poolWorkload builds Σ and a φ pool over eight attributes whose
+// constants all come from {a, b, c}, so patterns collide often: Σ holds
+// all-wildcard LHSs with constant RHSs and CFDs that can clash. When finite
+// is set every third attribute has the finite domain {a, b, c}, so the fast
+// path abstains and every probe chases.
+func poolWorkload(seed int64, finite bool) (Universe, []*cfd.CFD, []*cfd.CFD) {
+	rng := rand.New(rand.NewSource(seed))
+	attrs := make([]rel.Attribute, 8)
+	for i := range attrs {
+		attrs[i] = rel.Attribute{Name: fmt.Sprintf("A%d", i), Domain: rel.Infinite()}
+		if finite && i%3 == 0 {
+			attrs[i].Domain = rel.FiniteDomain("abc", "a", "b", "c")
+		}
+	}
+	draw := func(num int) []*cfd.CFD {
+		pat := func() cfd.Pattern {
+			if rng.Intn(2) == 0 {
+				return cfd.Any()
+			}
+			return cfd.Eq(string(rune('a' + rng.Intn(3))))
+		}
+		var out []*cfd.CFD
+		for len(out) < num {
+			perm := rng.Perm(len(attrs))
+			lhs := make([]cfd.Item, 1+rng.Intn(4))
+			for i := range lhs {
+				lhs[i] = cfd.Item{Attr: attrs[perm[i]].Name, Pat: pat()}
+			}
+			out = append(out, &cfd.CFD{Relation: "F", LHS: lhs,
+				RHS: []cfd.Item{{Attr: attrs[perm[len(lhs)]].Name, Pat: pat()}}})
+		}
+		return out
+	}
+	return NewUniverse("F", attrs), draw(24), draw(40)
+}
+
+// probeWorkload is one (universe, Σ, extra candidates) input of the
+// left-reduction and probe oracles.
+type probeWorkload struct {
+	name  string
+	u     Universe
+	sigma []*cfd.CFD
+	extra []*cfd.CFD
+}
+
+// probeWorkloads lists the differential workloads (which include equality
+// CFDs), small-constant-pool workloads with and without finite domains, and
+// the implication benchmark workload.
+func probeWorkloads() []probeWorkload {
+	var out []probeWorkload
+	for seed := int64(0); seed < 12; seed++ {
+		for _, varPct := range []int{1, 50, 100} {
+			u, sigma, phis := diffWorkload(seed*100+int64(varPct), varPct)
+			out = append(out, probeWorkload{fmt.Sprintf("diff seed %d var%%=%d", seed, varPct), u, sigma, phis})
+		}
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		for _, finite := range []bool{false, true} {
+			u, sigma, phis := poolWorkload(seed, finite)
+			out = append(out, probeWorkload{fmt.Sprintf("pool seed %d finite=%t", seed, finite), u, sigma, phis})
+		}
+	}
+	u, sigma, phis := implBenchWorkload(13, 150)
+	return append(out, probeWorkload{"bench", u, sigma, phis})
+}
+
+// TestLeftReduceMatchesRestart requires the one-pass left-reduction to
+// reduce every candidate exactly as the restart scan does, on a session
+// compiled with the same work set.
+func TestLeftReduceMatchesRestart(t *testing.T) {
+	compared := 0
+	for _, w := range probeWorkloads() {
+		s := NewSession(w.u)
+		work, err := s.minCoverNormalize(w.sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := append([]*cfd.CFD(nil), work...)
+		for _, c := range w.extra {
+			if !c.IsTrivial() {
+				cands = append(cands, c)
+			}
+		}
+		for _, c := range cands {
+			got, err := s.leftReduceOne(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := leftReduceRestart(c, s.inner.implies)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("%s: %s reduces to %s, restart scan to %s", w.name, c, got, want)
+			}
+			compared++
+		}
+	}
+	if compared < 1000 {
+		t.Fatalf("only %d candidates compared; want >= 1000", compared)
+	}
+
+	// A probe skipped as trivial is not a failed probe: position 0's probe
+	// [A=c, B=b] -> [A=c] is trivial until position 1 drops the wildcard
+	// A, after which [B=b] -> [A=c] holds. cfd.New rejects the repeated
+	// attribute, but a struct literal passes Validate.
+	s := NewSession(InfiniteUniverse("R", "A", "B"))
+	if err := s.SetSigma(parse(t, `R([B=b] -> [A=c])`)); err != nil {
+		t.Fatal(err)
+	}
+	c := &cfd.CFD{Relation: "R",
+		LHS: []cfd.Item{{Attr: "A", Pat: cfd.Any()}, {Attr: "A", Pat: cfd.Eq("c")}, {Attr: "B", Pat: cfd.Eq("b")}},
+		RHS: []cfd.Item{{Attr: "A", Pat: cfd.Eq("c")}}}
+	want, err := leftReduceRestart(c, s.inner.implies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.leftReduceOne(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.String() != `R([B=b] -> [A=c])` || got.String() != want.String() {
+		t.Fatalf("repeated-attribute candidate: one pass gives %s, restart scan %s; want R([B=b] -> [A=c])", got, want)
+	}
+}
+
+// TestIndexedProbeMatchesScan requires the indexed probe to make the same
+// decisions as the scans it replaced, on every left-reduction probe of the
+// restart scan and every redundancy probe under the skip and dead masks:
+// the fast path returns the same (decided, result), and the chase seed
+// applies the same equality CFDs and queues the same CFDs in the same
+// order.
+func TestIndexedProbeMatchesScan(t *testing.T) {
+	probes, seeded := 0, 0
+	check := func(t *testing.T, name string, sess *session, phi *cfd.CFD) {
+		t.Helper()
+		n := 1
+		if !phi.Equality {
+			n = 2
+			for _, it := range phi.LHS {
+				p, _ := sess.u.pos(it.Attr)
+				sess.sharedOn[p] = true
+				sess.sharedPat[p] = it.Pat
+			}
+			defer sess.clearShared(phi)
+			rhsPos, _ := sess.u.pos(phi.RHS[0].Attr)
+			wd, wr := scanFastImplies(sess, phi, rhsPos)
+			gd, gr := sess.fastImplies(phi, rhsPos)
+			if gd != wd || gr != wr {
+				t.Fatalf("%s: fast path on %s gives (%v, %v), scan gives (%v, %v)", name, phi, gd, gr, wd, wr)
+			}
+		}
+		rows, err := sess.template(n)
+		if err != nil {
+			return // a constant outside its finite domain: implies errors before seeding
+		}
+		gotErr := sess.seed(rows)
+		got := append([]int32(nil), sess.queue...)
+		if rows, err = sess.template(n); err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := scanSeed(sess, rows)
+		if gotErr != wantErr || (gotErr == nil && fmt.Sprint(got) != fmt.Sprint(want)) {
+			t.Fatalf("%s: seed for %s is %v (err %v), scan seeds %v (err %v)", name, phi, got, gotErr, want, wantErr)
+		}
+		probes++
+		if len(got) > 0 {
+			seeded++
+		}
+	}
+	for _, w := range probeWorkloads() {
+		s := NewSession(w.u)
+		work, err := s.minCoverNormalize(w.sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := s.inner
+		implied := func(phi *cfd.CFD) (bool, error) {
+			check(t, w.name, sess, phi)
+			return sess.implies(phi)
+		}
+		for _, c := range work {
+			if _, err := leftReduceRestart(c, implied); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if work, err = s.minCoverReduce(work); err != nil {
+			t.Fatal(err)
+		}
+		for i := range work {
+			sess.setSkip(i)
+			ok, err := implied(work[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				sess.markDead(i)
+			}
+		}
+		sess.setSkip(-1)
+	}
+	if probes < 5000 || seeded == 0 {
+		t.Fatalf("%d probes compared, %d with a non-empty seed; want >= 5000 and > 0", probes, seeded)
+	}
+}

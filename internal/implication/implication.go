@@ -14,18 +14,25 @@
 //
 // # Architecture: sessions, worklist chase, closure fast path
 //
-// The hot path — MinCover and RBR issue O(|Σ|²) implication tests against
-// one Σ — runs through Session (session.go), an incremental engine that
+// The hot path — MinCover and RBR issue many implication tests against one
+// Σ — runs through Session (session.go), an incremental engine that
 // compiles Σ once per universe and answers queries without per-call
 // allocation:
 //
-//   - Worklist chase. Compiled CFDs are indexed by the universe positions
-//     their LHS mentions (a CSR table). The shared sym.State journals every
-//     class change (sym.Event: a bind or a union), and only the CFDs whose
-//     LHS touches a changed class re-enter the worklist — premises are
-//     monotone, so this finds every newly-enabled firing without the
-//     version-counter full rescans of the reference engine (kept as the
-//     oracle in differential_test.go).
+//   - Indexed probes. Compiled CFDs are indexed by the universe positions
+//     their LHS mentions (a CSR table) and, beside that, by the constant
+//     LHS patterns at each position. A probe finds the CFDs it seeds, and
+//     the constant-RHS CFDs that could fire, by counting pattern matches
+//     through the constant-pattern index instead of scanning all of Σ;
+//     what stays O(|Σ|) per probe is one copy of the armed closure
+//     counters and the worklist-flag clear.
+//
+//   - Worklist chase. The shared sym.State journals every class change
+//     (sym.Event: a bind or a union), and only the CFDs whose LHS touches a
+//     changed class re-enter the worklist — premises are monotone, so this
+//     finds every newly-enabled firing without the version-counter full
+//     rescans of the reference engine (kept as the oracle in
+//     differential_test.go).
 //
 //   - Pooled templates. One sym.State plus fixed row buffers are reset
 //     (epoch-style, capacity-preserving) per query; steady-state queries
@@ -36,13 +43,22 @@
 //     all-FD case exactly without chasing, and for general Σ soundly
 //     rejects non-implications whose RHS position is unreachable in an
 //     over-approximated closure — provided a per-column-component constant
-//     analysis rules out chase conflicts. It abstains (and the full chase
+//     analysis rules out chase conflicts. The closure stops as soon as the
+//     RHS position enters it. The fast path abstains (and the full chase
 //     runs) whenever finite domains, a potential constant clash, or a
 //     reachable RHS make the cheap answer unsafe.
+//
+//   - One-pass left-reduction. MinCover probes each LHS position of a
+//     candidate once: implication is monotone in the LHS, so a position
+//     that failed never needs re-probing after a later drop
+//     (TestLeftReduceMatchesRestart checks this against the restart scan).
 //
 //   - Tombstoned MinCover. The redundancy phase excludes one candidate via
 //     a skip mask and kills redundant CFDs with a dead mask, instead of
 //     copying the compiled Σ per candidate.
+//
+// Session.ProbeStats counts each MinCover phase's probes, split by whether
+// the fast path decided them or a chase ran.
 //
 // # Concurrency model
 //

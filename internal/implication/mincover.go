@@ -23,6 +23,8 @@ type Session struct {
 	// compiled, and whether a borrower left it with a non-pool Σ.
 	poolGen   uint64
 	poolDirty bool
+
+	stats MinCoverStats // see ProbeStats
 }
 
 // NewSession builds an empty session over the universe; load Σ with
@@ -105,14 +107,17 @@ func (s *Session) Implies(phi *cfd.CFD) (bool, error) {
 //  1. normalize to single-attribute RHS, drop trivial CFDs, deduplicate;
 //  2. left-reduce: remove LHS attributes whose removal keeps the CFD
 //     implied by Σ (the reduced CFD implies the original, so equivalence
-//     is preserved), one candidate at a time through leftReduceOne;
+//     is preserved), one candidate at a time through leftReduceOne, which
+//     probes each LHS position once;
 //  3. drop CFDs implied by the remaining ones.
 //
-// This is exactly what Pool.MinCover runs on one shard. Complexity is
-// O(|Σ|²) implication tests, matching the O(|Σ|³) bound the paper quotes
-// for MinCover of [8] — but each test goes through the session's closure
-// fast path and worklist chase, and the redundancy phase tombstones
-// candidates in place instead of copying the compiled Σ.
+// This is exactly what Pool.MinCover runs on one shard. It makes
+// O(|Σ|·k) implication tests for LHS size k — in step 2 one per LHS
+// position unless a candidate repeats an attribute, in step 3 one per
+// CFD — within the O(|Σ|³) bound the paper quotes for MinCover of [8].
+// Each test goes through the session's indexed closure fast path and
+// worklist chase, and the redundancy phase tombstones candidates in place
+// instead of copying the compiled Σ.
 func (s *Session) MinCover(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 	work, err := s.minCoverNormalize(sigma)
 	if err != nil {
@@ -148,10 +153,17 @@ func (s *Session) minCoverNormalize(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 }
 
 // leftReduceOne left-reduces one candidate against the session's compiled
-// Σ: scan LHS positions in order, drop the first removable attribute,
-// restart. Candidates are probed through one scratch CFD (the engine never
-// retains φ) and only materialized on success — most probes fail, and
-// cloning each of them would dominate the allocation profile.
+// Σ in one pass over its LHS: each position is probed once, a removable
+// attribute is dropped, and the scan continues at the same index. Dropping
+// an LHS item only strengthens a CFD, so a probe X−{B} that failed fails
+// again after any later drop (the new probe's LHS is a subset of the old
+// one's): positions before the current one never need re-probing. A probe
+// skipped as trivial is not a failed probe, so after a drop the scan
+// resumes at the first such position. The result equals that of the
+// restart scan (drop the first removable attribute, rescan from position
+// 0) with fewer probes. Candidates are probed through one scratch CFD (the
+// engine never retains φ) and only materialized on success — most probes
+// fail, and cloning each of them would dominate the allocation profile.
 //
 // Every candidate probes the same unreduced work set, with no recompile
 // between candidates. That is sound because an accepted reduction swaps a
@@ -163,31 +175,74 @@ func (s *Session) leftReduceOne(c *cfd.CFD) (*cfd.CFD, error) {
 	if c.Equality {
 		return c, nil
 	}
-	sess := s.inner
-	probe := &cfd.CFD{}
-	changed := true
-	for changed && len(c.LHS) > 0 {
-		changed = false
-		for j := range c.LHS {
-			probe.Relation = c.Relation
-			probe.LHS = append(probe.LHS[:0], c.LHS[:j]...)
-			probe.LHS = append(probe.LHS, c.LHS[j+1:]...)
-			probe.RHS = c.RHS
-			if probe.IsTrivial() {
-				continue
+	probe := &cfd.CFD{Relation: c.Relation, RHS: c.RHS}
+	resume := -1 // first position skipped as trivial since the last drop
+	for j := 0; j < len(c.LHS); {
+		probe.LHS = append(append(probe.LHS[:0], c.LHS[:j]...), c.LHS[j+1:]...)
+		if probe.IsTrivial() {
+			if resume < 0 {
+				resume = j
 			}
-			ok, err := sess.implies(probe)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				c = probe.Clone()
-				changed = true
-				break
-			}
+			j++
+			continue
+		}
+		ok, err := s.probe(probe, &s.stats.LeftReduce)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			j++
+			continue
+		}
+		c = probe.Clone()
+		if resume >= 0 {
+			j, resume = resume, -1
 		}
 	}
 	return c, nil
+}
+
+// ProbeStats counts one MinCover phase's implication probes by how they
+// were decided: by the closure fast path alone, or by a chase.
+type ProbeStats struct {
+	FastImplied, FastRejected     int64
+	ChasedImplied, ChasedRejected int64
+}
+
+// Probes is the phase's total probe count.
+func (p ProbeStats) Probes() int64 {
+	return p.FastImplied + p.FastRejected + p.ChasedImplied + p.ChasedRejected
+}
+
+// MinCoverStats holds the probe counts of MinCover's two probing phases.
+type MinCoverStats struct {
+	LeftReduce, Redundancy ProbeStats
+}
+
+// ProbeStats returns the probe counts of every MinCover phase run on this
+// session since NewSession, Pool.MinCover's fanned-out work included when
+// this session is the shard that ran it. The counts are deterministic in
+// the calls made, at every parallelism.
+func (s *Session) ProbeStats() MinCoverStats { return s.stats }
+
+// probe decides Σ |= φ on the compiled Σ and counts the probe into ps.
+func (s *Session) probe(phi *cfd.CFD, ps *ProbeStats) (bool, error) {
+	chases := s.inner.chases
+	ok, err := s.inner.implies(phi)
+	if err != nil {
+		return false, err
+	}
+	switch chased := s.inner.chases != chases; {
+	case chased && ok:
+		ps.ChasedImplied++
+	case chased:
+		ps.ChasedRejected++
+	case ok:
+		ps.FastImplied++
+	default:
+		ps.FastRejected++
+	}
+	return ok, nil
 }
 
 // minCoverRedundancy runs the redundancy phase over a work set the session
@@ -205,7 +260,7 @@ func (s *Session) minCoverRedundancy(work []*cfd.CFD, maybe []bool) ([]*cfd.CFD,
 			continue
 		}
 		sess.setSkip(i)
-		ok, err := sess.implies(work[i])
+		ok, err := s.probe(work[i], &s.stats.Redundancy)
 		if err != nil {
 			sess.setSkip(-1)
 			return nil, err

@@ -467,7 +467,7 @@ func (p *Pool) MinCover(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 	maybe := make([]bool, len(work))
 	fanOut("screen", func(sess *Session, i int) error {
 		sess.inner.setSkip(i)
-		ok, err := sess.inner.implies(work[i])
+		ok, err := sess.probe(work[i], &sess.stats.Redundancy)
 		maybe[i] = ok
 		return err
 	})

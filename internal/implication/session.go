@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"cfdprop/internal/cfd"
@@ -37,11 +38,29 @@ type session struct {
 
 	// byCol is a CSR index: colCFDs[colStart[p]:colStart[p+1]] lists the
 	// standard (non-equality) CFDs whose LHS mentions universe position p.
-	// It indexes dead CFDs too (filtered at use), so only setSigma dirties
-	// it.
-	colStart []int32
-	colCFDs  []int32
-	idxDirty bool
+	// Beside it, the constant-pattern index constIdx[constStart[p]:
+	// constStart[p+1]] lists (standard CFD, constant) for every constant
+	// LHS pattern at p; nConst[i] counts CFD i's constant LHS patterns,
+	// noConst lists the standard CFDs with none and eqCFDs the equality
+	// CFDs, both in index order. The indexes cover dead CFDs too (filtered
+	// at use), so only setSigma dirties them.
+	colStart   []int32
+	colCFDs    []int32
+	constStart []int32
+	constIdx   []constEntry
+	nConst     []int32
+	noConst    []int32
+	eqCFDs     []int32
+	idxDirty   bool
+
+	// Epoch-stamped per-CFD match counters, shared by the chase seed and
+	// the fast path's firing analysis: cnt[i] counts only while
+	// cntEpoch[i] == epoch, so starting a count costs no O(|Σ|) clear.
+	cnt      []int32
+	cntEpoch []uint32
+	epoch    uint32
+
+	chases int64 // chases run so far; a probe that ran none was decided by the fast path
 
 	// Pooled chase machinery, reused across implies calls.
 	st     *sym.State
@@ -66,6 +85,12 @@ type session struct {
 	steps *atomic.Int64
 
 	fp fastPath
+}
+
+// constEntry is one constant LHS pattern in the constant-pattern index.
+type constEntry struct {
+	cfd int32
+	val string
 }
 
 type compiledCFD struct {
@@ -191,50 +216,84 @@ func (s *session) markDead(i int) {
 	s.fp.dirty = true
 }
 
-// buildColIndex rebuilds the LHS-position CSR index.
+// buildColIndex rebuilds the LHS-position and constant-pattern indexes.
 func (s *session) buildColIndex() {
 	n := len(s.u.Attrs)
-	if cap(s.colStart) < n+1 {
-		s.colStart = make([]int32, n+1)
-	} else {
-		s.colStart = s.colStart[:n+1]
-		for i := range s.colStart {
-			s.colStart[i] = 0
-		}
-	}
-	total := 0
-	for _, cc := range s.sigma {
+	s.colStart = append(s.colStart[:0], make([]int32, n+1)...)
+	s.constStart = append(s.constStart[:0], make([]int32, n+1)...)
+	s.nConst, s.noConst, s.eqCFDs = s.nConst[:0], s.noConst[:0], s.eqCFDs[:0]
+	for i, cc := range s.sigma {
+		k := int32(0)
 		if cc.c.Equality {
-			continue
+			s.eqCFDs = append(s.eqCFDs, int32(i))
+		} else {
+			for j, p := range cc.lhs {
+				s.colStart[p+1]++
+				if !cc.c.LHS[j].Pat.Wildcard {
+					s.constStart[p+1]++
+					k++
+				}
+			}
+			if k == 0 {
+				s.noConst = append(s.noConst, int32(i))
+			}
 		}
-		for _, p := range cc.lhs {
-			s.colStart[p+1]++
-		}
-		total += len(cc.lhs)
+		s.nConst = append(s.nConst, k)
 	}
 	for p := 0; p < n; p++ {
 		s.colStart[p+1] += s.colStart[p]
+		s.constStart[p+1] += s.constStart[p]
 	}
-	if cap(s.colCFDs) < total {
-		s.colCFDs = make([]int32, total)
-	} else {
-		s.colCFDs = s.colCFDs[:total]
-	}
-	// Fill using colStart as cursors, then shift back.
+	s.colCFDs = append(s.colCFDs[:0], make([]int32, s.colStart[n])...)
+	s.constIdx = append(s.constIdx[:0], make([]constEntry, s.constStart[n])...)
+	// Fill using the starts as cursors, then shift them back.
 	for i, cc := range s.sigma {
 		if cc.c.Equality {
 			continue
 		}
-		for _, p := range cc.lhs {
+		for j, p := range cc.lhs {
 			s.colCFDs[s.colStart[p]] = int32(i)
 			s.colStart[p]++
+			if pat := cc.c.LHS[j].Pat; !pat.Wildcard {
+				s.constIdx[s.constStart[p]] = constEntry{int32(i), pat.Const}
+				s.constStart[p]++
+			}
 		}
 	}
-	for p := n; p > 0; p-- {
-		s.colStart[p] = s.colStart[p-1]
+	copy(s.colStart[1:], s.colStart[:n])
+	copy(s.constStart[1:], s.constStart[:n])
+	s.colStart[0], s.constStart[0] = 0, 0
+	if len(s.cnt) < len(s.sigma) {
+		s.cnt = make([]int32, len(s.sigma))
+		s.cntEpoch = make([]uint32, len(s.sigma))
+		s.epoch = 0
 	}
-	s.colStart[0] = 0
 	s.idxDirty = false
+}
+
+// newEpoch starts a fresh round of bump counts.
+func (s *session) newEpoch() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could match again
+		clear(s.cntEpoch)
+		s.epoch = 1
+	}
+}
+
+// bump increments CFD i's count in the current epoch and returns it.
+func (s *session) bump(i int32) int32 {
+	if s.cntEpoch[i] != s.epoch {
+		s.cntEpoch[i] = s.epoch
+		s.cnt[i] = 0
+	}
+	s.cnt[i]++
+	return s.cnt[i]
+}
+
+// enqueue appends CFD i to the chase worklist.
+func (s *session) enqueue(i int32) {
+	s.inQ[i] = true
+	s.queue = append(s.queue, i)
 }
 
 // chase runs the two-row (or one-row) worklist chase to fixpoint. It
@@ -242,6 +301,29 @@ func (s *session) buildColIndex() {
 // (conflict — the premise cannot be realized under Σ), or the context's
 // error when a context installed via setContext is cancelled mid-chase.
 func (s *session) chase(rows [][]sym.Term) error {
+	s.chases++
+	if err := s.seed(rows); err != nil {
+		return err
+	}
+	// The equality seeding can merge classes and — through template
+	// constants — bind them, enabling constant-pattern CFDs that were not
+	// seeded. Drain its journal like any other application's.
+	s.drainEvents(rows)
+	return s.chaseLoop(rows)
+}
+
+// seed applies the equality CFDs and fills the worklist with the standard
+// CFDs whose premise is initially determinable, in index order. Equality
+// CFDs are applied once up front, in index order: equating t[A] and t[B]
+// is idempotent, so they never need re-examination. A standard CFD is
+// seeded only when every constant LHS pattern is pinned by a matching
+// template constant (wildcard positions hold trivially for the
+// single-tuple case); the constant-pattern index counts those matches
+// from the pinned positions, so the seed touches only the CFDs they
+// mention. Any other premise requires a class to change first — a bind or
+// union on a mentioned column — and the change journal enqueues the CFD
+// then.
+func (s *session) seed(rows [][]sym.Term) error {
 	st := s.st
 	if s.idxDirty {
 		s.buildColIndex()
@@ -250,53 +332,38 @@ func (s *session) chase(rows [][]sym.Term) error {
 		s.inQ = make([]bool, len(s.sigma))
 	} else {
 		s.inQ = s.inQ[:len(s.sigma)]
-		for i := range s.inQ {
-			s.inQ[i] = false
-		}
+		clear(s.inQ)
 	}
 	s.queue = s.queue[:0]
-
-	// Seed. Equality CFDs are applied once up front: equating t[A] and
-	// t[B] is idempotent, so they never need re-examination. A standard CFD
-	// enters the seed only when its premise is initially determinable: every
-	// constant LHS pattern must be pinned by a matching template constant
-	// (wildcard positions hold trivially for the single-tuple case). Any
-	// other premise requires a class to change first — a bind or union on a
-	// mentioned column — and the change journal enqueues the CFD then.
-	for i := range s.sigma {
-		if !s.alive(i) {
+	for _, i := range s.eqCFDs {
+		if !s.alive(int(i)) {
 			continue
 		}
 		cc := &s.sigma[i]
-		if cc.c.Equality {
-			for _, r := range rows {
-				if st.Equate(r[cc.lhs[0]], r[cc.rhs[0]]) != nil {
-					return errConflict
-				}
+		for _, r := range rows {
+			if st.Equate(r[cc.lhs[0]], r[cc.rhs[0]]) != nil {
+				return errConflict
 			}
-			continue
-		}
-		seed := true
-		for k, it := range cc.c.LHS {
-			if it.Pat.Wildcard {
-				continue
-			}
-			p := cc.lhs[k]
-			if !s.sharedOn[p] || s.sharedPat[p].Wildcard || s.sharedPat[p].Const != it.Pat.Const {
-				seed = false
-				break
-			}
-		}
-		if seed {
-			s.inQ[i] = true
-			s.queue = append(s.queue, int32(i))
 		}
 	}
-	// The equality seeding can merge classes and — through template
-	// constants — bind them, enabling constant-pattern CFDs that were not
-	// seeded. Drain its journal like any other application's.
-	s.drainEvents(rows)
-	return s.chaseLoop(rows)
+	for _, i := range s.noConst {
+		if s.alive(int(i)) {
+			s.enqueue(i)
+		}
+	}
+	s.newEpoch()
+	for p, on := range s.sharedOn {
+		if !on || s.sharedPat[p].Wildcard {
+			continue
+		}
+		for _, e := range s.constIdx[s.constStart[p]:s.constStart[p+1]] {
+			if e.val == s.sharedPat[p].Const && s.bump(e.cfd) == s.nConst[e.cfd] && s.alive(int(e.cfd)) {
+				s.enqueue(e.cfd)
+			}
+		}
+	}
+	slices.Sort(s.queue)
+	return nil
 }
 
 // chaseLoop drains the worklist to fixpoint: the tail of chase, once the
