@@ -38,37 +38,3 @@ func FuzzReadCFDs(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadCSV throws arbitrary CSV content at the loader: it must build an
-// instance or return an error, never panic, and a successful load must
-// agree with the header on arity.
-func FuzzReadCSV(f *testing.F) {
-	if seed, err := os.ReadFile("testdata/customers.csv"); err == nil {
-		f.Add(string(seed))
-	}
-	for _, s := range []string{
-		"a,b\n1,2\n",
-		"a,b\n1\n",
-		"\"unterminated\na,b\n",
-		"a,a\n1,2\n",
-		",\n,\n",
-		"a;b\n1;2\n",
-	} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, data string) {
-		in, err := readCSV(strings.NewReader(data), "fuzz", "R")
-		if err != nil {
-			return
-		}
-		if in == nil {
-			t.Fatalf("readCSV returned no instance and no error on %q", data)
-		}
-		arity := in.Schema.Arity()
-		for i, tup := range in.Tuples {
-			if len(tup) != arity {
-				t.Fatalf("row %d has arity %d, header has %d", i, len(tup), arity)
-			}
-		}
-	})
-}

@@ -5,21 +5,15 @@
 // Usage:
 //
 //	cfdcheck -data customers.csv -cfds rules.txt [-relation R] [-all]
-//	         [-stream auto|on|off] [-max-groups N] [-parallel N] [-timeout D]
+//	         [-max-groups N] [-parallel N] [-timeout D]
 //
-// Two execution modes share one output format and one verdict:
-//
-//   - The in-memory mode loads the whole CSV into a rel.Instance and fans
-//     the rules across -parallel workers rule-by-rule.
-//   - The streaming mode (internal/stream) scans the file in chunks and
-//     keeps only one constant-size witness per tuple group, so memory is
-//     O(distinct groups), not O(rows); -parallel shards the groups across
-//     workers, and -max-groups caps the witnesses retained per rule before
-//     that rule falls back to a multipass scan of the file.
-//
-// -stream picks the mode: "on", "off", or "auto" (the default), which
-// streams when the data file is 64 MiB or larger. Results are identical in
-// both modes and at every -parallel value.
+// The check streams the file (internal/stream): it scans the CSV in chunks
+// and keeps only one constant-size witness per tuple group, so memory is
+// O(distinct groups), not O(rows). -parallel shards the groups across
+// workers, and -max-groups caps the witnesses a rule retains in one pass;
+// a rule with more groups is re-read in hash partitions that fit the cap.
+// Results are identical at every -parallel and -max-groups value. The old
+// -stream flag is still accepted, and ignored.
 //
 // Violations are reported with authoritative 1-based file line numbers —
 // the header row is line 1, and quoted multi-line fields are accounted
@@ -42,24 +36,16 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/cliutil"
-	"cfdprop/internal/parutil"
-	"cfdprop/internal/rel"
 	"cfdprop/internal/stream"
 )
-
-// streamThreshold is the -stream auto cutover: files at least this large
-// are checked by the streaming detector instead of being materialized.
-const streamThreshold = 64 << 20
 
 func main() {
 	// Backstop: library panics (which the audit says should not reach user
@@ -75,18 +61,13 @@ func main() {
 	cfdsPath := flag.String("cfds", "", "file with one CFD per line")
 	relation := flag.String("relation", "R", "relation name the CFDs are defined on")
 	all := flag.Bool("all", false, "report every violation, not only the first per CFD")
-	streamMode := flag.String("stream", "auto", "streaming detector: on, off, or auto (stream files >= 64 MiB)")
-	maxGroups := flag.Int("max-groups", 1<<20, "streaming group budget per rule before the multipass fallback (negative = unbounded)")
+	flag.String("stream", "", "ignored: every check streams (accepted so that existing scripts keep working)")
+	maxGroups := flag.Int("max-groups", 1<<20, "witnesses a rule may retain in one pass before it is re-read in hash partitions (negative = unbounded)")
 	common := cliutil.RegisterCommon(flag.CommandLine, "rule validation")
 	flag.Parse()
 
 	if *dataPath == "" || *cfdsPath == "" {
 		fmt.Fprintln(os.Stderr, "cfdcheck: -data and -cfds are required")
-		os.Exit(cliutil.ExitUsage)
-	}
-	useStream, err := resolveStreamMode(*streamMode, *dataPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cfdcheck: %v\n", err)
 		os.Exit(cliutil.ExitUsage)
 	}
 
@@ -97,55 +78,29 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	var (
-		outcomes []ruleResult
-		rows     int
-	)
-	if useStream {
-		retain := 1
-		if *all {
-			retain = 0 // keep everything
-		}
-		rep, err := stream.CheckFile(*dataPath, rules, stream.Options{
-			Context:       ctx,
-			Relation:      *relation,
-			Parallel:      common.Parallel,
-			MaxGroups:     *maxGroups,
-			MaxViolations: retain,
-		})
-		if err != nil {
-			cliutil.FatalStopped("cfdcheck", ctx, err)
-		}
-		rows = rep.Rows
-		outcomes = make([]ruleResult, len(rules))
-		for i := range rep.Rules {
-			outcomes[i] = ruleResult{
-				violations: rep.Rules[i].Violations,
-				count:      rep.Rules[i].Count,
-				err:        rep.Rules[i].Err,
-			}
-		}
-	} else {
-		in, err := loadCSV(*dataPath, *relation)
-		if err != nil {
-			fatal(err)
-		}
-		outcomes, err = checkRules(ctx, in, rules, common.Parallel)
-		if err != nil {
-			cliutil.FatalStopped("cfdcheck", ctx, err)
-		}
-		rows = in.Len()
+	retain := 1
+	if *all {
+		retain = 0 // keep everything
+	}
+	rep, err := stream.CheckFile(*dataPath, rules, stream.Options{
+		Context:       ctx,
+		Relation:      *relation,
+		Parallel:      common.Parallel,
+		MaxGroups:     *maxGroups,
+		MaxViolations: retain,
+	})
+	if err != nil {
+		cliutil.FatalStopped("cfdcheck", ctx, err)
 	}
 
 	// Errors (bad rule vs schema) surface before any per-rule output, in
-	// rule order, so serial, parallel, and streaming runs report identically.
-	for i := range rules {
-		if outcomes[i].err != nil {
-			fatal(outcomes[i].err)
+	// rule order.
+	for _, rr := range rep.Rules {
+		if rr.Err != nil {
+			fatal(rr.Err)
 		}
 	}
-	bad := printReport(os.Stdout, rules, outcomes, rows, *all)
+	bad := printReport(os.Stdout, rep, *all)
 	if bad > 0 {
 		os.Exit(1)
 	}
@@ -156,105 +111,30 @@ func main() {
 // authoritative 1-based file line numbers (Line1/Line2), never row
 // ordinals: the header row is line 1, so the first data row is line 2, and
 // quoted multi-line fields shift later rows by the newlines they contain.
-func printReport(w io.Writer, rules []*cfd.CFD, outcomes []ruleResult, rows int, all bool) int {
+func printReport(w io.Writer, rep *stream.Report, all bool) int {
 	bad := 0
-	for i, c := range rules {
-		o := outcomes[i]
-		if o.count == 0 {
-			fmt.Fprintf(w, "ok    %s\n", c)
+	for _, rr := range rep.Rules {
+		if rr.Count == 0 {
+			fmt.Fprintf(w, "ok    %s\n", rr.CFD)
 			continue
 		}
 		bad++
-		fmt.Fprintf(w, "FAIL  %s: %d violation(s)\n", c, o.count)
+		fmt.Fprintf(w, "FAIL  %s: %d violation(s)\n", rr.CFD, rr.Count)
 		limit := 1
 		if all {
-			limit = len(o.violations)
+			limit = len(rr.Violations)
 		}
-		for k := 0; k < limit && k < len(o.violations); k++ {
-			v := o.violations[k]
+		for k := 0; k < limit && k < len(rr.Violations); k++ {
+			v := rr.Violations[k]
 			fmt.Fprintf(w, "      lines %d and %d: %s\n", v.Line1, v.Line2, v.Reason)
 		}
 	}
 	if bad > 0 {
-		fmt.Fprintf(w, "%d of %d CFDs violated\n", bad, len(rules))
+		fmt.Fprintf(w, "%d of %d CFDs violated\n", bad, len(rep.Rules))
 	} else {
-		fmt.Fprintf(w, "all %d CFDs satisfied over %d tuples\n", len(rules), rows)
+		fmt.Fprintf(w, "all %d CFDs satisfied over %d tuples\n", len(rep.Rules), rep.Rows)
 	}
 	return bad
-}
-
-// resolveStreamMode maps the -stream flag to a mode, statting the data
-// file for "auto".
-func resolveStreamMode(mode, dataPath string) (bool, error) {
-	switch mode {
-	case "on":
-		return true, nil
-	case "off":
-		return false, nil
-	case "auto":
-		fi, err := os.Stat(dataPath)
-		return err == nil && fi.Size() >= streamThreshold, nil
-	default:
-		return false, fmt.Errorf("-stream must be on, off, or auto (got %q)", mode)
-	}
-}
-
-type ruleResult struct {
-	violations []cfd.Violation
-	count      int // exact violation total, even when violations retains fewer
-	err        error
-}
-
-// checkRules validates every rule against the instance, fanning the rules
-// across workers CFD-by-CFD (Violations only reads the instance). Results
-// come back indexed by rule, so the report order is deterministic. Every
-// rule is evaluated regardless of errors on other rules — the serial and
-// parallel paths produce identical result slices, which
-// TestCheckRulesParallelMatchesSerial asserts. A non-nil error means the
-// run stopped early (timeout) and the results are incomplete.
-func checkRules(ctx context.Context, in *rel.Instance, rules []*cfd.CFD, parallel int) ([]ruleResult, error) {
-	if parallel == 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	results := make([]ruleResult, len(rules))
-	if parallel <= 1 || len(rules) < 2 {
-		done := ctx.Done()
-		for i := range rules {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-			results[i].violations, results[i].err = cfd.Violations(in, rules[i])
-			results[i].count = len(results[i].violations)
-		}
-		return results, nil
-	}
-	if err := parutil.DoCtx(ctx, len(rules), parallel, func(i int) {
-		results[i].violations, results[i].err = cfd.Violations(in, rules[i])
-		results[i].count = len(results[i].violations)
-	}); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-func loadCSV(path, relation string) (*rel.Instance, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return readCSV(f, path, relation)
-}
-
-// readCSV builds an instance from CSV input by delegating to the streaming
-// package's provenance-tracking loader: header row as attribute names,
-// every value in the infinite domain, each tuple carrying its authoritative
-// 1-based file line so violations print real line numbers. Split from
-// loadCSV so the fuzz target can drive it without a file.
-func readCSV(src io.Reader, name, relation string) (*rel.Instance, error) {
-	return stream.LoadInstance(src, name, relation)
 }
 
 func loadCFDs(path string) ([]*cfd.CFD, error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,28 +12,19 @@ import (
 	"cfdprop/internal/stream"
 )
 
-func TestLoadCSV(t *testing.T) {
-	in, err := loadCSV(filepath.Join("testdata", "customers.csv"), "R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Len() != 6 {
-		t.Fatalf("want 6 tuples, got %d", in.Len())
-	}
-	if in.Schema.Arity() != 7 || !in.Schema.Has("CC") {
-		t.Errorf("header mis-parsed: %v", in.Schema)
-	}
-	if v, _ := in.Value(0, "city"); v != "LDN" {
-		t.Errorf("cell mis-parsed: %q", v)
-	}
-}
+var customersCSV = filepath.Join("testdata", "customers.csv")
 
-func TestLoadCFDs(t *testing.T) {
+func fig1Rules(t *testing.T) []*cfd.CFD {
+	t.Helper()
 	rules, err := loadCFDs(filepath.Join("testdata", "rules.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rules) != 6 {
+	return rules
+}
+
+func TestLoadCFDs(t *testing.T) {
+	if rules := fig1Rules(t); len(rules) != 6 {
 		t.Fatalf("want 6 rules (comments skipped), got %d", len(rules))
 	}
 }
@@ -40,36 +32,21 @@ func TestLoadCFDs(t *testing.T) {
 // TestFigure1Verdicts replays the Fig. 1 data against the rules file: the
 // propagated CFDs hold, the plain FDs fail.
 func TestFigure1Verdicts(t *testing.T) {
-	in, err := loadCSV(filepath.Join("testdata", "customers.csv"), "R")
+	rep, err := stream.CheckFile(customersCSV, fig1Rules(t), stream.Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules, err := loadCFDs(filepath.Join("testdata", "rules.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{ // rule index -> satisfied
-		rules[0].String(): true,
-		rules[1].String(): true,
-		rules[2].String(): true,
-		rules[3].String(): true,
-		rules[4].String(): false, // zip -> street
-		rules[5].String(): false, // AC -> city
-	}
-	for _, r := range rules {
-		ok, err := cfd.Satisfies(in, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok != want[r.String()] {
-			t.Errorf("%s: satisfied=%v, want %v", r, ok, want[r.String()])
+	for i, rr := range rep.Rules {
+		satisfied := i < 4 // 4: zip -> street, 5: AC -> city
+		if rr.Err != nil || (rr.Count == 0) != satisfied {
+			t.Errorf("%s: count=%d err=%v, want satisfied=%v", rr.CFD, rr.Count, rr.Err, satisfied)
 		}
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := loadCSV(filepath.Join("testdata", "missing.csv"), "R"); err == nil {
-		t.Error("missing file must fail")
+	if _, err := stream.CheckFile(filepath.Join("testdata", "missing.csv"), fig1Rules(t), stream.Options{}); err == nil {
+		t.Error("missing data file must fail")
 	}
 	if _, err := loadCFDs(filepath.Join("testdata", "missing.txt")); err == nil {
 		t.Error("missing rules must fail")
@@ -88,6 +65,7 @@ func TestMalformedInputsErrorCleanly(t *testing.T) {
 		{"duplicate header", "a,a\n1,2\n"},
 		{"empty header cell", "a,\n1,2\n"},
 	}
+	rules := []*cfd.CFD{cfd.MustParse("R([a] -> [b])")}
 	for _, tc := range badCSV {
 		func() {
 			defer func() {
@@ -95,7 +73,7 @@ func TestMalformedInputsErrorCleanly(t *testing.T) {
 					t.Errorf("CSV %s: panicked: %v", tc.name, r)
 				}
 			}()
-			if _, err := readCSV(strings.NewReader(tc.data), tc.name, "R"); err == nil {
+			if _, err := stream.CheckReader(strings.NewReader(tc.data), tc.name, rules, stream.Options{}); err == nil {
 				t.Errorf("CSV %s: accepted", tc.name)
 			}
 		}()
@@ -124,67 +102,44 @@ func TestMalformedInputsErrorCleanly(t *testing.T) {
 // TestCheckRulesTimeout: an expired context stops rule validation with the
 // context's error (main maps it to exit status 3).
 func TestCheckRulesTimeout(t *testing.T) {
-	in, err := loadCSV(filepath.Join("testdata", "customers.csv"), "R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules, err := loadCFDs(filepath.Join("testdata", "rules.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rules := fig1Rules(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, parallel := range []int{1, 4} {
-		if _, err := checkRules(ctx, in, rules, parallel); !errors.Is(err, context.Canceled) {
-			t.Errorf("parallel=%d: checkRules under cancelled context = %v, want context.Canceled", parallel, err)
+		if _, err := stream.CheckFile(customersCSV, rules, stream.Options{Context: ctx, Parallel: parallel}); !errors.Is(err, context.Canceled) {
+			t.Errorf("parallel=%d: check under cancelled context = %v, want context.Canceled", parallel, err)
 		}
 	}
 }
 
-// TestCheckRulesParallelMatchesSerial: the fan-out reports the same
-// verdicts in the same order as the serial path — including when a rule in
-// the middle carries a schema error. The serial path historically broke out
-// of the loop on the first error, leaving later rules unevaluated and
-// making -parallel 1 report differently from -parallel N; both paths now
-// evaluate every rule.
+// TestCheckRulesParallelMatchesSerial: one worker and four report the same
+// verdicts in the same order, including when the first rule carries a
+// schema error: every later rule is still evaluated, so -parallel 1 never
+// reports differently from -parallel N.
 func TestCheckRulesParallelMatchesSerial(t *testing.T) {
-	in, err := loadCSV(filepath.Join("testdata", "customers.csv"), "R")
+	rules := append([]*cfd.CFD{cfd.MustParse("R([nosuch] -> [city])")}, fig1Rules(t)...)
+	ref, err := stream.CheckFile(customersCSV, rules, stream.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules, err := loadCFDs(filepath.Join("testdata", "rules.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Splice a schema-error rule in front: under the old fail-fast serial
-	// loop every later rule would come back empty.
-	rules = append([]*cfd.CFD{cfd.MustParse("R([nosuch] -> [city])")}, rules...)
-	ctx := context.Background()
-	ref, err := checkRules(ctx, in, rules, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref[0].err == nil {
+	if ref.Rules[0].Err == nil {
 		t.Fatal("schema-error rule did not error")
 	}
-	evaluated := 0
 	for i := 1; i < len(rules); i++ {
-		if ref[i].err == nil && ref[i].count >= 0 {
-			evaluated++
+		if ref.Rules[i].Err != nil || ref.Rules[i].Passes != 1 {
+			t.Fatalf("rule %d (%s) not evaluated after the schema error: err=%v passes=%d", i, rules[i], ref.Rules[i].Err, ref.Rules[i].Passes)
 		}
 	}
-	if evaluated != len(rules)-1 {
-		t.Fatalf("serial path evaluated %d of %d rules after the schema error", evaluated, len(rules)-1)
+	if ref.Rules[len(rules)-1].Count == 0 {
+		t.Fatal("the last rule (AC -> city, violated) reported no violation after the schema error")
 	}
-	if ref[len(rules)-1].count == 0 {
-		t.Fatal("serial path left the last rule (AC -> city, violated) unevaluated after the schema error")
-	}
-	got, err := checkRules(ctx, in, rules, 4)
+	got, err := stream.CheckFile(customersCSV, rules, stream.Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range rules {
-		if len(got[i].violations) != len(ref[i].violations) || got[i].count != ref[i].count || (got[i].err == nil) != (ref[i].err == nil) {
+		g, r := got.Rules[i], ref.Rules[i]
+		if len(g.Violations) != len(r.Violations) || g.Count != r.Count || (g.Err == nil) != (r.Err == nil) {
 			t.Errorf("rule %d: parallel diverged from serial", i)
 		}
 	}
@@ -196,20 +151,12 @@ func TestCheckRulesParallelMatchesSerial(t *testing.T) {
 // file lines 5 and 6 (header is line 1) and the AC=131 tuples on lines 4
 // and 7; the old output printed "rows 4 and 5" / "rows 3 and 6".
 func TestReportLineNumbers(t *testing.T) {
-	rules, err := loadCFDs(filepath.Join("testdata", "rules.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := loadCSV(filepath.Join("testdata", "customers.csv"), "R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes, err := checkRules(context.Background(), in, rules, 1)
+	rep, err := stream.CheckFile(customersCSV, fig1Rules(t), stream.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	bad := printReport(&buf, rules, outcomes, in.Len(), true)
+	bad := printReport(&buf, rep, true)
 	out := buf.String()
 	if bad != 2 {
 		t.Fatalf("want 2 violated rules, got %d\n%s", bad, out)
@@ -230,51 +177,42 @@ func TestReportLineNumbers(t *testing.T) {
 	}
 }
 
-// TestReportStreamMatchesInMemory: both execution modes print byte-identical
-// reports over the same input.
+// TestReportStreamMatchesInMemory: the printed report equals the one
+// printed from the in-memory oracle (stream.LoadInstance + cfd.Violations),
+// with and without -all, including when a group budget of 2 splits every
+// FD into hash partitions.
 func TestReportStreamMatchesInMemory(t *testing.T) {
-	rules, err := loadCFDs(filepath.Join("testdata", "rules.txt"))
+	rules := fig1Rules(t)
+	f, err := os.Open(customersCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := loadCSV(filepath.Join("testdata", "customers.csv"), "R")
+	in, err := stream.LoadInstance(f, customersCSV, "R")
+	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := checkRules(context.Background(), in, rules, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := stream.CheckFile(filepath.Join("testdata", "customers.csv"), rules, stream.Options{Parallel: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	str := make([]ruleResult, len(rules))
-	for i := range rep.Rules {
-		str[i] = ruleResult{violations: rep.Rules[i].Violations, count: rep.Rules[i].Count, err: rep.Rules[i].Err}
+	oracle := &stream.Report{Schema: in.Schema, Rows: in.Len()}
+	for _, c := range rules {
+		vs, err := cfd.Violations(in, c)
+		oracle.Rules = append(oracle.Rules, stream.RuleReport{CFD: c, Err: err, Count: len(vs), Violations: vs})
 	}
 	for _, all := range []bool{false, true} {
-		var memBuf, strBuf strings.Builder
-		printReport(&memBuf, rules, mem, in.Len(), all)
-		printReport(&strBuf, rules, str, rep.Rows, all)
-		if memBuf.String() != strBuf.String() {
-			t.Errorf("all=%v: stream report diverges from in-memory:\n--- in-memory\n%s--- stream\n%s", all, memBuf.String(), strBuf.String())
+		retain := 1
+		if all {
+			retain = 0
 		}
-	}
-}
-
-func TestResolveStreamMode(t *testing.T) {
-	small := filepath.Join("testdata", "customers.csv")
-	for _, tc := range []struct {
-		mode string
-		want bool
-	}{{"on", true}, {"off", false}, {"auto", false}} {
-		got, err := resolveStreamMode(tc.mode, small)
-		if err != nil || got != tc.want {
-			t.Errorf("resolveStreamMode(%q) = %v, %v; want %v", tc.mode, got, err, tc.want)
+		for _, maxGroups := range []int{0, 2} {
+			rep, err := stream.CheckFile(customersCSV, rules, stream.Options{Parallel: 3, MaxGroups: maxGroups, MaxViolations: retain})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var memBuf, strBuf strings.Builder
+			printReport(&memBuf, oracle, all)
+			printReport(&strBuf, rep, all)
+			if memBuf.String() != strBuf.String() {
+				t.Errorf("all=%v max-groups=%d: stream report diverges from the oracle's:\n--- oracle\n%s--- stream\n%s", all, maxGroups, memBuf.String(), strBuf.String())
+			}
 		}
-	}
-	if _, err := resolveStreamMode("maybe", small); err == nil {
-		t.Error("bad -stream value must be a usage error")
 	}
 }

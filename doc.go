@@ -27,8 +27,8 @@
 //   - internal/closure   — the exponential closure-based baseline
 //   - internal/stream    — bounded-memory streaming violation detection:
 //     chunked CSV scanning, hash-sharded witness groups across workers,
-//     multipass spilling when a rule's group cardinality exceeds the
-//     budget; reports are violation-identical to cfd.Violations
+//     hash-partitioned re-reads when a rule's group cardinality exceeds
+//     the budget; reports are violation-identical to cfd.Violations
 //   - internal/gen, internal/bench — §5 workload generators and harness
 //
 // # Cancellation and budget semantics
@@ -79,8 +79,8 @@
 // never data ordinals — so a reported line can be opened in an editor.
 //
 // Entry points: cmd/propcfd (compute covers, or query a daemon with
-// -server), cmd/cfdcheck (validate data against CFDs in memory, or via
-// -stream in fixed space at 10M-tuple scale), cmd/benchfig
+// -server), cmd/cfdcheck (validate data against CFDs, streaming in
+// fixed space at 10M-tuple scale), cmd/benchfig
 // (regenerate the paper's figures and tables; -json embeds a host stamp),
 // cmd/propcfdd (the daemon); all take -timeout, which exits with status 3
 // when the budget expires. Runnable walk-throughs live in examples/ —

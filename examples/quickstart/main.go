@@ -45,13 +45,12 @@
 //
 // Violations print the 1-based file lines of both offending tuples —
 // header- and quoted-newline-aware, so the numbers match what an editor
-// shows. Files of 64 MiB or more stream automatically (force with
-// -stream on|off): a chunked scan whose memory is bounded by witness-group
-// cardinality and worker count, not file size, so 10M-tuple files check in
-// fixed space; -parallel sets the worker count and -max-groups the
-// per-rule group budget before the detector falls back to multipass
-// hash-partitioning. cmd/benchfig -exp stream reproduces the scaling
-// evidence.
+// shows. The check is a chunked scan whose memory is bounded by
+// witness-group cardinality and worker count, not file size, so 10M-tuple
+// files check in fixed space; -parallel sets the worker count and
+// -max-groups the per-rule group budget of one pass, past which the file is
+// re-read in hash partitions. cmd/benchfig -exp stream reproduces the
+// scaling evidence.
 //
 // # Degradation contract
 //

@@ -50,7 +50,7 @@ type StreamCase struct {
 	Rules      int    `json:"rules"`
 	Violations int    `json:"violations"` // exact total across rules
 	Groups     int    `json:"groups"`     // witness groups across rules
-	Passes     int    `json:"passes"`     // input scans across rules (rules when no spill)
+	Passes     int    `json:"passes"`     // input scans across rules (rules when none overflows)
 	// HeapBudget is the budget every point was asserted against; MaxRSS is
 	// the process peak RSS after the sweep (Linux: KiB), cumulative and so
 	// an upper bound that includes generation and the oracle check.

@@ -44,8 +44,9 @@ const (
 	// SiteDaemonDrain fires during daemon shutdown, after readiness has
 	// flipped and before queued/new requests start being refused.
 	SiteDaemonDrain = "daemon.drain"
-	// SiteStreamChunk fires once per chunk inside the streaming detector's
-	// mapper stage, before the chunk's σ/π work begins.
+	// SiteStreamChunk fires once per chunk of every pass inside the
+	// streaming detector's mapper stage, before the chunk's σ/π work
+	// begins.
 	SiteStreamChunk = "stream.chunk"
 	// SiteSigmaEdit fires inside the daemon's Σ-edit handler (PUT and
 	// PATCH) before the successor universe is derived.

@@ -4,6 +4,7 @@ package stream
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -14,8 +15,8 @@ import (
 )
 
 // The streaming half of the randomized crash-safety suite: panics and
-// delays injected at the chunk seam (SiteStreamChunk, once per chunk
-// inside the mapper stage). Invariants: an injected panic surfaces as the
+// delays injected at the chunk seam (SiteStreamChunk, once per chunk of
+// every pass inside the mapper stage). Invariants: an injected panic surfaces as the
 // check's error — never a process crash, a deadlocked WaitGroup, or a
 // partial report — and a delay never changes the report, because the
 // merge sorts by the oracle-order key rather than trusting scheduling.
@@ -117,4 +118,78 @@ func TestCrashPanicThenCleanRun(t *testing.T) {
 			t.Fatalf("rule %d count %d after fault cleared, want %d", ri, got.Rules[ri].Count, want.Rules[ri].Count)
 		}
 	}
+}
+
+// TestCrashPartitionPasses reaches the passes that re-read the input in
+// hash partitions: a panic injected at a chunk past the first pass's chunk
+// count surfaces as the check's error with no report, delays there leave
+// the report unchanged (Passes and Groups included), and a clean run
+// afterwards equals the baseline.
+func TestCrashPartitionPasses(t *testing.T) {
+	data, rules := crashFixture(400)
+	open := func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(data)), nil }
+	opts := Options{Parallel: 3, ChunkSize: 16, MaxGroups: 20}
+	nchunks := (400 + 15) / 16 // chunks in the first pass
+	faultinject.Reset()
+	want, err := Check(open, "crash", rules, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Rules[0].Passes < 3 {
+		t.Fatalf("rule 0 took %d passes; the fixture must split it into partitions", want.Rules[0].Passes)
+	}
+	same := func(label string, got *Report) {
+		t.Helper()
+		if got.Rows != want.Rows || len(got.Rules) != len(want.Rules) {
+			t.Fatalf("%s: report shape diverged", label)
+		}
+		for ri := range want.Rules {
+			g, w := got.Rules[ri], want.Rules[ri]
+			if g.Count != w.Count || g.Passes != w.Passes || g.Groups != w.Groups || len(g.Violations) != len(w.Violations) {
+				t.Fatalf("%s rule %d: count/passes/groups/retained %d/%d/%d/%d, want %d/%d/%d/%d", label, ri,
+					g.Count, g.Passes, g.Groups, len(g.Violations), w.Count, w.Passes, w.Groups, len(w.Violations))
+			}
+			for k := range w.Violations {
+				if g.Violations[k] != w.Violations[k] {
+					t.Fatalf("%s rule %d violation %d: %+v != %+v", label, ri, k, g.Violations[k], w.Violations[k])
+				}
+			}
+		}
+	}
+
+	for _, nth := range []int64{int64(nchunks + 1), int64(nchunks + 7), int64(3 * nchunks)} {
+		faultinject.Install(faultinject.Rule{Site: faultinject.SiteStreamChunk, Nth: nth, Act: faultinject.Panic})
+		rep, err := Check(open, "crash", rules, opts)
+		faultinject.Reset()
+		if err == nil {
+			t.Fatalf("nth=%d: injected panic did not surface", nth)
+		}
+		if !strings.Contains(err.Error(), "stream: mapper panic") ||
+			!strings.Contains(err.Error(), "faultinject: injected panic at stream.chunk") {
+			t.Fatalf("nth=%d: error %q does not carry the injected payload through the mapper guard", nth, err)
+		}
+		if rep != nil {
+			t.Fatalf("nth=%d: non-nil report alongside error", nth)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 5; trial++ {
+		faultinject.Install(
+			faultinject.Rule{Site: faultinject.SiteStreamChunk, Nth: int64(nchunks + 1 + rng.Intn(60)), Act: faultinject.Delay, Delay: 5 * time.Millisecond},
+			faultinject.Rule{Site: faultinject.SiteStreamChunk, Nth: int64(nchunks + 1 + rng.Intn(60)), Act: faultinject.Delay, Delay: 2 * time.Millisecond},
+		)
+		got, err := Check(open, "crash", rules, opts)
+		faultinject.Reset()
+		if err != nil {
+			t.Fatalf("trial %d: delayed run failed: %v", trial, err)
+		}
+		same(fmt.Sprintf("trial %d", trial), got)
+	}
+
+	got, err := Check(open, "crash", rules, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("clean run", got)
 }

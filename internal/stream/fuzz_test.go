@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -12,8 +13,10 @@ import (
 // compares it against the in-memory oracle: both must agree on error-ness,
 // and when both succeed the streaming report must reproduce the oracle's
 // violations — counts, ordinals, authoritative lines, reasons — exactly.
-// Seeds come from the cfdcheck fixture plus the FuzzReadCSV corpus, so the
-// two fuzzers explore the same malformed-input space.
+// Each input is checked twice: once in a single pass from a one-shot
+// reader, and once from a re-openable source with a group budget of 2, so
+// that any rule with more than two groups is re-read in hash partitions.
+// Seeds come from the cfdcheck fixture plus malformed and quoted inputs.
 func FuzzStreamCSV(f *testing.F) {
 	if seed, err := os.ReadFile("../../cmd/cfdcheck/testdata/customers.csv"); err == nil {
 		f.Add(string(seed))
@@ -39,33 +42,41 @@ func FuzzStreamCSV(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data string) {
 		in, oerr := LoadInstance(strings.NewReader(data), "fuzz", "R")
-		rep, serr := CheckReader(strings.NewReader(data), "fuzz", rules, Options{Parallel: 2, ChunkSize: 3})
-		if (oerr == nil) != (serr == nil) {
-			t.Fatalf("oracle err = %v, stream err = %v on %q", oerr, serr, data)
-		}
-		if oerr != nil {
-			return
-		}
-		if rep.Rows != in.Len() {
-			t.Fatalf("stream saw %d rows, oracle %d, on %q", rep.Rows, in.Len(), data)
-		}
-		for ri, c := range rules {
-			want, werr := cfd.Violations(in, c)
-			got := rep.Rules[ri]
-			if (werr == nil) != (got.Err == nil) {
-				t.Fatalf("rule %s: oracle err = %v, stream err = %v on %q", c, werr, got.Err, data)
+		single, serr := CheckReader(strings.NewReader(data), "fuzz", rules, Options{Parallel: 2, ChunkSize: 3})
+		open := func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(data)), nil }
+		parts, perr := Check(open, "fuzz", rules, Options{Parallel: 2, ChunkSize: 3, MaxGroups: 2})
+		for _, run := range []struct {
+			name string
+			rep  *Report
+			err  error
+		}{{"single pass", single, serr}, {"partitioned", parts, perr}} {
+			if (oerr == nil) != (run.err == nil) {
+				t.Fatalf("%s: oracle err = %v, stream err = %v on %q", run.name, oerr, run.err, data)
 			}
-			if werr != nil {
+			if oerr != nil {
 				continue
 			}
-			if got.Count != len(want) || len(got.Violations) != len(want) {
-				t.Fatalf("rule %s: stream %d/%d violations, oracle %d, on %q", c, got.Count, len(got.Violations), len(want), data)
+			if run.rep.Rows != in.Len() {
+				t.Fatalf("%s: stream saw %d rows, oracle %d, on %q", run.name, run.rep.Rows, in.Len(), data)
 			}
-			for k := range want {
-				g, w := got.Violations[k], want[k]
-				if g.T1 != w.T1 || g.T2 != w.T2 || g.Line1 != w.Line1 || g.Line2 != w.Line2 ||
-					g.Attr != w.Attr || g.Reason != w.Reason {
-					t.Fatalf("rule %s violation %d: got %+v want %+v on %q", c, k, g, w, data)
+			for ri, c := range rules {
+				want, werr := cfd.Violations(in, c)
+				got := run.rep.Rules[ri]
+				if (werr == nil) != (got.Err == nil) {
+					t.Fatalf("%s: rule %s: oracle err = %v, stream err = %v on %q", run.name, c, werr, got.Err, data)
+				}
+				if werr != nil {
+					continue
+				}
+				if got.Count != len(want) || len(got.Violations) != len(want) {
+					t.Fatalf("%s: rule %s: stream %d/%d violations, oracle %d, on %q", run.name, c, got.Count, len(got.Violations), len(want), data)
+				}
+				for k := range want {
+					g, w := got.Violations[k], want[k]
+					if g.T1 != w.T1 || g.T2 != w.T2 || g.Line1 != w.Line1 || g.Line2 != w.Line2 ||
+						g.Attr != w.Attr || g.Reason != w.Reason {
+						t.Fatalf("%s: rule %s violation %d: got %+v want %+v on %q", run.name, c, k, g, w, data)
+					}
 				}
 			}
 		}

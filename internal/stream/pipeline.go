@@ -13,19 +13,19 @@ import (
 	"cfdprop/internal/rel"
 )
 
-// The shared single pass. Topology:
+// One pass. Topology:
 //
 //	reader ──chunks──▶ mappers(W) ──mapped──▶ collector ──▶ reducers(W)
 //
 // The reader produces ChunkSize-row chunks tagged with a sequence number;
-// mappers run σ (LHS filter) and π (X/Y projection) per rule, emit
-// single-tuple violations directly, and bucket group records by
-// hash(X-projection) mod W; the collector restores sequence order and fans
-// each mapped chunk to every reducer; reducer w owns shard w of every
-// rule's witness map, so group state is never shared and each group's
-// tuples arrive in file order. Everything downstream of the reader sorts
-// by the (ord, phase, attr) key afterwards, so scheduling never shows in
-// the output.
+// mappers run σ (LHS filter) and π (X/Y projection) per job, drop groups
+// outside the job's hash partition, emit single-tuple violations directly,
+// and bucket group records by the hash bits above the partition's, mod W;
+// the collector restores sequence order and fans each mapped chunk to
+// every reducer; reducer w owns shard w of every job's witness map, so
+// group state is never shared and each group's tuples arrive in file
+// order. Everything downstream of the reader sorts by the (ord, phase,
+// attr) key afterwards, so scheduling never shows in the output.
 
 type row struct {
 	ord  int // 0-based data-row ordinal
@@ -47,15 +47,14 @@ type rec struct {
 	y    []string
 }
 
-type mappedRule struct {
-	shards [][]rec // indexed by shard; nil when the rule emitted nothing
+type mappedJob struct {
+	shards [][]rec // indexed by shard; nil when the job emitted nothing
 	direct []vio   // phase-0 violations (pattern clashes, equality)
 }
 
 type mapped struct {
-	seq   int
-	nrows int
-	rules []mappedRule
+	seq  int
+	jobs []mappedJob
 }
 
 // witness is the constant-size state kept per group: the first tuple's
@@ -66,10 +65,19 @@ type witness struct {
 	y    []string
 }
 
-// ruleState is the cross-worker state of one rule during the pass.
-type ruleState struct {
+// job is one rule's share of a pass: the partition of its group-hash space
+// it keeps witnesses for, its cross-worker state during the pass, and what
+// the pass found.
+type job struct {
+	rule int
+	r    *compiledRule
+	part partition
+
 	groups   atomic.Int64 // witnesses retained across all shards
-	overflow atomic.Bool  // exceeded MaxGroups; rule defers to multipass
+	overflow atomic.Bool  // exceeded MaxGroups; the partition is split
+
+	count int     // violations found
+	bufs  [][]vio // retained violations: the collector's, then each reducer's
 }
 
 // readHeader reads the header row and builds the schema, mirroring the
@@ -99,10 +107,10 @@ func newCSVReader(src io.Reader) *csv.Reader {
 // LoadInstance reads a whole CSV into a provenance-tracked rel.Instance:
 // header row as attribute names, every value in the infinite domain, each
 // tuple carrying its authoritative 1-based file line (header-aware and
-// quote-aware, via csv.Reader.FieldPos). It is the in-memory counterpart
-// of the streaming pass — cfdcheck's non-streaming path and the
-// differential suite both load through it, so oracle violations carry the
-// same Line1/Line2 the streaming detector reports.
+// quote-aware, via csv.Reader.FieldPos). It loads the in-memory oracle
+// (cfd.Violations over the instance) that the tests, perfbench and
+// benchfig check the streaming detector against, so oracle violations
+// carry the same Line1/Line2 the streaming detector reports.
 func LoadInstance(src io.Reader, name, relation string) (*rel.Instance, error) {
 	cr := newCSVReader(src)
 	schema, err := readHeader(cr, name, relation)
@@ -125,24 +133,27 @@ func LoadInstance(src io.Reader, name, relation string) (*rel.Instance, error) {
 	}
 }
 
-// singlePass runs the shared pass over the input and returns the report
-// (overflowed rules left unfilled), the compiled rules, and the indexes of
-// rules that exceeded the group budget.
-func singlePass(open func() (io.ReadCloser, error), name string, rules []*cfd.CFD, opts Options) (*Report, []compiledRule, []int, error) {
+// openInput opens the input for one pass and reads its header.
+func openInput(open func() (io.ReadCloser, error), name, relation string) (io.ReadCloser, *csv.Reader, *rel.Schema, error) {
 	src, err := open()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	defer src.Close()
 	cr := newCSVReader(src)
-	schema, err := readHeader(cr, name, opts.Relation)
+	schema, err := readHeader(cr, name, relation)
 	if err != nil {
+		src.Close()
 		return nil, nil, nil, err
 	}
-	compiled := compile(rules, schema)
-	W := opts.Parallel
+	return src, cr, schema, nil
+}
 
-	states := make([]ruleState, len(rules))
+// runPass runs the jobs over the rows cr has left, filling each job's
+// count and retained violations; a job that overflowed keeps only its
+// overflow flag. The first pass reads to EOF and returns the row count; a
+// later pass stops reading once every job in it has overflowed.
+func runPass(cr *csv.Reader, name string, jobs []*job, first bool, opts Options) (int, error) {
+	W := opts.Parallel
 	var (
 		abort     = make(chan struct{})
 		abortOnce sync.Once
@@ -196,6 +207,9 @@ func singlePass(open func() (io.ReadCloser, error), name string, rules []*cfd.CF
 					return
 				default:
 				}
+				if !first && allOverflowed(jobs) {
+					return
+				}
 				ck := &chunk{seq: seq, rows: make([]row, 0, opts.ChunkSize)}
 				for len(ck.rows) < opts.ChunkSize {
 					vals, err := cr.Read()
@@ -236,7 +250,7 @@ func singlePass(open func() (io.ReadCloser, error), name string, rules []*cfd.CF
 			defer mapWG.Done()
 			guard("mapper", func() {
 				for ck := range chunks {
-					m := mapChunk(ck, compiled, states, W, opts)
+					m := mapChunk(ck, jobs, W, opts)
 					select {
 					case mappedCh <- m:
 					case <-abort:
@@ -253,8 +267,8 @@ func singlePass(open func() (io.ReadCloser, error), name string, rules []*cfd.CF
 
 	// Collector: restore sequence order, bank phase-0 violations, fan out
 	// to the shard reducers.
-	directBufs := make([][]vio, len(rules))
-	directCounts := make([]int, len(rules))
+	directBufs := make([][]vio, len(jobs))
+	directCounts := make([]int, len(jobs))
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -275,11 +289,11 @@ func singlePass(open func() (io.ReadCloser, error), name string, rules []*cfd.CF
 					}
 					delete(pending, next)
 					next++
-					for ri := range mm.rules {
-						for _, v := range mm.rules[ri].direct {
-							directCounts[ri]++
-							if opts.MaxViolations <= 0 || len(directBufs[ri]) < opts.MaxViolations {
-								directBufs[ri] = append(directBufs[ri], v)
+					for ji := range mm.jobs {
+						for _, v := range mm.jobs[ji].direct {
+							directCounts[ji]++
+							if opts.MaxViolations <= 0 || len(directBufs[ji]) < opts.MaxViolations {
+								directBufs[ji] = append(directBufs[ji], v)
 							}
 						}
 					}
@@ -295,17 +309,17 @@ func singlePass(open func() (io.ReadCloser, error), name string, rules []*cfd.CF
 		})
 	}()
 
-	// Reducers: shard w of every rule's witness map.
-	redBufs := make([][][]vio, W) // [worker][rule][]vio
-	redCounts := make([][]int, W) // [worker][rule]
+	// Reducers: shard w of every job's witness map.
+	redBufs := make([][][]vio, W) // [worker][job][]vio
+	redCounts := make([][]int, W) // [worker][job]
 	for w := 0; w < W; w++ {
-		redBufs[w] = make([][]vio, len(rules))
-		redCounts[w] = make([]int, len(rules))
+		redBufs[w] = make([][]vio, len(jobs))
+		redCounts[w] = make([]int, len(jobs))
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			guard("reducer", func() {
-				maps := make([]map[string]witness, len(rules))
+				maps := make([]map[string]witness, len(jobs))
 				for {
 					var m *mapped
 					var ok bool
@@ -317,7 +331,7 @@ func singlePass(open func() (io.ReadCloser, error), name string, rules []*cfd.CF
 					if !ok {
 						return
 					}
-					reduceChunk(m, w, compiled, states, maps, redBufs[w], redCounts[w], opts)
+					reduceChunk(m, w, jobs, maps, redBufs[w], redCounts[w], opts)
 				}
 			})
 		}(w)
@@ -325,55 +339,51 @@ func singlePass(open func() (io.ReadCloser, error), name string, rules []*cfd.CF
 
 	wg.Wait()
 	if firstErr != nil {
-		return nil, nil, nil, firstErr
+		return 0, firstErr
 	}
-
-	rep := &Report{Schema: schema, Rows: totalRows, Rules: make([]RuleReport, len(rules))}
-	var overflowed []int
-	for ri := range rules {
-		rr := &rep.Rules[ri]
-		rr.CFD = rules[ri]
-		rr.Err = compiled[ri].err
-		if rr.Err != nil {
+	for ji, j := range jobs {
+		if j.overflow.Load() {
 			continue
 		}
-		if states[ri].overflow.Load() {
-			overflowed = append(overflowed, ri)
-			continue
-		}
-		rr.Passes = 1
-		rr.Groups = int(states[ri].groups.Load())
-		bufs := make([][]vio, 0, W+1)
-		counts := make([]int, 0, W+1)
-		bufs = append(bufs, directBufs[ri])
-		counts = append(counts, directCounts[ri])
+		j.count = directCounts[ji]
+		j.bufs = append(j.bufs, directBufs[ji])
 		for w := 0; w < W; w++ {
-			bufs = append(bufs, redBufs[w][ri])
-			counts = append(counts, redCounts[w][ri])
+			j.count += redCounts[w][ji]
+			j.bufs = append(j.bufs, redBufs[w][ji])
 		}
-		mergeVios(rr, bufs, counts, opts.MaxViolations)
 	}
-	return rep, compiled, overflowed, nil
+	return totalRows, nil
 }
 
-// mapChunk runs the σ/π stage of every rule over one chunk: LHS filtering,
-// immediate single-tuple violations, and group records bucketed by
-// hash(X) mod W.
-func mapChunk(ck *chunk, compiled []compiledRule, states []ruleState, W int, opts Options) *mapped {
+func allOverflowed(jobs []*job) bool {
+	for _, j := range jobs {
+		if !j.overflow.Load() {
+			return false
+		}
+	}
+	return true
+}
+
+// mapChunk runs the σ/π stage of every job over one chunk: LHS filtering,
+// the partition filter, immediate single-tuple violations, and group
+// records bucketed by the hash bits above the partition's, mod W. Every
+// record of a partition has the same low bits, so sharding on them would
+// send a whole partition to one reducer at even W.
+func mapChunk(ck *chunk, jobs []*job, W int, opts Options) *mapped {
 	faultinject.Hit(faultinject.SiteStreamChunk)
-	m := &mapped{seq: ck.seq, nrows: len(ck.rows), rules: make([]mappedRule, len(compiled))}
+	m := &mapped{seq: ck.seq, jobs: make([]mappedJob, len(jobs))}
 	var keyBuf []byte
-	for ri := range compiled {
-		r := &compiled[ri]
-		if r.err != nil || states[ri].overflow.Load() {
+	for ji, j := range jobs {
+		if j.overflow.Load() {
 			continue
 		}
-		mr := &m.rules[ri]
+		r := j.r
+		mj := &m.jobs[ji]
 		if r.equality {
 			a, b := r.c.LHS[0].Attr, r.c.RHS[0].Attr
 			for _, t := range ck.rows {
 				if t.vals[r.ia] != t.vals[r.ib] {
-					mr.direct = append(mr.direct, vio{ord: t.ord, phase: 0, attr: 0, v: cfd.Violation{
+					mj.direct = append(mj.direct, vio{ord: t.ord, phase: 0, attr: 0, v: cfd.Violation{
 						CFD: r.c, T1: t.ord, T2: t.ord, Line1: t.line, Line2: t.line, Attr: b,
 						Reason: fmt.Sprintf("%s=%q differs from %s=%q", a, t.vals[r.ia], b, t.vals[r.ib]),
 					}})
@@ -381,6 +391,7 @@ func mapChunk(ck *chunk, compiled []compiledRule, states []ruleState, W int, opt
 			}
 			continue
 		}
+		low := uint64(1)<<j.part.bits - 1
 	rows:
 		for _, t := range ck.rows {
 			for i, it := range r.c.LHS {
@@ -388,25 +399,29 @@ func mapChunk(ck *chunk, compiled []compiledRule, states []ruleState, W int, opt
 					continue rows
 				}
 			}
+			var key string
+			key, keyBuf = groupKey(keyBuf, t.vals, r.lhsIdx)
+			h := hashKey(key)
+			if h&low != j.part.mask {
+				continue
+			}
 			for i, it := range r.c.RHS {
 				if !it.Pat.Matches(t.vals[r.rhsIdx[i]]) {
-					mr.direct = append(mr.direct, vio{ord: t.ord, phase: 0, attr: i, v: cfd.Violation{
+					mj.direct = append(mj.direct, vio{ord: t.ord, phase: 0, attr: i, v: cfd.Violation{
 						CFD: r.c, T1: t.ord, T2: t.ord, Line1: t.line, Line2: t.line, Attr: it.Attr,
 						Reason: fmt.Sprintf("value %q does not match pattern %s", t.vals[r.rhsIdx[i]], it.Pat),
 					}})
 				}
 			}
-			var key string
-			key, keyBuf = groupKey(keyBuf, t.vals, r.lhsIdx)
 			y := make([]string, len(r.rhsIdx))
-			for i, j := range r.rhsIdx {
-				y[i] = t.vals[j]
+			for i, idx := range r.rhsIdx {
+				y[i] = t.vals[idx]
 			}
-			if mr.shards == nil {
-				mr.shards = make([][]rec, W)
+			if mj.shards == nil {
+				mj.shards = make([][]rec, W)
 			}
-			s := int(hashKey(key) % uint64(W))
-			mr.shards[s] = append(mr.shards[s], rec{ord: t.ord, line: t.line, key: key, y: y})
+			s := int((h >> j.part.bits) % uint64(W))
+			mj.shards[s] = append(mj.shards[s], rec{ord: t.ord, line: t.line, key: key, y: y})
 		}
 	}
 	return m
@@ -414,40 +429,39 @@ func mapChunk(ck *chunk, compiled []compiledRule, states []ruleState, W int, opt
 
 // reduceChunk folds one in-order mapped chunk into reducer w's witness
 // maps, emitting group conflicts on arrival.
-func reduceChunk(m *mapped, w int, compiled []compiledRule, states []ruleState, maps []map[string]witness, bufs [][]vio, counts []int, opts Options) {
-	for ri := range m.rules {
-		if m.rules[ri].shards == nil {
+func reduceChunk(m *mapped, w int, jobs []*job, maps []map[string]witness, bufs [][]vio, counts []int, opts Options) {
+	for ji := range m.jobs {
+		if m.jobs[ji].shards == nil {
 			continue
 		}
-		st := &states[ri]
-		if st.overflow.Load() {
-			maps[ri] = nil // free the shard's witnesses; multipass redoes the rule
+		j := jobs[ji]
+		if j.overflow.Load() {
+			maps[ji] = nil // free the shard's witnesses; the halves redo the partition
 			continue
 		}
-		r := &compiled[ri]
-		if maps[ri] == nil {
-			maps[ri] = make(map[string]witness)
+		if maps[ji] == nil {
+			maps[ji] = make(map[string]witness)
 		}
-		for _, rc := range m.rules[ri].shards[w] {
-			wt, ok := maps[ri][rc.key]
+		for _, rc := range m.jobs[ji].shards[w] {
+			wt, ok := maps[ji][rc.key]
 			if !ok {
-				if opts.MaxGroups >= 0 && st.groups.Add(1) > int64(opts.MaxGroups) {
-					st.overflow.Store(true)
-					maps[ri] = nil
+				if opts.MaxGroups >= 0 && j.groups.Add(1) > int64(opts.MaxGroups) {
+					j.overflow.Store(true)
+					maps[ji] = nil
 					break
 				}
 				if opts.MaxGroups < 0 {
-					st.groups.Add(1)
+					j.groups.Add(1)
 				}
-				maps[ri][rc.key] = witness{ord: rc.ord, line: rc.line, y: rc.y}
+				maps[ji][rc.key] = witness{ord: rc.ord, line: rc.line, y: rc.y}
 				continue
 			}
-			for i, it := range r.c.RHS {
+			for i, it := range j.r.c.RHS {
 				if wt.y[i] != rc.y[i] {
-					counts[ri]++
-					if opts.MaxViolations <= 0 || len(bufs[ri]) < opts.MaxViolations {
-						bufs[ri] = append(bufs[ri], vio{ord: rc.ord, phase: 1, attr: i, v: cfd.Violation{
-							CFD: r.c, T1: wt.ord, T2: rc.ord, Line1: wt.line, Line2: rc.line, Attr: it.Attr,
+					counts[ji]++
+					if opts.MaxViolations <= 0 || len(bufs[ji]) < opts.MaxViolations {
+						bufs[ji] = append(bufs[ji], vio{ord: rc.ord, phase: 1, attr: i, v: cfd.Violation{
+							CFD: j.r.c, T1: wt.ord, T2: rc.ord, Line1: wt.line, Line2: rc.line, Attr: it.Attr,
 							Reason: fmt.Sprintf("agree on LHS but %q != %q on %s", wt.y[i], rc.y[i], it.Attr),
 						}})
 					}

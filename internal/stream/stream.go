@@ -21,11 +21,15 @@
 // differential suite in stream_test.go enforces this equivalence.
 //
 // When a rule's distinct-group count exceeds Options.MaxGroups (adversarial
-// cardinality: an LHS that is nearly a key), the rule falls back to a
-// multipass hash-partitioned scan: the group-hash space is split into
-// partitions small enough to fit the budget and the file is re-read once
-// per partition (multipass.go). Memory stays bounded at the price of extra
-// passes; Report.Rules[i].Passes records how many.
+// cardinality: an LHS that is nearly a key), one pass cannot hold its
+// witnesses, so Check runs in passes over hash partitions of each rule's
+// group space. The first pass gives every rule the whole space; a rule
+// that overflows in a pass discards that pass's results and queues the two
+// halves of its partition (one more hash bit). Each later pass re-reads
+// the input once and runs the next queued partition of every rule that
+// has one, through the same pipeline, so the rules that overflow share
+// their re-reads. Memory stays bounded at the price of extra passes;
+// Report.Rules[i].Passes records how many passes a rule took part in.
 //
 // Line numbers are authoritative: the scanner records each row's real
 // 1-based CSV line via csv.Reader.FieldPos, so the header and quoted
@@ -65,10 +69,10 @@ type Options struct {
 	// memory bound is ChunkSize-proportional only for in-flight chunks.
 	ChunkSize int
 
-	// MaxGroups caps the witnesses retained per rule before that rule
-	// falls back to the multipass scan (default 1 << 20). Negative
-	// disables the cap (single pass, unbounded witnesses, like the
-	// oracle).
+	// MaxGroups caps the witnesses retained per rule in one pass before
+	// that rule is split into hash partitions and re-read (default
+	// 1 << 20). Negative disables the cap (single pass, unbounded
+	// witnesses, like the oracle).
 	MaxGroups int
 
 	// MaxViolations caps the violations retained per rule; the Count
@@ -99,7 +103,8 @@ func (o Options) withDefaults() Options {
 }
 
 // ErrMultipass is returned by CheckReader when a rule overflows MaxGroups:
-// the fallback needs to re-read the input, which a one-shot reader cannot.
+// its partitions need re-reads of the input, which a one-shot reader
+// cannot give.
 var ErrMultipass = fmt.Errorf("stream: group budget exceeded and input is not re-readable (use CheckFile, or raise MaxGroups)")
 
 // RuleReport is one rule's outcome.
@@ -121,8 +126,9 @@ type RuleReport struct {
 	Violations []cfd.Violation
 	// Groups is the number of distinct witness groups retained.
 	Groups int
-	// Passes is the number of scans of the input this rule consumed: 1
-	// for the shared single pass, more when the multipass fallback ran.
+	// Passes is the number of passes over the input this rule took part
+	// in: 1 when its groups fit MaxGroups, more when it was split into
+	// hash partitions.
 	Passes int
 }
 
@@ -133,8 +139,8 @@ type Report struct {
 	Rules  []RuleReport
 }
 
-// CheckFile streams path against the rules. The file may be re-read by
-// the multipass fallback.
+// CheckFile streams path against the rules. The file is re-read once per
+// later pass when a rule overflows Options.MaxGroups.
 func CheckFile(path string, rules []*cfd.CFD, opts Options) (*Report, error) {
 	return Check(func() (io.ReadCloser, error) { return os.Open(path) }, path, rules, opts)
 }
@@ -153,22 +159,98 @@ func CheckReader(src io.Reader, name string, rules []*cfd.CFD, opts Options) (*R
 	}, name, rules, opts)
 }
 
-// Check streams the input produced by open against the rules: one shared
-// pass for every rule, plus per-rule multipass fallbacks when a rule's
-// group cardinality exceeds the budget. open is called once for the shared
-// pass and once per fallback pass.
+// Check streams the input produced by open against the rules, in passes.
+// The first pass runs every rule over the whole group-hash space; it runs
+// even with no rules, since it validates the CSV and counts Report.Rows.
+// A rule whose groups overflow Options.MaxGroups in a pass discards that
+// pass's violations and queues the two halves of its partition, breadth
+// first. Each later pass runs the next queued partition of every rule
+// that has one, and stops reading early once all of them have overflowed.
+// open is called once per pass.
 func Check(open func() (io.ReadCloser, error), name string, rules []*cfd.CFD, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	rep, compiled, overflowed, err := singlePass(open, name, rules, opts)
+	src, cr, schema, err := openInput(open, name, opts.Relation)
 	if err != nil {
 		return nil, err
 	}
-	for _, ri := range overflowed {
-		if err := multipass(open, name, rep, compiled[ri], &rep.Rules[ri], opts); err != nil {
+	compiled := compile(rules, schema)
+	rep := &Report{Schema: schema, Rules: make([]RuleReport, len(rules))}
+	var jobs []*job
+	for ri := range rules {
+		rep.Rules[ri].CFD, rep.Rules[ri].Err = rules[ri], compiled[ri].err
+		if compiled[ri].err == nil {
+			jobs = append(jobs, &job{rule: ri, r: &compiled[ri]})
+		}
+	}
+	queues := make([][]partition, len(rules))
+	bufs := make([][][]vio, len(rules))
+	for first := true; ; first = false {
+		rows, err := runPass(cr, name, jobs, first, opts)
+		src.Close()
+		if err != nil {
+			return nil, err
+		}
+		if first {
+			rep.Rows = rows
+		}
+		for _, j := range jobs {
+			rr := &rep.Rules[j.rule]
+			rr.Passes++
+			if j.overflow.Load() {
+				lo, hi := j.part.halves()
+				queues[j.rule] = append(queues[j.rule], lo, hi)
+				continue
+			}
+			rr.Count += j.count
+			rr.Groups += int(j.groups.Load())
+			bufs[j.rule] = append(bufs[j.rule], j.bufs...)
+		}
+		jobs = nil
+		for ri, q := range queues {
+			if len(q) == 0 {
+				continue
+			}
+			p := q[0]
+			queues[ri] = q[1:]
+			if p.bits > maxPartitionBits {
+				return nil, fmt.Errorf("stream: %s: rule %s overflows the group budget (%d) even at 2^%d hash partitions",
+					name, compiled[ri].c, opts.MaxGroups, maxPartitionBits)
+			}
+			jobs = append(jobs, &job{rule: ri, r: &compiled[ri], part: p})
+		}
+		if len(jobs) == 0 {
+			break
+		}
+		if src, cr, _, err = openInput(open, name, opts.Relation); err != nil {
 			return nil, err
 		}
 	}
+	for ri := range rep.Rules {
+		if rep.Rules[ri].Err == nil {
+			rep.Rules[ri].Violations = mergeVios(bufs[ri], opts.MaxViolations)
+		}
+	}
 	return rep, nil
+}
+
+// A partition is the part of a rule's group-hash space a pass keeps
+// witnesses for: the groups whose hash has mask in its low bits bits.
+// Every group falls in exactly one partition that fits the budget, and
+// only that partition's pass keeps the single-tuple violations of the
+// group's tuples, so no violation is duplicated or lost. A partition's
+// group count halves in expectation per added bit; a pathological hash
+// pile-up is cut off at 32 bits with an explicit error rather than an
+// unbounded pass count.
+type partition struct {
+	bits uint
+	mask uint64
+}
+
+const maxPartitionBits = 32
+
+// halves splits p on its next hash bit.
+func (p partition) halves() (partition, partition) {
+	return partition{bits: p.bits + 1, mask: p.mask}, partition{bits: p.bits + 1, mask: p.mask | 1<<p.bits}
 }
 
 // compiledRule is one rule resolved against the header schema.
@@ -250,26 +332,23 @@ func vioLess(a, b vio) bool {
 	return a.attr < b.attr
 }
 
-// mergeVios sorts buffered violations into oracle order and folds them
-// into the rule report, applying the retention cap.
-func mergeVios(rr *RuleReport, bufs [][]vio, counts []int, cap int) {
+// mergeVios sorts buffered violations into oracle order and applies the
+// retention cap. Each buffer holds the first violations, in oracle order,
+// of the part of the input it saw, so the cut keeps the oracle's prefix.
+func mergeVios(bufs [][]vio, cap int) []cfd.Violation {
 	var all []vio
 	for _, b := range bufs {
 		all = append(all, b...)
 	}
 	sort.Slice(all, func(i, j int) bool { return vioLess(all[i], all[j]) })
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
 	if cap > 0 && len(all) > cap {
 		all = all[:cap]
 	}
-	rr.Count = total
-	rr.Violations = make([]cfd.Violation, len(all))
+	out := make([]cfd.Violation, len(all))
 	for i := range all {
-		rr.Violations[i] = all[i].v
+		out[i] = all[i].v
 	}
+	return out
 }
 
 // fnv64a hashes a length-prefixed projection of vals at idx — the group

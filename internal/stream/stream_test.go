@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/csv"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -194,7 +195,8 @@ func randomRules(rng *rand.Rand) []*cfd.CFD {
 
 // TestStreamDifferential is the randomized differential suite: streaming
 // reports must equal the in-memory oracle's on every instance, at several
-// worker counts and chunk sizes.
+// worker counts and chunk sizes, and at group budgets of 1 and 3 that
+// split most rules into hash partitions re-read in later passes.
 func TestStreamDifferential(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -205,42 +207,49 @@ func TestStreamDifferential(t *testing.T) {
 		data := randomCSV(rng, 20+rng.Intn(300))
 		rules := randomRules(rng)
 		in, want := oracle(t, data, rules)
+		open := func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(data)), nil }
 		for _, opt := range []Options{
 			{Parallel: 1, ChunkSize: 7},
 			{Parallel: 3, ChunkSize: 16},
 			{Parallel: 8, ChunkSize: 1},
+			{Parallel: 2, ChunkSize: 5, MaxGroups: 3},
+			{Parallel: 4, ChunkSize: 9, MaxGroups: 1},
 		} {
-			rep, err := CheckReader(strings.NewReader(data), "diff", rules, opt)
+			label := fmt.Sprintf("trial %d parallel=%d chunk=%d max-groups=%d", trial, opt.Parallel, opt.ChunkSize, opt.MaxGroups)
+			rep, err := Check(open, "diff", rules, opt)
 			if err != nil {
-				t.Fatalf("trial %d parallel=%d: %v", trial, opt.Parallel, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			assertEqualReports(t, fmt.Sprintf("trial %d parallel=%d chunk=%d", trial, opt.Parallel, opt.ChunkSize), rep, in.Len(), want)
+			assertEqualReports(t, label, rep, in.Len(), want)
 		}
 	}
 }
 
-// TestStreamMultipass forces the group-budget fallback with a tiny
-// MaxGroups and checks the multipass result still equals the oracle.
-func TestStreamMultipass(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "data.csv")
+// multipassFixture is a 500-row file whose A column is nearly a key (about
+// 10% of keys repeat, so conflicts exist) and whose C column is a key.
+func multipassFixture(t *testing.T) (string, []*cfd.CFD) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	// High-cardinality LHS: almost every row its own group.
 	var sb strings.Builder
 	sb.WriteString("A,B,C,D\n")
 	for i := 0; i < 500; i++ {
-		// Repeat ~10% of keys so conflicts exist.
 		k := i
 		if rng.Intn(10) == 0 {
 			k = rng.Intn(i + 1)
 		}
 		fmt.Fprintf(&sb, "k%d,%d,c%d,d\n", k, rng.Intn(3), i)
 	}
-	data := sb.String()
+	return sb.String(), mustRules(t, "R([A] -> [B])", "R([C] -> [D])", "R([A=k1] -> [B])")
+}
+
+// TestStreamMultipass forces hash-partitioned re-reads with a tiny
+// MaxGroups and checks the result still equals the oracle.
+func TestStreamMultipass(t *testing.T) {
+	data, rules := multipassFixture(t)
+	path := filepath.Join(t.TempDir(), "data.csv")
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rules := mustRules(t, "R([A] -> [B])", "R([C] -> [D])", "R([A=k1] -> [B])")
 	in, want := oracle(t, data, rules)
 
 	for _, par := range []int{1, 4} {
@@ -250,7 +259,7 @@ func TestStreamMultipass(t *testing.T) {
 		}
 		assertEqualReports(t, fmt.Sprintf("multipass parallel=%d", par), rep, in.Len(), want)
 		if rep.Rules[0].Passes < 2 {
-			t.Errorf("parallel=%d: rule 0 took %d passes, expected multipass fallback", par, rep.Rules[0].Passes)
+			t.Errorf("parallel=%d: rule 0 took %d passes, expected hash-partitioned re-reads", par, rep.Rules[0].Passes)
 		}
 		if rep.Rules[2].Passes != 1 {
 			t.Errorf("parallel=%d: low-cardinality rule 2 took %d passes, want 1", par, rep.Rules[2].Passes)
@@ -261,6 +270,96 @@ func TestStreamMultipass(t *testing.T) {
 	// ErrMultipass, not a wrong answer.
 	if _, err := CheckReader(strings.NewReader(data), "oneshot", rules, Options{Parallel: 1, MaxGroups: 50}); err == nil {
 		t.Error("CheckReader with overflowing MaxGroups must fail")
+	}
+}
+
+// countingReader counts the bytes a pass reads.
+type countingReader struct {
+	r io.Reader
+	n *int64
+}
+
+func (c countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	*c.n += int64(n)
+	return n, err
+}
+
+// TestStreamPassesPinned pins each rule's Passes, Groups and Count on the
+// multipass fixture at every worker count, and that the rules which
+// overflow share their re-reads: the input is opened once per pass of the
+// rule with the most passes, not once per partition of every rule.
+func TestStreamPassesPinned(t *testing.T) {
+	data, rules := multipassFixture(t)
+	wantPasses, wantGroups, wantCount := []int{31, 31, 1}, []int{464, 500, 1}, []int{23, 0, 0}
+	for _, par := range []int{1, 2, 4, 8} {
+		opens := 0
+		open := func() (io.ReadCloser, error) {
+			opens++
+			return io.NopCloser(strings.NewReader(data)), nil
+		}
+		rep, err := Check(open, "pinned", rules, Options{Parallel: par, ChunkSize: 32, MaxGroups: 50})
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", par, err)
+		}
+		for ri, rr := range rep.Rules {
+			if rr.Passes != wantPasses[ri] || rr.Groups != wantGroups[ri] || rr.Count != wantCount[ri] {
+				t.Errorf("parallel=%d rule %d: passes/groups/count = %d/%d/%d, want %d/%d/%d",
+					par, ri, rr.Passes, rr.Groups, rr.Count, wantPasses[ri], wantGroups[ri], wantCount[ri])
+			}
+		}
+		if opens != 31 {
+			t.Errorf("parallel=%d: input opened %d times, want 31 (one per pass of the longest rule)", par, opens)
+		}
+	}
+}
+
+// TestStreamPassStopsEarly: a later pass stops reading once every rule in
+// it has overflowed, as an abandoned partition scan did. On 8,000 rows
+// with all-distinct keys and MaxGroups 1,000 the check makes 19 passes;
+// reading every one to EOF would read 19 file-lengths.
+func TestStreamPassStopsEarly(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("A,B\n")
+	for i := 0; i < 8000; i++ {
+		fmt.Fprintf(&sb, "k%d,%d\n", i, i%7)
+	}
+	data := sb.String()
+	rules := mustRules(t, "R([A] -> [B])")
+	for _, par := range []int{1, 2, 4} {
+		var read int64
+		open := func() (io.ReadCloser, error) {
+			return io.NopCloser(countingReader{strings.NewReader(data), &read}), nil
+		}
+		rep, err := Check(open, "early", rules, Options{Parallel: par, ChunkSize: 64, MaxGroups: 1000})
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", par, err)
+		}
+		if rep.Rules[0].Passes != 19 || rep.Rules[0].Groups != 8000 {
+			t.Fatalf("parallel=%d: passes/groups = %d/%d, want 19/8000", par, rep.Rules[0].Passes, rep.Rules[0].Groups)
+		}
+		if lengths := float64(read) / float64(len(data)); lengths >= 18 {
+			t.Errorf("parallel=%d: read %.2f file-lengths over 19 passes, want < 18", par, lengths)
+		} else {
+			t.Logf("parallel=%d: read %.2f file-lengths over 19 passes", par, lengths)
+		}
+	}
+}
+
+// TestStreamNoRules: with no rules the first pass still runs: it counts
+// the rows and rejects malformed CSV.
+func TestStreamNoRules(t *testing.T) {
+	rep, err := CheckReader(strings.NewReader(fig1CSV), "norules", nil, Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rows != 6 || len(rep.Rules) != 0 {
+		t.Errorf("rows/rules = %d/%d, want 6/0", rep.Rows, len(rep.Rules))
+	}
+	for _, bad := range []string{"a,b\n1,2\n1,2,3\n", "a,b\n1,2\n\"oops,2\n"} {
+		if _, err := CheckReader(strings.NewReader(bad), "norules", nil, Options{Parallel: 2}); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
 	}
 }
 
