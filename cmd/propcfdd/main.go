@@ -13,7 +13,8 @@
 // or SIGINT starts a graceful drain: /readyz flips to 503, new work is
 // refused with 503 + Retry-After, in-flight requests run to completion
 // (bounded by -grace), then the process exits 0. -timeout, when set,
-// triggers the same drain after that long — handy for smoke tests.
+// triggers the same drain after that long — handy for smoke tests. The
+// -pool-size flag is still accepted, and ignored.
 //
 // Endpoints: POST /v1/check, /v1/cover, /v1/implies, /v1/universe;
 // GET /v1/universe/{fp}; PUT, PATCH /v1/universe/{fp}/sigma; GET /healthz,
@@ -43,7 +44,7 @@ func main() {
 	queueWait := flag.Duration("queue-wait", 0, "max wait in the admission queue before shedding (0 = 100ms)")
 	maxDeadline := flag.Duration("max-deadline", 0, "cap and default for per-request deadlines (0 = 30s)")
 	cacheSize := flag.Int("cache-size", 0, "compiled universes kept warm, LRU (0 = 32)")
-	poolSize := flag.Int("pool-size", 0, "implication-pool shards per universe (0 = 4)")
+	flag.Int("pool-size", 0, "ignored: /v1/implies reuses idle sessions of its universe (accepted so that existing scripts keep working)")
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on 429/503 (0 = 1s)")
 	grace := flag.Duration("grace", 10*time.Second, "max wait for in-flight requests during drain")
 	common := cliutil.RegisterCommon(flag.CommandLine, "per-request propagation work")
@@ -55,7 +56,6 @@ func main() {
 		QueueWait:   *queueWait,
 		MaxDeadline: *maxDeadline,
 		CacheSize:   *cacheSize,
-		PoolSize:    *poolSize,
 		RetryAfter:  *retryAfter,
 		Parallelism: common.Parallel,
 	})

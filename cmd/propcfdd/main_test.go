@@ -69,7 +69,7 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Register once, then query by fingerprint — the warm-pool path.
+	// Register once, then query by fingerprint — the warm-session path.
 	reg, err := client.Register(ctx, &daemon.UniverseRequest{Spec: &problem})
 	if err != nil {
 		t.Fatalf("register: %v", err)

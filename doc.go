@@ -13,9 +13,9 @@
 //     (sym journals class changes so chase fixpoints are worklist-driven)
 //   - internal/implication — CFD implication and MinCover; the pooled
 //     Session API reuses one compiled Σ, worklist chase state and
-//     closure fast path across many queries, and the sharded Pool fans
-//     concurrent queries and MinCover's redundancy screen across
-//     per-worker Sessions (see the package comment)
+//     closure fast path across many queries, and ParallelMinCover fans
+//     MinCover's left-reduction and redundancy screen out over per-worker
+//     Sessions (see the package comment)
 //   - internal/propagation — the Σ |=V φ decision procedures (§3); one
 //     schedule executor runs the union-pair loop and the general-setting
 //     instantiation enumeration on Options.Parallelism workers (a single
@@ -38,7 +38,8 @@
 // and a MaxChaseSteps budget (one step pool shared by all workers of a
 // call);
 // core.Options and bench.Config thread a Context through the cover
-// algorithms, and implication Sessions/Pools accept one via SetContext.
+// algorithms, implication Sessions accept one via SetContext, and
+// implication.ParallelMinCover takes one as its first argument.
 // The chase worklists, pair loops and finite-domain enumerations all poll
 // these controls.
 //
@@ -49,21 +50,21 @@
 // with Stopped set only means "no counterexample found before the stop";
 // counters reflect exactly the work finished; and for a fixed stop point
 // (a fixed MaxChaseSteps at Parallelism 1) the partial Result is fully
-// deterministic. Cancelled Sessions return to a reusable state via Reset,
-// and a Pool never loses a shard to a cancelled or panicking query.
+// deterministic. Cancelled Sessions return to a reusable state via Reset;
+// a Session that panicked mid-query is dropped, never reused.
 //
 // internal/faultinject is the test-only seam behind those guarantees: a
 // no-op in normal builds, and under -tags faultinject a rule engine that
-// injects panics, delays and forced cancellations at chase steps, pool
-// hand-offs, worker boundaries and the daemon's request/cache/drain seams,
-// driven by the randomized crash-safety suite under -race.
+// injects panics, delays and forced cancellations at chase steps, worker
+// boundaries and the daemon's request/cache/implies/drain seams, driven by
+// the randomized crash-safety suite under -race.
 //
 // # The propagation daemon
 //
 // internal/daemon wraps the library as a crash-safe HTTP/JSON service,
 // served by cmd/propcfdd. It keeps compiled (Σ, V) universes warm in a
 // content-addressed LRU (register once, query by fingerprint; a Σ edit
-// re-keys the universe and retires the old pool), maps the body/header
+// re-keys the universe and retires the old entry), maps the body/header
 // budgets onto the stop semantics above ("stopped" in the response, never
 // an error), and degrades gracefully instead of falling over: bounded
 // admission with 429 + Retry-After shedding, per-request panic isolation

@@ -12,7 +12,7 @@
 // free port). POST /v1/universe registers a compiled (Σ, V) universe and
 // returns its fingerprint; /v1/check, /v1/cover and /v1/implies then take
 // either an inline "spec" or that "universe" fingerprint — fingerprinted
-// queries reuse the warm compiled state and implication pool across
+// queries reuse the warm compiled state and implication sessions across
 // requests. PUT /v1/universe/{fp}/sigma replaces Σ wholesale and PATCH
 // /v1/universe/{fp}/sigma takes an add/remove delta; both return a new
 // fingerprint (the old one 404s, so stale clients fail loudly) and keep
@@ -160,7 +160,7 @@ func daemonQuickstart() {
 	defer cancel()
 	client := &daemon.Client{Base: "http://" + ln.Addr().String()}
 
-	// Register once; subsequent queries by fingerprint hit the warm pool.
+	// Register once; subsequent queries by fingerprint hit the warm state.
 	reg, err := client.Register(ctx, &daemon.UniverseRequest{Spec: &problem})
 	if err != nil {
 		log.Fatal(err)

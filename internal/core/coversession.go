@@ -20,9 +20,8 @@ import (
 // bucket; every other bucket replays its cached cover) and the line 2-13
 // tail result keyed by the covered Σ (when an edit does not change the
 // covered Σ reaching a disjunct — e.g. it touches a relation the disjunct
-// does not embed — the whole tail is skipped), plus persistent warm
-// implication sessions and final-MinCover pools whose compiled buffers
-// live across edits.
+// does not embed — the whole tail is skipped), plus the persistent warm
+// line-1 implication sessions, whose compiled buffers live across edits.
 //
 // A warm session's results are byte-identical to a cold one's: every
 // cache is keyed by the exact input of a deterministic stage (compared
@@ -42,8 +41,7 @@ type CoverSession struct {
 	disjuncts []*coverSPC
 
 	memo   *propagation.Memo
-	final  *implication.Pool // union final MinCover, warm across edits
-	lastIn []*cfd.CFD        // the normalized Σ last was computed from
+	lastIn []*cfd.CFD // the normalized Σ last was computed from
 	last   *UnionResult
 
 	// lastSigma is the normalized Σ the memo's entries are scoped to; Cover
@@ -58,8 +56,7 @@ type coverSPC struct {
 	view       *algebra.SPC
 	viewSchema *rel.Schema
 	buckets    map[string]*bucketEntry
-	final      *implication.Pool // line 13 MinCover, Options.Parallelism shards
-	lastIn     []*cfd.CFD        // the covered Σ last was computed from
+	lastIn     []*cfd.CFD // the covered Σ last was computed from
 	last       *Result
 }
 
@@ -170,10 +167,7 @@ func (d *coverSPC) cover(db *rel.DBSchema, sigma []*cfd.CFD, opts Options) (*Res
 	if d.last != nil && sameCFDs(d.lastIn, covered) {
 		return d.last, nil
 	}
-	if d.final == nil && !opts.SkipFinalMinCover {
-		d.final = implication.NewPool(implication.UniverseOf(d.viewSchema), optParallelism(opts))
-	}
-	res, err := propSPCTail(db, d.view, d.viewSchema, covered, opts, d.final)
+	res, err := propSPCTail(db, d.view, d.viewSchema, covered, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +205,7 @@ func (d *coverSPC) minCoverBuckets(ctx context.Context, db *rel.DBSchema, sigma 
 		}
 	}
 	errs := make([]error, len(changed))
-	if err := parutil.DoCtx(ctx, len(changed), par, func(i int) {
+	if err := parutil.DoCtx(ctx, len(changed), par, func(_, i int) {
 		r := changed[i]
 		e := d.buckets[r]
 		if e.sess == nil {
@@ -353,11 +347,7 @@ func (cs *CoverSession) Cover(ctx context.Context, sigma []*cfd.CFD) (*UnionResu
 			kept = append(kept, c)
 		}
 	}
-	if cs.final == nil {
-		cs.final = implication.NewPool(implication.UniverseOf(cs.viewSchema), optParallelism(opts))
-	}
-	cs.final.SetContext(opts.Context)
-	cover, err := cs.final.MinCover(kept)
+	cover, err := implication.ParallelMinCover(opts.Context, implication.UniverseOf(cs.viewSchema), kept, optParallelism(opts))
 	if err != nil {
 		return nil, err
 	}

@@ -15,8 +15,8 @@ import (
 
 // scratchPropCFDSPC computes PropCFDSPC's cover outside CoverSession,
 // kept as the reference the sessions are compared with: Fig. 2 line 1 as a
-// per-relation MinCover on fresh sessions, then propSPCTail with a fresh
-// final-MinCover pool. It assumes an infinite-domain schema.
+// per-relation MinCover on fresh sessions, then propSPCTail. It assumes an
+// infinite-domain schema.
 func scratchPropCFDSPC(db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD, opts Options) (*Result, error) {
 	if err := view.Validate(db); err != nil {
 		return nil, err
@@ -34,11 +34,7 @@ func scratchPropCFDSPC(db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD, op
 			return nil, err
 		}
 	}
-	var final *implication.Pool
-	if !opts.SkipFinalMinCover {
-		final = implication.NewPool(implication.UniverseOf(viewSchema), optParallelism(opts))
-	}
-	return propSPCTail(db, view, viewSchema, sigma, opts, final)
+	return propSPCTail(db, view, viewSchema, sigma, opts)
 }
 
 // minCoverPerRelation applies MinCover to each relation's bucket of Σ on a
@@ -55,7 +51,7 @@ func minCoverPerRelation(ctx context.Context, db *rel.DBSchema, sigma []*cfd.CFD
 	}
 	covers := make([][]*cfd.CFD, len(order))
 	errs := make([]error, len(order))
-	if err := parutil.DoCtx(ctx, len(order), par, func(i int) {
+	if err := parutil.DoCtx(ctx, len(order), par, func(_, i int) {
 		sess := implication.NewSession(implication.UniverseOf(db.Relation(order[i])))
 		sess.SetContext(ctx)
 		covers[i], errs[i] = sess.MinCover(byRel[order[i]])

@@ -44,11 +44,11 @@ type Options struct {
 	// Parallelism is the number of workers the independent sub-problems
 	// fan out over: the per-relation pre-MinCover of every changed bucket,
 	// RBR's block-wise pruning, the final MinCover's reduction and
-	// redundancy screen (on a pool of that many shards, which a
-	// CoverSession sizes once, at its construction), and (through
-	// PropCFDSPCU) the §3 decision procedure. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs each of them on one worker, on the
-	// same code. The output is identical at every setting.
+	// redundancy screen (implication.ParallelMinCover), and (through
+	// PropCFDSPCU) the §3 decision procedure. A CoverSession fixes it at
+	// its construction. 0 selects runtime.GOMAXPROCS(0); 1 runs each of
+	// them on one worker, on the same code. The output is identical at
+	// every setting.
 	Parallelism int
 	// Memo, when non-nil, caches §3 pair verdicts and pair-emptiness
 	// results across the union-candidate checks of PropCFDSPCU — the
@@ -119,11 +119,10 @@ func optContext(opts Options) context.Context {
 
 // propSPCTail runs Fig. 2 lines 2-13 over an already-covered Σ (the line 1
 // output). The tail is a pure function of (db, view, sigma, opts), so
-// CoverSession replays its cached result for an unchanged sigma. final is
-// the disjunct's warm pool over the view schema that runs the line 13
-// MinCover (nil under SkipFinalMinCover); its output is deterministic in
-// (universe, input) at every shard count.
-func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, sigma []*cfd.CFD, opts Options, final *implication.Pool) (*Result, error) {
+// CoverSession replays its cached result for an unchanged sigma. The line
+// 13 MinCover fans out over Options.Parallelism workers; its output is
+// deterministic in (universe, input) at every worker count.
+func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, sigma []*cfd.CFD, opts Options) (*Result, error) {
 	blockSize := opts.RBRBlockSize
 	if blockSize == 0 {
 		blockSize = DefaultRBRBlockSize
@@ -200,8 +199,7 @@ func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, si
 	// Line 13: return MinCover(Σc ∪ Σd).
 	all := cfd.Dedup(append(append([]*cfd.CFD{}, sigmaC...), sigmaD...))
 	if !opts.SkipFinalMinCover {
-		final.SetContext(ctx)
-		if all, err = final.MinCover(all); err != nil {
+		if all, err = implication.ParallelMinCover(ctx, implication.UniverseOf(viewSchema), all, par); err != nil {
 			return nil, err
 		}
 	}

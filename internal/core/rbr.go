@@ -24,7 +24,7 @@ const (
 // rbrConfig tunes procedure RBR.
 type rbrConfig struct {
 	// ctx cancels the run cooperatively between elimination rounds and
-	// inside the pooled implication chases; nil disables.
+	// inside the implication chases; nil disables.
 	ctx   context.Context
 	order DropOrder
 	// blockSize: Γ is partitioned into blocks of this size and MinCover is
@@ -36,8 +36,8 @@ type rbrConfig struct {
 	// a cover once a predefined bound is reached).
 	maxCover int
 	// parallelism: blocks within one pruning round are independent, so
-	// they fan out over this many pooled implication sessions (<= 1 keeps
-	// the single-session serial path).
+	// they fan out over this many implication sessions, one per worker
+	// (<= 1 keeps the single-session serial path).
 	parallelism int
 }
 
@@ -145,19 +145,14 @@ func drop(gamma []*cfd.CFD, a string, truncate bool) []*cfd.CFD {
 func runRBR(u implication.Universe, gamma []*cfd.CFD, dropAttrs []string, cfg rbrConfig) (out []*cfd.CFD, truncated bool, err error) {
 	gamma = cfd.Dedup(gamma)
 	remaining := append([]string(nil), dropAttrs...)
-	// One implication pool serves every block-pruning MinCover across all
-	// elimination rounds: the workspace universe is compiled once per
-	// shard and the chase state is pooled across the whole RBR run.
-	workers := cfg.parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	pool := implication.NewPool(u, workers)
+	// One implication session per worker serves every block-pruning
+	// MinCover across all elimination rounds, so the chase state is pooled
+	// across the whole RBR run. Worker w mints sessions[w] on first use.
+	sessions := make([]*implication.Session, max(cfg.parallelism, 1))
 	ctx := cfg.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pool.SetContext(ctx)
 	done := ctx.Done()
 	// Lazy pruning: the block-wise MinCover of §4.3 only pays off when
 	// resolution actually grew the working set. Most eliminations on
@@ -194,7 +189,7 @@ func runRBR(u implication.Universe, gamma []*cfd.CFD, dropAttrs []string, cfg rb
 			sinceLastPrune += grew
 		}
 		if cfg.blockSize > 0 && sinceLastPrune >= cfg.blockSize && len(gamma) > cfg.blockSize {
-			gamma, err = blockMinCover(ctx, pool, gamma, cfg.blockSize)
+			gamma, err = blockMinCover(ctx, u, sessions, gamma, cfg.blockSize)
 			if err != nil {
 				return nil, false, err
 			}
@@ -230,20 +225,21 @@ func occurrenceCounts(gamma []*cfd.CFD, candidates []string) map[string]int {
 // blockMinCover partitions Γ into blocks of size k and replaces each block
 // with its minimal cover — the §4.3 optimization that sheds redundant CFDs
 // in O(|Γ|·k²) implication tests instead of O(|Γ|³). Blocks are mutually
-// independent, so they fan out over the pool's sessions; the result is
+// independent, so they fan out with one worker per session, worker w
+// running on sessions[w] (minted over u on first use); the result is
 // assembled in block order, making the output identical at every
 // parallelism level.
-func blockMinCover(ctx context.Context, pool *implication.Pool, gamma []*cfd.CFD, k int) ([]*cfd.CFD, error) {
+func blockMinCover(ctx context.Context, u implication.Universe, sessions []*implication.Session, gamma []*cfd.CFD, k int) ([]*cfd.CFD, error) {
 	nblocks := (len(gamma) + k - 1) / k
 	covers := make([][]*cfd.CFD, nblocks)
 	errs := make([]error, nblocks)
-	if err := parutil.DoCtx(ctx, nblocks, pool.Size(), func(b int) {
-		sess, err := pool.Borrow()
-		if err != nil {
-			errs[b] = err
-			return
+	if err := parutil.DoCtx(ctx, nblocks, len(sessions), func(w, b int) {
+		sess := sessions[w]
+		if sess == nil {
+			sess = implication.NewSession(u)
+			sess.SetContext(ctx)
+			sessions[w] = sess
 		}
-		defer pool.Return(sess)
 		start := b * k
 		end := start + k
 		if end > len(gamma) {

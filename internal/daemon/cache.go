@@ -5,9 +5,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
@@ -19,11 +20,17 @@ import (
 	"cfdprop/internal/spec"
 )
 
+// errEvicted reports that a request's universe was evicted, or replaced by
+// a Σ edit, before the request could compute on it; the daemon answers it
+// with 503 + Retry-After, and the retry recompiles or resolves the
+// successor.
+var errEvicted = errors.New("daemon: universe evicted")
+
 // entry is one compiled (Σ, V) universe. The compiled artifacts — schema,
 // Σ, view, view schema — are immutable after construction: a Σ edit builds
 // a NEW entry (new fingerprint, generation + 1) rather than mutating one
-// that in-flight requests may be reading. Only the warm-pool state behind
-// mu is mutable.
+// that in-flight requests may be reading. Only the warm cover state behind
+// mu, the idle sessions and the closed flag are mutable.
 type entry struct {
 	fp    string
 	gen   uint64 // Σ-edit generation of this handle chain (starts at 1)
@@ -38,20 +45,23 @@ type entry struct {
 	// verdicts the edit provably cannot affect carry forward.
 	memo *propagation.Memo
 
-	mu sync.Mutex
-	// pool is the warm implication.Pool over the view schema, its Σ set to
-	// the memoized cover — the cross-query cache the /v1/implies fast path
-	// runs on. Created lazily by the first cover computation and closed
-	// (with an async drain) when the entry is evicted or replaced by a Σ
-	// edit; a successor entry builds its own from its own cover.
-	pool     *implication.Pool
-	poolSize int
-	cover    *coverOutcome
+	// idle holds implication sessions over the view schema with the
+	// memoized cover compiled, each owned by no request — the cross-query
+	// cache the /v1/implies fast path runs on. A request takes one, or
+	// compiles one when none is idle, and puts it back after its query. A
+	// successor entry compiles its own from its own cover.
+	idle sync.Pool
+	// closed is set when the entry is evicted or replaced by a Σ edit:
+	// cover computations on it then fail with errEvicted. Requests already
+	// holding an idle session finish their query on it.
+	closed atomic.Bool
+
+	mu    sync.Mutex
+	cover *coverOutcome
 	// cs is the incremental cover session (bucket caches, warm implication
 	// sessions, migrated memo); a Σ edit transfers it so a post-edit cover
 	// repairs the per-relation MinCovers instead of recomputing them.
-	cs     *core.CoverSession
-	closed bool
+	cs *core.CoverSession
 }
 
 // coverOutcome unifies the SPC (core.Result) and SPCU (core.UnionResult)
@@ -66,7 +76,7 @@ type coverOutcome struct {
 // re-encoding of the *compiled* objects so syntactic variants of one
 // problem (whitespace, CFD ordering inside a line, resolved defaults) land
 // on the same cache key.
-func compileEntry(p *spec.Problem, poolSize int) (*entry, error) {
+func compileEntry(p *spec.Problem) (*entry, error) {
 	db, sigma, view, err := spec.Compile(p)
 	if err != nil {
 		return nil, err
@@ -80,14 +90,13 @@ func compileEntry(p *spec.Problem, poolSize int) (*entry, error) {
 		return nil, err
 	}
 	return &entry{
-		fp:       fp,
-		gen:      1,
-		db:       db,
-		sigma:    sigma,
-		view:     view,
-		vs:       vs,
-		memo:     propagation.NewMemo(),
-		poolSize: poolSize,
+		fp:    fp,
+		gen:   1,
+		db:    db,
+		sigma: sigma,
+		view:  view,
+		vs:    vs,
+		memo:  propagation.NewMemo(),
 	}, nil
 }
 
@@ -171,10 +180,10 @@ func (e *entry) patchSigma(add, remove []string) (*entry, propagation.CarryStats
 // constructor behind PUT and PATCH. next is the new Σ as the entry keeps
 // it and edit the delta from e's Σ. The memo migrates across the edit, so
 // verdicts the edit provably cannot affect carry forward, and the cover
-// session transfers to the new entry. The warm pool stays with e and
-// closes with it: a borrow already in flight answers from e's cover, and
-// any later request on e answers 503 + Retry-After, whose retry resolves
-// the new fingerprint.
+// session transfers to the new entry. The idle sessions stay with e, which
+// closes: a request already holding one answers from e's cover, and any
+// later request on e answers 503 + Retry-After, whose retry resolves the
+// new fingerprint.
 func (e *entry) successor(next []*cfd.CFD, edit propagation.EditSet) (*entry, propagation.CarryStats, error) {
 	fp, err := fingerprint(e.db, next, e.view)
 	if err != nil {
@@ -186,19 +195,18 @@ func (e *entry) successor(next []*cfd.CFD, edit propagation.EditSet) (*entry, pr
 	e.mu.Lock()
 	cs := e.cs
 	e.cs = nil
-	e.closed = true
+	e.closed.Store(true)
 	e.mu.Unlock()
 
 	fresh := &entry{
-		fp:       fp,
-		gen:      e.gen + 1,
-		db:       e.db,
-		sigma:    next,
-		view:     e.view,
-		vs:       e.vs,
-		memo:     memo,
-		poolSize: e.poolSize,
-		cs:       cs,
+		fp:    fp,
+		gen:   e.gen + 1,
+		db:    e.db,
+		sigma: next,
+		view:  e.view,
+		vs:    e.vs,
+		memo:  memo,
+		cs:    cs,
 	}
 	if cs != nil {
 		cs.RebaseMemo(memo, next)
@@ -207,29 +215,21 @@ func (e *entry) successor(next []*cfd.CFD, edit propagation.EditSet) (*entry, pr
 }
 
 // ensureCover returns the entry's minimal cover, computing and memoizing
-// it (and warming the pool with it) on first need. Callers pass
-// parallelism for the computation only; the memoized result is identical
-// at every worker count. cached reports whether the memo was hit.
-// ErrPoolClosed reports the entry was evicted mid-flight.
+// it on first need. Callers pass parallelism for the computation only; the
+// memoized result is identical at every worker count. cached reports
+// whether the memo was hit. errEvicted reports the entry was evicted
+// mid-flight.
 func (e *entry) ensureCover(ctx context.Context, parallelism int) (out *coverOutcome, cached bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return nil, false, implication.ErrPoolClosed
+	if e.closed.Load() {
+		return nil, false, errEvicted
 	}
 	if e.cover != nil {
 		return e.cover, true, nil
 	}
 	out, err = e.coverLocked(ctx, parallelism, 0)
 	if err != nil {
-		return nil, false, err
-	}
-	if e.pool == nil {
-		e.pool = implication.NewPool(implication.UniverseOf(e.vs), e.poolSize)
-	}
-	// AlwaysEmpty covers hold Lemma 4.5's conflicting pair — a legitimate
-	// Σ for the pool (every view CFD is vacuously implied).
-	if err := e.pool.SetSigma(out.cover); err != nil {
 		return nil, false, err
 	}
 	e.cover = out
@@ -242,8 +242,8 @@ func (e *entry) ensureCover(ctx context.Context, parallelism int) (out *coverOut
 func (e *entry) coverWith(ctx context.Context, parallelism, maxCoverSize int) (*coverOutcome, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return nil, implication.ErrPoolClosed
+	if e.closed.Load() {
+		return nil, errEvicted
 	}
 	return e.coverLocked(ctx, parallelism, maxCoverSize)
 }
@@ -285,44 +285,33 @@ func (e *entry) coverLocked(ctx context.Context, parallelism, maxCoverSize int) 
 // disjunct) rather than the sound union heuristic.
 func (e *entry) exact() bool { return len(e.view.Disjuncts) == 1 }
 
-// impliedByCover answers φ against the warm pool (Σ = memoized cover).
+// impliedByCover answers φ against the memoized cover on an idle session,
+// compiling one when none is idle. The session goes back to the idle set
+// only after a query that returned: a panic unwinds past the put and drops
+// it, and a query that failed (cancelled, say) is Reset first.
 func (e *entry) impliedByCover(ctx context.Context, parallelism int, phi *cfd.CFD) (bool, error) {
-	if _, _, err := e.ensureCover(ctx, parallelism); err != nil {
-		return false, err
-	}
-	e.mu.Lock()
-	pool := e.pool
-	e.mu.Unlock()
-	if pool == nil {
-		return false, implication.ErrPoolClosed
-	}
-	s, err := pool.BorrowCtx(ctx)
+	out, _, err := e.ensureCover(ctx, parallelism)
 	if err != nil {
 		return false, err
 	}
-	defer pool.Return(s) // Return clears the context again
-	s.SetContext(ctx)
-	return s.Implies(phi)
-}
-
-// close tears down the warm pool: no new borrows, and an asynchronous
-// drain bounded by drainTimeout releases the shards once in-flight
-// borrowers return them.
-func (e *entry) close(drainTimeout time.Duration) {
-	e.mu.Lock()
-	pool := e.pool
-	e.pool = nil
-	e.closed = true
-	e.mu.Unlock()
-	if pool == nil {
-		return
+	s, _ := e.idle.Get().(*implication.Session)
+	if s == nil {
+		s = implication.NewSession(implication.UniverseOf(e.vs))
+		// AlwaysEmpty covers hold Lemma 4.5's conflicting pair — a
+		// legitimate Σ (every view CFD is vacuously implied).
+		if err := s.SetSigma(out.cover); err != nil {
+			return false, err
+		}
 	}
-	pool.Close()
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		_ = pool.Drain(ctx) // best effort; a stuck borrower only delays GC
-	}()
+	faultinject.Hit(faultinject.SiteDaemonImplies)
+	s.SetContext(ctx)
+	implied, err := s.Implies(phi)
+	s.SetContext(nil)
+	if err != nil {
+		s.Reset()
+	}
+	e.idle.Put(s)
+	return implied, err
 }
 
 // CacheStats is the /statusz view of the universe cache.
@@ -354,8 +343,6 @@ func rate(hits, misses int64) float64 {
 type cache struct {
 	mu        sync.Mutex
 	max       int
-	poolSize  int
-	drainWait time.Duration
 	entries   map[string]*list.Element // fp → element holding *entry
 	lru       *list.List               // front = most recently used
 	hits      int64
@@ -363,16 +350,14 @@ type cache struct {
 	evictions int64
 }
 
-func newCache(max, poolSize int, drainWait time.Duration) *cache {
+func newCache(max int) *cache {
 	if max < 1 {
 		max = 1
 	}
 	return &cache{
-		max:       max,
-		poolSize:  poolSize,
-		drainWait: drainWait,
-		entries:   make(map[string]*list.Element),
-		lru:       list.New(),
+		max:     max,
+		entries: make(map[string]*list.Element),
+		lru:     list.New(),
 	}
 }
 
@@ -399,7 +384,7 @@ func (c *cache) lookup(fp string) (*entry, bool) {
 // favor of the winner's.
 func (c *cache) getOrCompile(p *spec.Problem) (e *entry, hit bool, err error) {
 	faultinject.Hit(faultinject.SiteDaemonCache)
-	fresh, err := compileEntry(p, c.poolSize)
+	fresh, err := compileEntry(p)
 	if err != nil {
 		return nil, false, fmt.Errorf("spec: %w", err)
 	}
@@ -418,26 +403,25 @@ func (c *cache) insert(fresh *entry) (*entry, bool, error) {
 	}
 	c.misses++
 	c.entries[fresh.fp] = c.lru.PushFront(fresh)
-	var evicted []*entry
 	for c.lru.Len() > c.max {
 		back := c.lru.Back()
 		old := back.Value.(*entry)
 		c.lru.Remove(back)
 		delete(c.entries, old.fp)
 		c.evictions++
-		evicted = append(evicted, old)
+		// Only the flag: a cover in flight on old holds its lock, and the
+		// request evicting it must not wait for that cover.
+		old.closed.Store(true)
 	}
 	c.mu.Unlock()
-	for _, old := range evicted {
-		old.close(c.drainWait)
-	}
 	return fresh, false, nil
 }
 
 // replace atomically swaps an edited universe in: the old fingerprint
-// stops resolving (and its pool drains), the new entry takes its LRU slot.
-// If the old entry was already gone (concurrent edit or eviction), the new
-// one is still inserted — last writer wins, both outcomes are coherent.
+// stops resolving (and the old entry closes), the new entry takes its LRU
+// slot. If the old entry was already gone (concurrent edit or eviction),
+// the new one is still inserted — last writer wins, both outcomes are
+// coherent.
 func (c *cache) replace(old, fresh *entry) (*entry, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[old.fp]; ok && el.Value.(*entry) == old {
@@ -445,7 +429,7 @@ func (c *cache) replace(old, fresh *entry) (*entry, error) {
 		delete(c.entries, old.fp)
 	}
 	c.mu.Unlock()
-	old.close(c.drainWait)
+	old.closed.Store(true)
 	e, _, err := c.insert(fresh)
 	return e, err
 }

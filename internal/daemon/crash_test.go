@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"cfdprop/internal/core"
 	"cfdprop/internal/faultinject"
 	"cfdprop/internal/implication"
 	"cfdprop/internal/propagation"
@@ -24,12 +25,12 @@ import (
 )
 
 // The daemon half of the randomized crash-safety suite: seeded fault
-// schedules — panics and delays at the request, cache and drain seams,
-// composed with the deeper chase/pool seams — against a live server.
+// schedules — panics and delays at the request, cache, implies and drain
+// seams, composed with the deeper chase seams — against a live server.
 // Invariants: an injected panic costs at most a 500 for that request (the
-// server, its admission tokens and its pool shards survive), delays never
-// change response bytes, and after faults clear the daemon answers
-// byte-identically to a direct library call.
+// server, its admission tokens and its idle implication sessions survive),
+// delays never change response bytes, and after faults clear the daemon
+// answers byte-identically to a direct library call.
 // Run with: go test -race -tags faultinject ./internal/daemon/
 
 // checkBytes runs one /v1/check against the server and returns the raw
@@ -78,49 +79,18 @@ func stripMemoCounters(raw []byte) ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// assertPoolsWhole borrows every shard of every cached universe's warm
-// pool (with a timeout) and returns them: a leaked shard fails fast
-// instead of deadlocking the suite.
-func assertPoolsWhole(t *testing.T, srv *Server, tag string) {
-	t.Helper()
-	srv.cache.mu.Lock()
-	var entries []*entry
-	for _, el := range srv.cache.entries {
-		entries = append(entries, el.Value.(*entry))
-	}
-	srv.cache.mu.Unlock()
-	for _, e := range entries {
-		e.mu.Lock()
-		pool := e.pool
-		e.mu.Unlock()
-		if pool == nil {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		shards := make([]*implication.Session, 0, pool.Size())
-		for i := 0; i < pool.Size(); i++ {
-			s, err := pool.BorrowCtx(ctx)
-			if err != nil {
-				cancel()
-				t.Fatalf("%s: universe %s shard %d leaked: %v", tag, e.fp, i, err)
-			}
-			shards = append(shards, s)
-		}
-		for _, s := range shards {
-			pool.Return(s)
-		}
-		cancel()
-	}
-}
-
 // TestDaemonSurvivesRandomFaults is the core schedule sweep: 170 seeded
-// schedules arm 1–3 faults across the daemon seams (request, cache) and
-// the library seams beneath them, then fire concurrent traffic whose check
-// requests alternate Parallelism 1 and 2. Allowed outcomes per request:
-// byte-identical 200, an isolated 500 (injected panic, counted on
+// schedules arm 1–3 faults across the daemon seams (request, cache,
+// implies) and the library seams beneath them, then fire concurrent
+// traffic: check requests alternating Parallelism 1 and 2, and implies
+// requests on the same spec. Allowed outcomes per request: a 200 equal to
+// the library's answer, an isolated 500 (injected panic, counted on
 // /statusz), or a 429/503 shed. Afterwards, with faults cleared, the
-// daemon must answer byte-identically to the direct library call and hold
-// every pool shard.
+// daemon must answer every check byte-identically to the direct library
+// call and every implies as implication.Implies over the library cover —
+// so no session that faulted mid-query went back to the idle set. Every
+// schedule carries an inert rule on the implies seam, whose hits prove
+// the implies traffic reached it.
 func TestDaemonSurvivesRandomFaults(t *testing.T) {
 	defer faultinject.Reset()
 	problem := mustProblem(t, exampleSpecJSON)
@@ -142,13 +112,52 @@ func TestDaemonSurvivesRandomFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The implies references: implication.Implies over the library cover.
+	lib, err := core.PropCFDSPC(db, view.Disjuncts[0], sigma, core.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	impliedRef := make(map[string]bool, len(phis))
+	for _, phi := range phis {
+		if impliedRef[phi], err = implication.Implies(implication.UniverseOf(lib.ViewSchema), lib.Cover, mustParseCFD(t, phi)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	implies := func(hs *httptest.Server, phi string) (int, []byte, error) {
+		data, err := json.Marshal(&ImpliesRequest{Spec: problem, Phi: phi})
+		if err != nil {
+			return 0, nil, err
+		}
+		resp, err := http.Post(hs.URL+"/v1/implies", "application/json", bytes.NewReader(data))
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.Bytes(), err
+	}
+	// impliesDiverged reports how a 200 implies answer differs from the
+	// library's, or "" when it agrees.
+	impliesDiverged := func(phi string, body []byte) string {
+		var imp ImpliesResponse
+		if err := json.Unmarshal(body, &imp); err != nil {
+			return fmt.Sprintf("body %s: %v", body, err)
+		}
+		if imp.Implied != impliedRef[phi] {
+			return fmt.Sprintf("implies %s answered %v, library says %v", phi, imp.Implied, impliedRef[phi])
+		}
+		return ""
+	}
 
 	sites := []string{
 		faultinject.SiteDaemonRequest,
 		faultinject.SiteDaemonCache,
 		faultinject.SiteChaseStep,
-		faultinject.SitePoolBorrow,
+		faultinject.SiteImplicationStep,
+		faultinject.SiteDaemonImplies,
 	}
+	var impliesHits int64
 	for seed := int64(0); seed < 170; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		srv, hs := newTestServer(t, Config{MaxInFlight: 2, MaxQueue: 2, QueueWait: 5 * time.Millisecond, Parallelism: 2})
@@ -166,10 +175,55 @@ func TestDaemonSurvivesRandomFaults(t *testing.T) {
 			}
 			rules = append(rules, r)
 		}
+		rules = append(rules, faultinject.Rule{Site: faultinject.SiteDaemonImplies, Act: faultinject.None})
+		// Even seeds compute the cover before the faults, so that chase
+		// faults land inside implies queries instead of the cover
+		// computation the first implies runs.
+		if seed%2 == 0 {
+			if code, body, err := implies(hs, phis[0]); err != nil || code != http.StatusOK {
+				t.Fatalf("seed %d: warm-up implies: %d %v %s", seed, code, err, body)
+			}
+		}
 		faultinject.Install(rules...)
 
 		var wg sync.WaitGroup
 		var internalErrors atomic.Int64
+		// countInternal vets a 500: it must carry the injected panic's value
+		// and no stack.
+		countInternal := func(body []byte) {
+			internalErrors.Add(1)
+			if !bytes.Contains(body, []byte("injected panic")) {
+				t.Errorf("seed %d: non-injected 500: %s", seed, body)
+			}
+			if bytes.Contains(body, []byte("goroutine ")) {
+				t.Errorf("seed %d: 500 body carries a stack: %s", seed, body)
+			}
+		}
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < 2; k++ {
+					phi := phis[(g+k)%len(phis)]
+					code, body, err := implies(hs, phi)
+					if err != nil {
+						t.Errorf("seed %d: implies transport: %v", seed, err)
+						return
+					}
+					switch code {
+					case http.StatusOK:
+						if d := impliesDiverged(phi, body); d != "" {
+							t.Errorf("seed %d: 200 under faults diverged: %s", seed, d)
+						}
+					case http.StatusInternalServerError:
+						countInternal(body)
+					case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					default:
+						t.Errorf("seed %d: implies: unexpected status %d: %s", seed, code, body)
+					}
+				}
+			}(g)
+		}
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
@@ -193,13 +247,7 @@ func TestDaemonSurvivesRandomFaults(t *testing.T) {
 						t.Errorf("seed %d: 200 under faults diverged:\n got %s\nwant %s", seed, got, refs[phi])
 					}
 				case http.StatusInternalServerError:
-					internalErrors.Add(1)
-					if !bytes.Contains(got, []byte("injected panic")) {
-						t.Errorf("seed %d: non-injected 500: %s", seed, got)
-					}
-					if bytes.Contains(got, []byte("goroutine ")) {
-						t.Errorf("seed %d: 500 body carries a stack: %s", seed, got)
-					}
+					countInternal(got)
 				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 					// Shed under fault-induced slowness: allowed.
 				default:
@@ -213,7 +261,8 @@ func TestDaemonSurvivesRandomFaults(t *testing.T) {
 		}
 
 		// Faults off: full recovery, byte-identical answers, no leaked
-		// admission tokens, no leaked pool shards.
+		// admission tokens, no faulted session back in the idle set.
+		impliesHits += faultinject.Hits(faultinject.SiteDaemonImplies)
 		faultinject.Reset()
 		for _, phi := range phis {
 			code, got, err := checkBytes(hs, &CheckRequest{
@@ -230,11 +279,24 @@ func TestDaemonSurvivesRandomFaults(t *testing.T) {
 				t.Fatalf("seed %d: post-fault answer diverged:\n got %s\nwant %s", seed, got, refs[phi])
 			}
 		}
+		for round := 0; round < 3; round++ {
+			for _, phi := range phis {
+				code, body, err := implies(hs, phi)
+				if err != nil || code != http.StatusOK {
+					t.Fatalf("seed %d: fault-free implies failed: %d %v %s", seed, code, err, body)
+				}
+				if d := impliesDiverged(phi, body); d != "" {
+					t.Fatalf("seed %d: post-fault implies diverged: %s", seed, d)
+				}
+			}
+		}
 		if st := srv.adm.stats(); st.InFlight != 0 {
 			t.Fatalf("seed %d: %d admission tokens leaked", seed, st.InFlight)
 		}
-		assertPoolsWhole(t, srv, fmt.Sprintf("seed %d", seed))
 		hs.Close()
+	}
+	if impliesHits == 0 {
+		t.Fatal("no implies request reached the implies seam over the sweep")
 	}
 }
 
@@ -284,7 +346,6 @@ func TestCoverWorkerPanicIs500(t *testing.T) {
 		if err := json.Unmarshal(body, &cov); err != nil || code != http.StatusOK || len(cov.Cover) == 0 {
 			t.Fatalf("parallelism %d: cover after the fault cleared: %d %s", par, code, body)
 		}
-		assertPoolsWhole(t, srv, fmt.Sprintf("parallelism %d", par))
 	}
 }
 
@@ -383,17 +444,17 @@ func TestDrainCrashSchedules(t *testing.T) {
 
 // TestSigmaEditCrashSchedules injects faults at the cache seam while Σ
 // edits race queries: an edit re-keys the universe, so a panic or delay in
-// a lookup must never corrupt an entry, leak the evicted pool's shards, or
-// serve a stale Σ after the edit completes.
+// a lookup must never corrupt an entry or serve a stale Σ after the edit
+// completes.
 func TestSigmaEditCrashSchedules(t *testing.T) {
 	defer faultinject.Reset()
 	problem := mustProblem(t, exampleSpecJSON)
 
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(7000 + seed))
-		srv, hs := newTestServer(t, Config{MaxInFlight: 4, MaxQueue: 4})
+		_, hs := newTestServer(t, Config{MaxInFlight: 4, MaxQueue: 4})
 
-		// Register and warm the pool via an implies query.
+		// Register the universe the implies query and the edit race on.
 		var u UniverseResponse
 		{
 			data, _ := json.Marshal(&UniverseRequest{Spec: problem})
@@ -477,27 +538,25 @@ func TestSigmaEditCrashSchedules(t *testing.T) {
 				t.Fatalf("seed %d: original universe corrupted after failed edit: %d %v", seed, code, err)
 			}
 		}
-		assertPoolsWhole(t, srv, fmt.Sprintf("seed %d", seed))
 		hs.Close()
 	}
 }
 
 // TestSigmaPatchCrashSchedules injects faults at the Σ-edit seam
 // (faultinject.SiteSigmaEdit fires in the PATCH handler before any state
-// transfer) while PATCHes race warm-pool queries. Invariants: a failed
+// transfer) while PATCHes race warm implies queries. Invariants: a failed
 // patch leaves the old universe fully serving; a successful patch serves
-// the new Σ (and only it) and covers once the faults clear; no pool of
-// either universe leaks a shard.
+// the new Σ (and only it) and covers once the faults clear.
 func TestSigmaPatchCrashSchedules(t *testing.T) {
 	defer faultinject.Reset()
 	problem := mustProblem(t, unionSpecJSON)
 
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(9000 + seed))
-		srv, hs := newTestServer(t, Config{MaxInFlight: 4, MaxQueue: 4})
+		_, hs := newTestServer(t, Config{MaxInFlight: 4, MaxQueue: 4})
 
-		// Register and warm: the cover builds the pool and memo the patch
-		// will transfer.
+		// Register and warm: the cover builds the cover session and memo
+		// the patch will transfer.
 		var u CoverResponse
 		{
 			data, _ := json.Marshal(&CoverRequest{Spec: problem})
@@ -598,19 +657,18 @@ func TestSigmaPatchCrashSchedules(t *testing.T) {
 				t.Fatalf("seed %d: original Σ lost after failed patch: %s", seed, got)
 			}
 		}
-		assertPoolsWhole(t, srv, fmt.Sprintf("seed %d", seed))
 		hs.Close()
 	}
 }
 
 // TestSigmaPatchInFlightImpliesKeepsOldCover races a /v1/implies on the
-// old fingerprint against a PATCH. A 300ms delay at the pool-borrow seam
-// holds the request after it has taken a shard of the old universe's pool
-// and before that shard is refreshed; once it is held, a PATCH removes
-// R1(B -> C) and a cover warms the successor. φ = V([B, CC=1] -> [C]) is
-// a member of the old cover, so the held request must answer 200 with
-// implied true from the old cover — or 503 had it lost the race to the
-// old pool's close. implied false would mean it read the edited cover.
+// old fingerprint against a PATCH. A 300ms delay at the implies seam holds
+// the request after it has taken a session of the old universe, before
+// its query runs; once it is held, a PATCH removes R1(B -> C) and a cover
+// warms the successor. φ = V([B, CC=1] -> [C]) is a member of the old
+// cover, and the held request already holds a session compiled with it,
+// so it must answer 200 with implied true from the old cover; implied
+// false would mean it read the edited cover.
 func TestSigmaPatchInFlightImpliesKeepsOldCover(t *testing.T) {
 	defer faultinject.Reset()
 	const phi = "V([B, CC=1] -> [C])"
@@ -628,8 +686,8 @@ func TestSigmaPatchInFlightImpliesKeepsOldCover(t *testing.T) {
 
 		held := make(chan struct{})
 		faultinject.Install(
-			faultinject.Rule{Site: faultinject.SitePoolBorrow, Nth: 1, Act: faultinject.Cancel, Cancel: func() { close(held) }},
-			faultinject.Rule{Site: faultinject.SitePoolBorrow, Nth: 1, Act: faultinject.Delay, Delay: 300 * time.Millisecond},
+			faultinject.Rule{Site: faultinject.SiteDaemonImplies, Nth: 1, Act: faultinject.Cancel, Cancel: func() { close(held) }},
+			faultinject.Rule{Site: faultinject.SiteDaemonImplies, Nth: 1, Act: faultinject.Delay, Delay: 300 * time.Millisecond},
 		)
 		type answer struct {
 			code int
@@ -662,19 +720,61 @@ func TestSigmaPatchInFlightImpliesKeepsOldCover(t *testing.T) {
 		if a.err != nil {
 			t.Fatalf("run %d: held implies: %v", run, a.err)
 		}
-		switch a.code {
-		case http.StatusServiceUnavailable:
-		case http.StatusOK:
-			var imp ImpliesResponse
-			if err := json.Unmarshal(a.body, &imp); err != nil {
-				t.Fatalf("run %d: held implies body %s: %v", run, a.body, err)
-			}
-			if imp.Universe != cov.Universe || !imp.Implied {
-				t.Fatalf("run %d: held implies on the old universe answered from the edited cover: %s", run, a.body)
-			}
-		default:
+		if a.code != http.StatusOK {
 			t.Fatalf("run %d: held implies: status %d: %s", run, a.code, a.body)
 		}
+		var imp ImpliesResponse
+		if err := json.Unmarshal(a.body, &imp); err != nil {
+			t.Fatalf("run %d: held implies body %s: %v", run, a.body, err)
+		}
+		if imp.Universe != cov.Universe || !imp.Implied {
+			t.Fatalf("run %d: held implies on the old universe answered from the edited cover: %s", run, a.body)
+		}
 		hs.Close()
+	}
+}
+
+// TestEvictionDoesNotWaitForBusyEntry: a request whose insert evicts a
+// universe must not wait for a cover in flight on that universe. A delay
+// at the parutil worker seam holds a /v1/cover on universe A inside its
+// entry lock for 1.5 s; a register of universe B then evicts A from the
+// one-entry cache and must return well within the hold.
+func TestEvictionDoesNotWaitForBusyEntry(t *testing.T) {
+	defer faultinject.Reset()
+	const hold = 1500 * time.Millisecond
+	_, hs := newTestServer(t, Config{CacheSize: 1})
+
+	held := make(chan struct{})
+	faultinject.Install(
+		faultinject.Rule{Site: faultinject.SiteParutilWorker, Nth: 1, Act: faultinject.Cancel, Cancel: func() { close(held) }},
+		faultinject.Rule{Site: faultinject.SiteParutilWorker, Nth: 1, Act: faultinject.Delay, Delay: hold},
+	)
+	coverDone := make(chan error, 1)
+	go func() {
+		data, _ := json.Marshal(&CoverRequest{Spec: mustProblem(t, exampleSpecJSON)})
+		resp, err := http.Post(hs.URL+"/v1/cover", "application/json", bytes.NewReader(data))
+		if err == nil {
+			resp.Body.Close()
+		}
+		coverDone <- err
+	}()
+	<-held
+
+	data, _ := json.Marshal(&UniverseRequest{Spec: mustProblem(t, unionSpecJSON)})
+	start := time.Now()
+	resp, err := http.Post(hs.URL+"/v1/universe", "application/json", bytes.NewReader(data))
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register of the evicting universe: status %d", resp.StatusCode)
+	}
+	if elapsed > hold/3 {
+		t.Fatalf("register that evicted a busy universe took %v, want under %v", elapsed, hold/3)
+	}
+	if err := <-coverDone; err != nil {
+		t.Fatalf("held cover: %v", err)
 	}
 }

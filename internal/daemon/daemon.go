@@ -1,7 +1,7 @@
 // Package daemon implements propcfdd, the long-lived CFD-propagation
 // service: a plain HTTP/JSON front end over internal/propagation and
 // internal/core that keeps compiled (Σ, V) universes — with warm
-// implication pools — cached across requests.
+// implication sessions — cached across requests.
 //
 // Robustness contract:
 //
@@ -24,8 +24,8 @@
 // that keeps the warm state: the cover session re-covers only the touched
 // relations, and the propagation memo migrates across the edit, so the
 // next cover or check replays every pair verdict the edit could not have
-// changed. The successor compiles a fresh implication pool from its own
-// cover; the old pool drains with the old entry. Both answer with the
+// changed. The successor compiles fresh /v1/implies sessions from its own
+// cover; the old entry's idle sessions go with it. Both answer with the
 // carry-over (pairs/empty entries carried and dropped).
 // /statusz exposes per-endpoint latency histograms with interpolated
 // p50/p95/p99 plus cache and memo hit rates.
@@ -45,7 +45,6 @@ import (
 
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/faultinject"
-	"cfdprop/internal/implication"
 	"cfdprop/internal/parutil"
 	"cfdprop/internal/propagation"
 	"cfdprop/internal/spec"
@@ -73,12 +72,6 @@ type Config struct {
 	// CacheSize is the number of compiled universes kept warm (LRU).
 	// Default: 32.
 	CacheSize int
-	// PoolSize is the shard count of each universe's warm implication
-	// pool. Default: 4.
-	PoolSize int
-	// DrainWait bounds the asynchronous pool drain after an eviction or Σ
-	// edit. Default: 5s.
-	DrainWait time.Duration
 	// RetryAfter is the hint attached to 429 and 503 answers. Default: 1s.
 	RetryAfter time.Duration
 	// MaxBodyBytes caps request body size. Default: 8 MiB.
@@ -106,12 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 32
-	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 4
-	}
-	if c.DrainWait <= 0 {
-		c.DrainWait = 5 * time.Second
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -141,7 +128,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		adm:   newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
-		cache: newCache(cfg.CacheSize, cfg.PoolSize, cfg.DrainWait),
+		cache: newCache(cfg.CacheSize),
 		metrics: newMetrics("healthz", "readyz", "statusz", "check", "cover",
 			"implies", "universe_register", "universe_get", "sigma_put", "sigma_patch"),
 		mux: http.NewServeMux(),
@@ -527,7 +514,7 @@ func (s *Server) replaceEntry(w http.ResponseWriter, r *http.Request, derive fun
 		return
 	}
 	// A concurrent identical edit may win the insert race; our entry then
-	// never served, has no pool and is simply dropped.
+	// never served, has no idle sessions and is simply dropped.
 	e, err := s.cache.replace(old, fresh)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
@@ -595,15 +582,15 @@ func (s *Server) deadlineCtx(r *http.Request, deadlineMillis int64) (context.Con
 }
 
 // writeComputeError maps a computation failure onto the degradation
-// contract: a worker panic → 500, deadline expiry → 504, an
-// evicted/draining pool → 503 + Retry-After (the retry will recompile),
-// anything else → 400.
+// contract: a worker panic → 500, deadline expiry → 504, an evicted
+// universe → 503 + Retry-After (the retry will recompile), anything else
+// → 400.
 func (s *Server) writeComputeError(w http.ResponseWriter, ctx context.Context, err error) {
 	switch {
 	case s.writeWorkerPanic(w, err):
 	case ctx.Err() != nil:
 		s.writeError(w, http.StatusGatewayTimeout, fmt.Errorf("budget exhausted: %w", err))
-	case errors.Is(err, implication.ErrPoolClosed):
+	case errors.Is(err, errEvicted):
 		s.writeRetryError(w, http.StatusServiceUnavailable, errors.New("universe evicted mid-request, retry"))
 	default:
 		s.writeError(w, http.StatusBadRequest, err)

@@ -287,9 +287,9 @@ func TestUniverseLifecycle(t *testing.T) {
 	}
 }
 
-// TestCoverAndImplies exercises the warm-pool path: the first cover
-// computes, the second is served from the memo, and /v1/implies answers
-// from the warm pool with the exactness flag set for a single-SPC view.
+// TestCoverAndImplies exercises the warm path: the first cover computes,
+// the second is served from the memo, and /v1/implies answers from the
+// memoized cover with the exactness flag set for a single-SPC view.
 func TestCoverAndImplies(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	problem := mustProblem(t, exampleSpecJSON)

@@ -59,7 +59,7 @@ const unionSpecPatchedJSON = `{
 // produces the same universe a from-scratch registration of the edited Σ
 // would (same content-addressed fingerprint, same cover), while migrating
 // the memo (carryover counters > 0 on the response and on /statusz) and
-// keeping the warm pool serving /v1/implies.
+// keeping /v1/implies served from the new cover.
 func TestSigmaPatchCarriesWarmState(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	client := &Client{Base: hs.URL}
@@ -128,7 +128,7 @@ func TestSigmaPatchCarriesWarmState(t *testing.T) {
 		t.Fatalf("generation after patch = %d, want 2", cov2.Generation)
 	}
 
-	// The repaired pool answers /v1/implies for the new cover.
+	// The successor's sessions answer /v1/implies for the new cover.
 	for _, phi := range cov2.Cover {
 		imp, err := client.Implies(ctx, &ImpliesRequest{Universe: patched.Universe, Phi: phi})
 		if err != nil {

@@ -266,7 +266,7 @@ type CoverResponse struct {
 }
 
 // ImpliesRequest asks whether the universe's memoized cover implies a view
-// CFD — the warm-pool fast path for repeated queries against one (Σ, V).
+// CFD — the warm-session fast path for repeated queries against one (Σ, V).
 type ImpliesRequest struct {
 	Spec           *spec.Problem `json:"spec,omitempty"`
 	Universe       string        `json:"universe,omitempty"`

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,10 +22,9 @@ import (
 
 // The randomized crash-safety suite: every test below runs hundreds of
 // seeded random fault schedules — panics, delays and forced cancellations
-// injected mid-chase, mid-borrow and mid-worker — and checks the stack's
-// robustness invariants: no injected fault leaks a pooled shard, deadlocks
-// a Pool, crashes a worker group, or makes a Result depend on the worker
-// count.
+// injected mid-chase and mid-worker — and checks the stack's robustness
+// invariants: no injected fault deadlocks or crashes a worker group, or
+// makes a Result depend on the worker count.
 // Run with: go test -race -tags faultinject ./internal/faultinject/
 
 // recoverInjected swallows an Injected panic (the expected outcome of a
@@ -47,9 +45,8 @@ func isInjectedErr(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "faultinject: injected panic")
 }
 
-// implWorkload: Σ is a transitive FD chain on V(A,B,C,D), so V(A→D) is
-// implied and V(B→A) is not.
-func implWorkload() (implication.Universe, []*cfd.CFD, *cfd.CFD, *cfd.CFD) {
+// implWorkload: Σ is a transitive FD chain on V(A,B,C,D).
+func implWorkload() (implication.Universe, []*cfd.CFD) {
 	schema := rel.InfiniteSchema("V", "A", "B", "C", "D")
 	u := implication.UniverseOf(schema)
 	sigma := []*cfd.CFD{
@@ -57,7 +54,7 @@ func implWorkload() (implication.Universe, []*cfd.CFD, *cfd.CFD, *cfd.CFD) {
 		cfd.MustParse("V(B -> C)"),
 		cfd.MustParse("V(C -> D)"),
 	}
-	return u, sigma, cfd.MustParse("V(A -> D)"), cfd.MustParse("V(B -> A)")
+	return u, sigma
 }
 
 // propWorkload: a 3-disjunct union view over one source relation with a
@@ -85,105 +82,18 @@ func propWorkload() (*rel.DBSchema, *algebra.SPCU, []*cfd.CFD, *cfd.CFD, *cfd.CF
 	return db, view, sigma, cfd.MustParse("V(A1 -> A4)"), cfd.MustParse("V(A4 -> A1)")
 }
 
-// TestPoolSurvivesRandomFaults hammers a 3-shard Pool with concurrent
-// Implies calls while random panics and delays fire at the borrow, return
-// and chase-step seams. After every schedule the pool must still hold all
-// of its shards (no leak: all three can be borrowed without blocking) and
-// answer implication queries correctly (no corrupted shard state).
-func TestPoolSurvivesRandomFaults(t *testing.T) {
-	defer faultinject.Reset()
-	u, sigma, phiYes, phiNo := implWorkload()
-	sites := []string{
-		faultinject.SitePoolBorrow,
-		faultinject.SitePoolReturn,
-		faultinject.SiteImplicationStep,
-	}
-	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var rules []faultinject.Rule
-		for i := 0; i < 1+rng.Intn(3); i++ {
-			r := faultinject.Rule{
-				Site: sites[rng.Intn(len(sites))],
-				Nth:  int64(1 + rng.Intn(15)),
-				Act:  faultinject.Panic,
-			}
-			if rng.Intn(2) == 0 {
-				r.Act = faultinject.Delay
-				r.Delay = time.Duration(rng.Intn(20)) * time.Microsecond
-			}
-			rules = append(rules, r)
-		}
-		faultinject.Install(rules...)
-
-		pool := implication.NewPool(u, 3)
-		if err := pool.SetSigma(sigma); err != nil {
-			t.Fatalf("seed %d: SetSigma: %v", seed, err)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for k := 0; k < 5; k++ {
-					func() {
-						defer recoverInjected(t)
-						phi, want := phiYes, true
-						if (g+k)%2 == 1 {
-							phi, want = phiNo, false
-						}
-						ok, err := pool.Implies(phi)
-						if err != nil {
-							if !isInjectedErr(err) {
-								t.Errorf("seed %d: Implies error: %v", seed, err)
-							}
-							return
-						}
-						if ok != want {
-							t.Errorf("seed %d: Implies(%s) = %v, want %v", seed, phi, ok, want)
-						}
-					}()
-				}
-			}(g)
-		}
-		wg.Wait()
-
-		// Faults off: the pool must be whole and sane.
-		faultinject.Reset()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		shards := make([]*implication.Session, 0, pool.Size())
-		for i := 0; i < pool.Size(); i++ {
-			s, err := pool.BorrowCtx(ctx)
-			if err != nil {
-				t.Fatalf("seed %d: shard %d leaked: BorrowCtx: %v", seed, i, err)
-			}
-			ok, err := s.Implies(phiYes)
-			if err != nil || !ok {
-				t.Fatalf("seed %d: shard %d corrupted: Implies = %v, %v", seed, i, ok, err)
-			}
-			shards = append(shards, s)
-		}
-		for _, s := range shards {
-			pool.Return(s)
-		}
-		cancel()
-	}
-}
-
-// TestMinCoverScreenSurvivesFaults drives Pool.MinCover — whose screen
-// phase fans candidates across shards — under injected chase-step panics.
-// A fault must surface as an error or an Injected panic, never a deadlock
-// or a lost shard, and a fault-free retry must give the reference cover.
+// TestMinCoverScreenSurvivesFaults drives ParallelMinCover — whose
+// reduction and screen phases fan candidates across 3 workers — under
+// injected chase-step panics. A fault must surface as an error or an
+// Injected panic, never a deadlock, and a fault-free retry must give the
+// reference cover.
 func TestMinCoverScreenSurvivesFaults(t *testing.T) {
 	defer faultinject.Reset()
-	u, sigma, _, _ := implWorkload()
+	u, sigma := implWorkload()
 	// Redundant Σ so MinCover has real screening work.
 	work := append([]*cfd.CFD{cfd.MustParse("V(A -> C)"), cfd.MustParse("V(A -> D)")}, sigma...)
 
-	pool := implication.NewPool(u, 3)
-	if err := pool.SetSigma(sigma); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := pool.MinCover(work)
+	ref, err := implication.MinCover(u, work)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +107,7 @@ func TestMinCoverScreenSurvivesFaults(t *testing.T) {
 		})
 		func() {
 			defer recoverInjected(t)
-			cover, err := pool.MinCover(work)
+			cover, err := implication.ParallelMinCover(context.Background(), u, work, 3)
 			if err != nil {
 				var pe *parutil.PanicError
 				if !errors.As(err, &pe) || !isInjectedErr(err) {
@@ -211,9 +121,12 @@ func TestMinCoverScreenSurvivesFaults(t *testing.T) {
 		}()
 
 		faultinject.Reset()
-		cover, err := pool.MinCover(work)
+		cover, err := implication.ParallelMinCover(context.Background(), u, work, 3)
 		if err != nil {
 			t.Fatalf("seed %d: fault-free retry failed: %v", seed, err)
+		}
+		if len(cover) != len(ref) {
+			t.Fatalf("seed %d: retry cover size %d, want %d", seed, len(cover), len(ref))
 		}
 		for i := range cover {
 			if cover[i].Key() != ref[i].Key() {
@@ -477,7 +390,7 @@ func TestParutilWorkerPanicCaptured(t *testing.T) {
 			Act:  faultinject.Panic,
 		})
 		hits := make([]bool, n)
-		err := parutil.DoCtx(context.Background(), n, workers, func(i int) { hits[i] = true })
+		err := parutil.DoCtx(context.Background(), n, workers, func(_, i int) { hits[i] = true })
 		if err == nil {
 			t.Fatalf("seed %d: injected worker panic did not surface", seed)
 		}

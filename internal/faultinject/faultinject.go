@@ -1,6 +1,6 @@
 // Package faultinject is a test-only fault-injection seam for the
 // propagation stack. Library code marks interesting execution points —
-// chase steps, pool shard hand-offs, worker-loop iterations — by calling
+// chase steps, worker-loop iterations, daemon request stages — by calling
 // Hit with a site name. In normal builds Hit is an empty function that the
 // compiler inlines away, so the instrumented hot paths pay nothing.
 //
@@ -8,8 +8,8 @@
 // install Rules that panic, delay, or fire a cancellation at the nth visit
 // of a site, which is how the randomized crash-safety suite
 // (crash_test.go) proves that no injected fault leaks a pooled sym.State,
-// deadlocks an implication.Pool, or makes a propagation.Check Result
-// depend on the worker count.
+// deadlocks a worker group, or makes a propagation.Check Result depend on
+// the worker count.
 package faultinject
 
 // Site names instrumented by the library. They live in the always-built
@@ -23,12 +23,6 @@ const (
 	// SiteImplicationStep fires once per worklist pop of the implication
 	// session's two-row chase.
 	SiteImplicationStep = "implication.chase.step"
-	// SitePoolBorrow fires inside implication.Pool.Borrow after a shard has
-	// been taken, before it is handed to the caller.
-	SitePoolBorrow = "pool.borrow"
-	// SitePoolReturn fires inside implication.Pool.Return before the shard
-	// re-enters the free list.
-	SitePoolReturn = "pool.return"
 	// SiteParutilWorker fires once per item inside parutil.Do/DoCtx workers.
 	SiteParutilWorker = "parutil.worker"
 	// SitePropWorker fires once per schedule task inside the parallel
@@ -44,6 +38,10 @@ const (
 	// SiteDaemonDrain fires during daemon shutdown, after readiness has
 	// flipped and before queued/new requests start being refused.
 	SiteDaemonDrain = "daemon.drain"
+	// SiteDaemonImplies fires once per /v1/implies request that holds an
+	// implication session of the universe it resolved, before the query
+	// runs on it.
+	SiteDaemonImplies = "daemon.implies"
 	// SiteStreamChunk fires once per chunk of every pass inside the
 	// streaming detector's mapper stage, before the chunk's σ/π work
 	// begins.

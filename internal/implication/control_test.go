@@ -3,10 +3,8 @@ package implication
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/chase"
@@ -103,109 +101,6 @@ func TestSessionResetAfterBudgetExhaustion(t *testing.T) {
 	}
 	if coverString(got) != coverString(want) {
 		t.Fatalf("post-Reset cover diverged from fresh session\n got: %v\nwant: %v", got, want)
-	}
-}
-
-// TestBorrowSurfacesRecompileError is the regression test for the former
-// pool-shard recompile panic: a pool whose Σ cannot compile (planted
-// behind SetSigma's validation, as a buggy caller could) must surface an
-// error from Borrow — and the shard must return to the pool, so the pool
-// neither crashes nor shrinks.
-func TestBorrowSurfacesRecompileError(t *testing.T) {
-	u, sigma, phiYes, _ := controlWorkload(t)
-	pool := NewPool(u, 2)
-	if err := pool.SetSigma(sigma); err != nil {
-		t.Fatal(err)
-	}
-	// Plant an uncompilable Σ: V(Z → A) mentions an attribute outside the
-	// universe, which SetSigma would have rejected.
-	pool.mu.Lock()
-	pool.sigma = []*cfd.CFD{cfd.MustParse("V(Z -> A)")}
-	pool.gen++
-	pool.mu.Unlock()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	// More borrows than shards: every one must fail cleanly, proving the
-	// failing shard re-enters the pool each time instead of leaking.
-	for i := 0; i < 3*pool.Size(); i++ {
-		s, err := pool.BorrowCtx(ctx)
-		if err == nil {
-			pool.Return(s)
-			t.Fatal("Borrow accepted an uncompilable pool Σ")
-		}
-		if !strings.Contains(err.Error(), "recompile failed") {
-			t.Fatalf("borrow %d: unexpected error: %v", i, err)
-		}
-	}
-	if _, err := pool.Implies(phiYes); err == nil {
-		t.Fatal("Implies must propagate the recompile error")
-	}
-
-	// A valid SetSigma heals the pool: all shards borrowable and correct.
-	if err := pool.SetSigma(sigma); err != nil {
-		t.Fatal(err)
-	}
-	var shards []*Session
-	for i := 0; i < pool.Size(); i++ {
-		s, err := pool.BorrowCtx(ctx)
-		if err != nil {
-			t.Fatalf("shard %d not recovered: %v", i, err)
-		}
-		if ok, err := s.Implies(phiYes); err != nil || !ok {
-			t.Fatalf("shard %d: Implies = %v, %v; want true", i, ok, err)
-		}
-		shards = append(shards, s)
-	}
-	for _, s := range shards {
-		pool.Return(s)
-	}
-}
-
-// TestBorrowCtxUnblocksOnCancel: BorrowCtx blocked on an empty pool gives
-// up with the context's error instead of waiting forever.
-func TestBorrowCtxUnblocksOnCancel(t *testing.T) {
-	u, sigma, _, _ := controlWorkload(t)
-	pool := NewPool(u, 1)
-	if err := pool.SetSigma(sigma); err != nil {
-		t.Fatal(err)
-	}
-	only, err := pool.Borrow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, err := pool.BorrowCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("BorrowCtx on exhausted pool = %v, want context.DeadlineExceeded", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("BorrowCtx did not give up promptly")
-	}
-	pool.Return(only)
-	if _, err := pool.Borrow(); err != nil {
-		t.Fatalf("pool unusable after a cancelled borrow: %v", err)
-	}
-}
-
-// TestPoolContextStampedOnBorrow: Pool.SetContext makes borrowed shards
-// observe cancellation, and clearing it restores normal service.
-func TestPoolContextStampedOnBorrow(t *testing.T) {
-	u, sigma, phiYes, _ := controlWorkload(t)
-	pool := NewPool(u, 2)
-	if err := pool.SetSigma(sigma); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	pool.SetContext(ctx)
-	if _, err := pool.Implies(phiYes); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Implies with cancelled pool context = %v, want context.Canceled", err)
-	}
-	pool.SetContext(nil)
-	if ok, err := pool.Implies(phiYes); err != nil || !ok {
-		t.Fatalf("Implies after clearing context = %v, %v; want true", ok, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package implication
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -531,6 +532,40 @@ func TestMinCoverMatchesReference(t *testing.T) {
 				}
 				if !ok {
 					t.Fatalf("seed %d var%%=%d: original Σ does not imply cover member %s", seed, varPct, c)
+				}
+			}
+		}
+	}
+}
+
+// coverString canonicalizes a cover for exact (order-sensitive) comparison.
+func coverString(cover []*cfd.CFD) string {
+	s := ""
+	for _, c := range cover {
+		s += c.String() + "\n"
+	}
+	return s
+}
+
+// TestParallelMinCoverMatchesSession requires the parallel MinCover to
+// return byte-identical covers — same members, same order — as the serial
+// Session.MinCover, across pattern mixes and worker counts.
+func TestParallelMinCoverMatchesSession(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		for _, varPct := range []int{30, 100} {
+			u, sigma, _ := diffWorkload(seed*13+int64(varPct), varPct)
+			want, err := NewSession(u).MinCover(sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4, 8} {
+				got, err := ParallelMinCover(context.Background(), u, sigma, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if coverString(got) != coverString(want) {
+					t.Fatalf("seed %d var%%=%d workers=%d: parallel cover diverged\n got: %v\nwant: %v",
+						seed, varPct, workers, got, want)
 				}
 			}
 		}

@@ -64,16 +64,13 @@
 //
 // Sessions are single-owner: all pooled buffers (chase state, worklist,
 // templates) are mutated per query, so a Session must never be shared
-// between goroutines without external serialization. The goroutine-safe
-// entry point is Pool (pool.go): N independent Sessions per universe,
-// handed out whole via Borrow/Return so the chase hot path stays
-// lock-free — the only synchronization is the shard hand-off itself and a
-// generation check that lazily recompiles the pool's Σ into stale shards.
-// Pool.MinCover fans the candidate-redundancy screen across free shards
-// and replays the reference tombstone loop over the survivors, so its
-// output is byte-identical to Session.MinCover at every shard count
-// (TestPoolMinCoverMatchesSession); concurrent MinCover and Implies calls
-// on one Pool are safe and deadlock-free.
+// between goroutines without external serialization. Concurrent work holds
+// one Session per goroutine. ParallelMinCover mints one Session per worker
+// for its call and fans the left-reduction and the candidate-redundancy
+// screen out through parutil.DoCtx, then replays the reference tombstone
+// loop over the screen's survivors on its first Session, so its output is
+// byte-identical to Session.MinCover at every worker count
+// (TestParallelMinCoverMatchesSession).
 package implication
 
 import (

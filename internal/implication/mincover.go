@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"cfdprop/internal/cfd"
+	"cfdprop/internal/parutil"
 )
 
 // Session is the reusable public face of the implication engine: one
@@ -18,11 +19,6 @@ import (
 // and are not safe for concurrent use.
 type Session struct {
 	inner *session
-
-	// Pool bookkeeping (see pool.go): the Σ generation this session last
-	// compiled, and whether a borrower left it with a non-pool Σ.
-	poolGen   uint64
-	poolDirty bool
 
 	stats MinCoverStats // see ProbeStats
 }
@@ -40,7 +36,6 @@ func NewSession(u Universe) *Session {
 // SetSigma compiles Σ into the session: CFDs on other relations are
 // dropped, the rest are normalized and validated against the universe.
 func (s *Session) SetSigma(sigma []*cfd.CFD) error {
-	s.poolDirty = true // a pool owner must recompile before reuse
 	return s.inner.setSigma(cfd.NormalizeAll(sigma))
 }
 
@@ -111,7 +106,7 @@ func (s *Session) Implies(phi *cfd.CFD) (bool, error) {
 //     probes each LHS position once;
 //  3. drop CFDs implied by the remaining ones.
 //
-// This is exactly what Pool.MinCover runs on one shard. It makes
+// This is exactly what ParallelMinCover runs on one worker. It makes
 // O(|Σ|·k) implication tests for LHS size k — in step 2 one per LHS
 // position unless a candidate repeats an attribute, in step 3 one per
 // CFD — within the O(|Σ|³) bound the paper quotes for MinCover of [8].
@@ -133,7 +128,6 @@ func (s *Session) MinCover(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 // single-RHS, drop trivial CFDs, dedup, compile — leaving the session
 // ready for left-reduction probes against the work set it returns.
 func (s *Session) minCoverNormalize(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
-	s.poolDirty = true // recompiles Σ; a pool owner must refresh before reuse
 	sess := s.inner
 	work := make([]*cfd.CFD, 0, len(sigma))
 	for _, c := range cfd.NormalizeAll(sigma) {
@@ -170,7 +164,7 @@ func (s *Session) minCoverNormalize(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 // CFD for an equivalent one (the reduced CFD implies the original and was
 // implied by Σ), so probing Σ with or without earlier reductions applied
 // answers identically. It makes per-candidate reduction order-independent
-// and safe to fan out (Pool.MinCover).
+// and safe to fan out (ParallelMinCover).
 func (s *Session) leftReduceOne(c *cfd.CFD) (*cfd.CFD, error) {
 	if c.Equality {
 		return c, nil
@@ -220,9 +214,8 @@ type MinCoverStats struct {
 }
 
 // ProbeStats returns the probe counts of every MinCover phase run on this
-// session since NewSession, Pool.MinCover's fanned-out work included when
-// this session is the shard that ran it. The counts are deterministic in
-// the calls made, at every parallelism.
+// session since NewSession. The counts are deterministic in the calls
+// made.
 func (s *Session) ProbeStats() MinCoverStats { return s.stats }
 
 // probe decides Σ |= φ on the compiled Σ and counts the probe into ps.
@@ -295,6 +288,103 @@ func (s *Session) minCoverReduce(work []*cfd.CFD) ([]*cfd.CFD, error) {
 		return nil, err
 	}
 	return work, nil
+}
+
+// ParallelMinCover computes the minimal cover of sigma exactly as
+// Session.MinCover does — same tombstone semantics, byte-identical output
+// order — but fans both quadratic phases out over up to workers sessions
+// minted for this call, through parutil.DoCtx:
+//
+//  1. normalize/dedup on one session, then left-reduce every candidate in
+//     parallel against the unreduced work set. Each candidate's reduction
+//     is order-independent (see Session.leftReduceOne), so its reduced
+//     form is the one Session.MinCover computes;
+//  2. recompile the reduced set and screen every candidate in parallel
+//     against it minus itself. A candidate the screen does NOT imply can
+//     never become redundant later — the serial loop tests it against a
+//     subset of the screen's premises (earlier tombstones removed), and
+//     implication is monotone in the premise set — so only screen
+//     survivors re-enter
+//  3. the serial confirmation pass on the first session, which replays the
+//     reference tombstone loop in candidate order over the (usually short)
+//     maybe-redundant list.
+//
+// Worker w mints its session the first time it runs an item and compiles
+// into it the work set of the current phase; the first session serves as
+// worker 0. At workers <= 1, or with fewer than two candidates, this is
+// Session.MinCover on one session. ctx (nil for none) cancels every
+// session's chase cooperatively, and a panic in a worker surfaces as a
+// *parutil.PanicError.
+func ParallelMinCover(ctx context.Context, u Universe, sigma []*cfd.CFD, workers int) ([]*cfd.CFD, error) {
+	s0 := NewSession(u)
+	s0.SetContext(ctx)
+	work, err := s0.minCoverNormalize(sigma)
+	if err != nil {
+		return nil, err
+	}
+	if workers <= 1 || len(work) < 2 {
+		if work, err = s0.minCoverReduce(work); err != nil {
+			return nil, err
+		}
+		return s0.minCoverRedundancy(work, nil)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	sessions := make([]*Session, min(workers, len(work)))
+	sessions[0] = s0
+	// fanOut runs job(sess, i) for every candidate of set, worker w on
+	// sessions[w]. s0 enters each phase compiled with set; every other
+	// session is minted or recompiled on its worker's first item.
+	fanOut := func(set []*cfd.CFD, job func(sess *Session, i int) error) error {
+		fresh := make([]bool, len(sessions))
+		fresh[0] = true
+		errs := make([]error, len(set))
+		if err := parutil.DoCtx(ctx, len(set), len(sessions), func(w, i int) {
+			if !fresh[w] {
+				if sessions[w] == nil {
+					sessions[w] = NewSession(u)
+					sessions[w].SetContext(ctx)
+				}
+				if errs[i] = sessions[w].inner.setSigma(set); errs[i] != nil {
+					return
+				}
+				fresh[w] = true
+			}
+			errs[i] = job(sessions[w], i)
+		}); err != nil {
+			return err
+		}
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	reduced := make([]*cfd.CFD, len(work))
+	if err := fanOut(work, func(sess *Session, i int) (err error) {
+		reduced[i], err = sess.leftReduceOne(work[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	work = cfd.Dedup(reduced)
+	if err := s0.inner.setSigma(work); err != nil {
+		return nil, err
+	}
+
+	// maybe[i] reports work[i] implied by work − {work[i]}.
+	maybe := make([]bool, len(work))
+	if err := fanOut(work, func(sess *Session, i int) (err error) {
+		sess.inner.setSkip(i)
+		maybe[i], err = sess.probe(work[i], &sess.stats.Redundancy)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return s0.minCoverRedundancy(work, maybe)
 }
 
 // MinCover is the one-shot form of Session.MinCover.

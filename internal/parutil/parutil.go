@@ -1,9 +1,11 @@
 // Package parutil holds the worker-pool primitive shared by the parallel
-// fan-outs (core's per-relation MinCover and RBR block pruning, cfdcheck's
-// rule validation): n independent items, a bounded worker count, an atomic
-// cursor. Callers write results into per-item slots, so output order never
-// depends on scheduling. PanicError is the error the library's compute
-// workers report a recovered panic as.
+// fan-outs (core's per-relation MinCover and RBR block pruning,
+// implication.ParallelMinCover's reduction and screen): n independent
+// items, a bounded worker count, an atomic cursor. Callers write results
+// into per-item slots, so output order never depends on scheduling; the
+// worker index lets a caller keep per-worker state, such as one
+// implication session per worker. PanicError is the error the library's
+// compute workers report a recovered panic as.
 package parutil
 
 import (
@@ -25,18 +27,21 @@ import (
 // panic on the caller (it is captured at the worker boundary and re-raised
 // here, so it never deadlocks the WaitGroup).
 func Do(n, workers int, fn func(i int)) {
-	if err := DoCtx(context.Background(), n, workers, fn); err != nil {
+	if err := DoCtx(context.Background(), n, workers, func(_, i int) { fn(i) }); err != nil {
 		panic(err)
 	}
 }
 
-// DoCtx is Do with cooperative cancellation and panic capture. Workers
-// check ctx between items and stop claiming new ones once it is done;
-// items already started run to completion. A panicking fn is recovered at
-// the worker boundary and surfaces as a non-nil error (never a process
-// crash or a WaitGroup deadlock). When both occur, the panic error wins.
-// Returns ctx.Err() if the context was cancelled, nil otherwise.
-func DoCtx(ctx context.Context, n, workers int, fn func(i int)) error {
+// DoCtx is Do with cooperative cancellation, panic capture and the index
+// of the worker running each item: fn(w, i) runs item i on worker w, with
+// 0 ≤ w < min(workers, n), and a worker runs one item at a time, so state
+// indexed by w is never shared between concurrent calls. Workers check ctx
+// between items and stop claiming new ones once it is done; items already
+// started run to completion. A panicking fn is recovered at the worker
+// boundary and surfaces as a non-nil error (never a process crash or a
+// WaitGroup deadlock). When both occur, the panic error wins. Returns
+// ctx.Err() if the context was cancelled, nil otherwise.
+func DoCtx(ctx context.Context, n, workers int, fn func(w, i int)) error {
 	if workers > n {
 		workers = n
 	}
@@ -50,7 +55,7 @@ func DoCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 				default:
 				}
 			}
-			if err := call(fn, i); err != nil {
+			if err := call(fn, 0, i); err != nil {
 				return err
 			}
 		}
@@ -88,7 +93,7 @@ func DoCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 				if i >= n {
 					return
 				}
-				if err := call(fn, i); err != nil {
+				if err := call(fn, w, i); err != nil {
 					record(err)
 					return
 				}
@@ -109,23 +114,23 @@ func DoCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return nil
 }
 
-// call invokes fn(i) with the faultinject seam and panic recovery.
-func call(fn func(i int), i int) (err error) {
+// call invokes fn(w, i) with the faultinject seam and panic recovery.
+func call(fn func(w, i int), w, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = Recovered(fmt.Sprintf("parutil: worker panic on item %d", i), r)
 		}
 	}()
 	faultinject.Hit(faultinject.SiteParutilWorker)
-	fn(i)
+	fn(w, i)
 	return nil
 }
 
 // PanicError is the one error a panic recovered at a compute-worker
-// boundary becomes: these fan-outs, propagation's task and enumeration
-// workers, and implication.Pool.MinCover's workers. A caller that must
-// tell a crash from a bad input finds it with errors.As; the daemon
-// answers it with a 500, as it answers a panic on the request goroutine.
+// boundary becomes: these fan-outs and propagation's task and enumeration
+// workers. A caller that must tell a crash from a bad input finds it with
+// errors.As; the daemon answers it with a 500, as it answers a panic on
+// the request goroutine.
 type PanicError struct {
 	Where string // which worker, e.g. "parutil: worker panic on item 3"
 	Value any    // the value the worker panicked with

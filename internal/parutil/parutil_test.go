@@ -3,6 +3,7 @@ package parutil
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -26,7 +27,7 @@ func TestDoCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
-		err := DoCtx(ctx, 50, workers, func(i int) { ran.Add(1) })
+		err := DoCtx(ctx, 50, workers, func(_, i int) { ran.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -41,7 +42,7 @@ func TestDoCtxCancelMidRun(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		const n = 10000
 		var ran atomic.Int32
-		err := DoCtx(ctx, n, workers, func(i int) {
+		err := DoCtx(ctx, n, workers, func(_, i int) {
 			if ran.Add(1) == 10 {
 				cancel()
 			}
@@ -60,7 +61,7 @@ func TestDoCtxCancelMidRun(t *testing.T) {
 
 func TestDoCtxPanicCaptured(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := DoCtx(context.Background(), 20, workers, func(i int) {
+		err := DoCtx(context.Background(), 20, workers, func(_, i int) {
 			if i == 3 {
 				panic("boom")
 			}
@@ -104,7 +105,7 @@ func TestDoRepanics(t *testing.T) {
 // routine timeout.
 func TestDoCtxPanicWinsOverCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	err := DoCtx(ctx, 20, 1, func(i int) {
+	err := DoCtx(ctx, 20, 1, func(_, i int) {
 		if i == 2 {
 			cancel()
 			panic("boom")
@@ -112,5 +113,35 @@ func TestDoCtxPanicWinsOverCancel(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "worker panic on item 2") {
 		t.Fatalf("err = %v, want the panic error", err)
+	}
+}
+
+// TestDoCtxWorkerIndex pins the worker index contract that per-worker
+// state (one implication session per worker) depends on: every call sees
+// 0 ≤ w < min(workers, n), and no two calls with the same w overlap.
+func TestDoCtxWorkerIndex(t *testing.T) {
+	const n = 100
+	for _, workers := range []int{1, 3, 8} {
+		limit := min(workers, n)
+		inUse := make([]atomic.Bool, limit)
+		var bad atomic.Int32
+		err := DoCtx(context.Background(), n, workers, func(w, i int) {
+			if w < 0 || w >= limit {
+				bad.Add(1)
+				return
+			}
+			if !inUse[w].CompareAndSwap(false, true) {
+				bad.Add(1)
+				return
+			}
+			runtime.Gosched()
+			inUse[w].Store(false)
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := bad.Load(); got != 0 {
+			t.Fatalf("workers=%d: %d calls saw an out-of-range or already busy worker index", workers, got)
+		}
 	}
 }
