@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchfig [-exp all|fig5|fig6|fig7|fig8|table1|table2|blowup|parallel|incremental|stream]
+//	benchfig [-exp all|fig5|fig6|fig7|fig8|table1|table2|blowup|parallel|incremental|stream|mincover]
 //	         [-trials N] [-seed S] [-sigma N] [-rows N] [-quick] [-parallel N] [-json]
 //
 // -json replaces the text tables with one machine-readable report whose
@@ -24,6 +24,12 @@
 // against the in-memory oracle on a small sibling file, then times the
 // full file across the worker grid while a heap sampler asserts the fixed
 // memory budget.
+//
+// The mincover experiment (not part of -exp all) times Fig. 2 line 1 alone:
+// serial implication.Session.MinCover over every relation bucket of the
+// §5 grid's 40 cells, drawn as perfbench's cover workload draws them with
+// -seed as the pool seed, reporting per cell the median ms over -trials and
+// each MinCover phase's probes, implied probes and closure firings.
 //
 // With -quick the sweeps run on reduced grids (useful for smoke tests);
 // otherwise the paper's full parameter grids are used: |Σ| ∈ 200..2000,
@@ -45,7 +51,7 @@ import (
 const defaultStreamRows = 10_000_000
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig5, fig6, fig7, fig8, table1, table2, blowup, parallel, incremental, stream")
+	exp := flag.String("exp", "all", "experiment: all, fig5, fig6, fig7, fig8, table1, table2, blowup, parallel, incremental, stream, mincover")
 	trials := flag.Int("trials", 3, "random workloads per data point")
 	rows := flag.Int("rows", defaultStreamRows, "synthetic row count for the stream experiment")
 	seed := flag.Int64("seed", 1, "base RNG seed")
@@ -174,6 +180,16 @@ func main() {
 				report.Stream = cs
 			} else {
 				bench.PrintStream(os.Stdout, cs)
+			}
+		case "mincover":
+			run, err := bench.MinCoverLineOne(cfg, *quick)
+			if err != nil {
+				return err
+			}
+			if *jsonOut {
+				report.MinCover = run
+			} else {
+				bench.PrintMinCover(os.Stdout, run)
 			}
 		default:
 			return fmt.Errorf("unknown experiment %q", name)

@@ -11,11 +11,12 @@
 //   - internal/algebra   — SPC / SPCU views in normal form, evaluator
 //   - internal/sym, internal/chase, internal/tableau — the chase machinery
 //     (sym journals class changes so chase fixpoints are worklist-driven)
-//   - internal/implication — CFD implication and MinCover; the pooled
-//     Session API reuses one compiled Σ, worklist chase state and
-//     closure fast path across many queries, and ParallelMinCover fans
-//     MinCover's left-reduction and redundancy screen out over per-worker
-//     Sessions (see the package comment)
+//   - internal/implication — CFD implication and MinCover; the Session
+//     API compiles Σ once and decides every query with one counter
+//     closure over the two-row template, whose per-CFD counters are
+//     decremented only by the facts that satisfy their LHS items, and
+//     ParallelMinCover fans MinCover's left-reduction and redundancy
+//     screen out over per-worker Sessions (see the package comment)
 //   - internal/propagation — the Σ |=V φ decision procedures (§3); one
 //     schedule executor runs the union-pair loop and the general-setting
 //     instantiation enumeration on Options.Parallelism workers (a single
@@ -40,8 +41,8 @@
 // core.Options and bench.Config thread a Context through the cover
 // algorithms, implication Sessions accept one via SetContext, and
 // implication.ParallelMinCover takes one as its first argument.
-// The chase worklists, pair loops and finite-domain enumerations all poll
-// these controls.
+// The chase worklists, the implication closure's firings, the pair loops
+// and the finite-domain enumerations all poll these controls.
 //
 // A stop is not an error: propagation.Check reports it as Result.Stopped
 // (StopCancelled, StopDeadline or StopChaseBudget), extending the

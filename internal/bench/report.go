@@ -55,6 +55,7 @@ type Report struct {
 	Blowup   []BlowupPoint  `json:"blowup,omitempty"`
 	Parallel []ParallelCase `json:"parallel,omitempty"`
 	Stream   *StreamCase    `json:"stream,omitempty"`
+	MinCover *MinCoverRun   `json:"mincover,omitempty"`
 
 	// Incremental is the Σ-edit ablation (warm CoverSession vs full
 	// recompile); IncrementalPatch is its daemon PATCH segment with the

@@ -14,8 +14,8 @@ import (
 // Options tunes PropCFDSPC. The zero value follows the paper's Fig. 2.
 type Options struct {
 	// Context, when non-nil, cancels the computation cooperatively: the
-	// implication sessions driving MinCover and RBR poll it inside their
-	// worklist chases, and the per-relation / per-block fan-outs stop
+	// implication sessions driving MinCover and RBR poll it at every
+	// closure firing, and the per-relation / per-block fan-outs stop
 	// claiming work once it is done. On cancellation the call returns the
 	// context's error. nil means no cancellation.
 	Context context.Context

@@ -20,8 +20,9 @@ const (
 	// SiteChaseRewind fires inside chase.Resumable.Rewind, before the
 	// suffix state (occurrence overlay + term state) is rolled back.
 	SiteChaseRewind = "chase.rewind"
-	// SiteImplicationStep fires once per worklist pop of the implication
-	// session's two-row chase.
+	// SiteImplicationStep fires once per firing of the implication
+	// session's counter closure, before the firing binds or unions its RHS
+	// component.
 	SiteImplicationStep = "implication.chase.step"
 	// SiteParutilWorker fires once per item inside parutil.Do/DoCtx workers.
 	SiteParutilWorker = "parutil.worker"

@@ -72,8 +72,8 @@ func TestSessionMinCoverCancelled(t *testing.T) {
 // redundancy walk.
 func TestSessionResetAfterBudgetExhaustion(t *testing.T) {
 	u, _, _, _ := controlWorkload(t)
-	// Constant patterns keep the query off the FD-closure fast path (which
-	// never draws chase steps), so the budget actually meters work.
+	// A constant-pattern chain: every probe that derives anything draws
+	// closure firings, so the budget meters real work.
 	sigma := []*cfd.CFD{
 		cfd.MustParse("V([A=1] -> [B=2])"),
 		cfd.MustParse("V([B=2] -> [C=3])"),
@@ -105,11 +105,11 @@ func TestSessionResetAfterBudgetExhaustion(t *testing.T) {
 }
 
 // TestSessionResetAfterGeneralBudgetStopThenEdit: a chase-step budget that
-// runs dry inside Implies' worklist chase surfaces chase.ErrStepBudget
-// mid-query; Reset followed by SetSigma with an edited Σ (one CFD removed,
-// one added) must leave a session that answers Implies exactly like one
-// freshly compiled with the edited Σ — the aborted chase leaves no residue
-// in the pooled chase state or buffers the recompile reuses.
+// runs dry inside Implies' closure surfaces chase.ErrStepBudget mid-query;
+// Reset followed by SetSigma with an edited Σ (one CFD removed, one added)
+// must leave a session that answers Implies exactly like one freshly
+// compiled with the edited Σ — the aborted closure leaves no residue in the
+// counters, facts or buffers the recompile reuses.
 func TestSessionResetAfterGeneralBudgetStopThenEdit(t *testing.T) {
 	stops := 0
 	for seed := int64(0); seed < 8; seed++ {

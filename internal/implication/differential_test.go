@@ -14,11 +14,11 @@ import (
 )
 
 // This file keeps two earlier implication engines as differential oracles
-// for the incremental engine in session.go and fastpath.go: the
-// pre-worklist session (refSession: fresh state and template per call,
-// full rescan of Σ per fixpoint round, no fast path) and the one-shot
-// chase.Inst engine (implies), which chases a template over the attributes
-// Σ and φ mention with the relational chase the §3 procedures use.
+// for the counter closure in session.go: the reference session
+// (refSession: a sym.State chase of a fresh two-row template per call,
+// rescanning all of Σ per fixpoint round) and the one-shot chase.Inst
+// engine (implies), which chases a template over the attributes Σ and φ
+// mention with the relational chase the §3 procedures use.
 
 type refSession struct {
 	u     Universe
@@ -300,7 +300,7 @@ func (u Universe) filterSigma(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 
 // implies is the one-shot chase.Inst engine: a fresh template per call
 // over the attributes Σ and φ mention, chased by the general-purpose
-// relational chase with no fast path.
+// relational chase.
 func implies(u Universe, sigma []*cfd.CFD, phi *cfd.CFD) (bool, error) {
 	u = u.indexed()
 	if err := u.checkCFD(phi); err != nil {
@@ -378,9 +378,8 @@ func isUndefined(err error) bool {
 }
 
 // diffWorkload builds one randomized (universe, Σ, φ-pool) triple. varPct
-// sweeps the pattern mix from pure FDs (the exact closure fast path)
-// through mixed CFDs to all-constant patterns; equality CFDs are injected
-// to exercise the component analysis.
+// sweeps the pattern mix from pure FDs through mixed CFDs to all-constant
+// patterns; equality CFDs are injected to exercise the components.
 func diffWorkload(seed int64, varPct int) (Universe, []*cfd.CFD, []*cfd.CFD) {
 	rng := rand.New(rand.NewSource(seed))
 	db := gen.Schema(rng, gen.SchemaParams{NumRelations: 1, MinAttrs: 8, MaxAttrs: 12})
@@ -402,9 +401,9 @@ func diffWorkload(seed int64, varPct int) (Universe, []*cfd.CFD, []*cfd.CFD) {
 	return UniverseOf(s), cfd.NormalizeAll(sigma), cfd.NormalizeAll(phis)
 }
 
-// TestWorklistMatchesReferenceChase proves the worklist engine (including
-// its closure fast path) equivalent to the reference full-rescan chase on
-// well over 1000 randomized implication instances.
+// TestWorklistMatchesReferenceChase proves the session's counter closure
+// equivalent to the reference full-rescan chase on well over 1000
+// randomized implication instances.
 func TestWorklistMatchesReferenceChase(t *testing.T) {
 	compared := 0
 	for seed := int64(0); seed < 12; seed++ {
@@ -428,7 +427,7 @@ func TestWorklistMatchesReferenceChase(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("seed %d var%%=%d: worklist says %v, reference says %v for %s under %v",
+					t.Fatalf("seed %d var%%=%d: session says %v, reference says %v for %s under %v",
 						seed, varPct, got, want, phi, sigma)
 				}
 				// The chase.Inst engine over the mentioned-attribute
@@ -460,9 +459,9 @@ func TestWorklistMatchesReferenceChase(t *testing.T) {
 }
 
 // TestEqualitySeedEnablesConstantPattern is the regression case for a
-// worklist seeding bug: the equality CFD A == B propagates φ's template
-// constant at A onto B during seeding, which is what enables [B=x] → [C=y]
-// — so the seed-phase journal must be drained, not discarded.
+// seeding bug of the earlier worklist chase: the equality CFD A == B
+// propagates φ's template constant at A onto B during seeding, which is
+// what enables [B=x] → [C=y].
 func TestEqualitySeedEnablesConstantPattern(t *testing.T) {
 	u := InfiniteUniverse("V", "A", "B", "C")
 	sigma := []*cfd.CFD{
@@ -490,7 +489,7 @@ func TestEqualitySeedEnablesConstantPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got {
-		t.Fatal("worklist engine must match the reference: equality seeding events were dropped")
+		t.Fatal("session must match the reference: φ's constant did not reach B's component")
 	}
 }
 
@@ -605,187 +604,10 @@ func leftReduceRestart(c *cfd.CFD, implied func(*cfd.CFD) (bool, error)) (*cfd.C
 	return c, nil
 }
 
-// scanSeed is the seed loop the constant-pattern index replaced: one scan
-// of Σ that applies the alive equality CFDs and collects, in index order,
-// the alive standard CFDs whose constant LHS patterns the template pins.
-func scanSeed(s *session, rows [][]sym.Term) ([]int32, error) {
-	var queue []int32
-	for i := range s.sigma {
-		if !s.alive(i) {
-			continue
-		}
-		cc := &s.sigma[i]
-		if cc.c.Equality {
-			for _, r := range rows {
-				if s.st.Equate(r[cc.lhs[0]], r[cc.rhs[0]]) != nil {
-					return nil, errConflict
-				}
-			}
-			continue
-		}
-		seed := true
-		for k, it := range cc.c.LHS {
-			if it.Pat.Wildcard {
-				continue
-			}
-			p := cc.lhs[k]
-			if !s.sharedOn[p] || s.sharedPat[p].Wildcard || s.sharedPat[p].Const != it.Pat.Const {
-				seed = false
-				break
-			}
-		}
-		if seed {
-			queue = append(queue, int32(i))
-		}
-	}
-	return queue, nil
-}
-
-// scanFastImplies is the fast path the indexed one replaced, on its own
-// buffers: counters armed by a scan of Σ, a round-based "possibly fire"
-// fixpoint that rescans Σ every round, and a closure run to completion
-// over the equality edges.
-func scanFastImplies(s *session, phi *cfd.CFD, rhsPos int) (decided, result bool) {
-	if s.anyFinite {
-		return false, false
-	}
-	if s.idxDirty {
-		s.buildColIndex()
-	}
-	n := len(s.u.Attrs)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(p int) int {
-		for parent[p] != p {
-			p = parent[p]
-		}
-		return p
-	}
-	allFD := true
-	var eqPairs [][2]int
-	missing := make([]int, len(s.sigma))
-	for i := range s.sigma {
-		cc := &s.sigma[i]
-		missing[i] = -1
-		switch {
-		case !s.alive(i):
-		case cc.c.Equality:
-			allFD = false
-			eqPairs = append(eqPairs, [2]int{cc.lhs[0], cc.rhs[0]})
-			parent[find(cc.lhs[0])] = find(cc.rhs[0])
-		default:
-			allFD = allFD && cc.isFD
-			missing[i] = len(cc.lhs)
-		}
-	}
-	inClo := make([]bool, n)
-	var cloQ []int
-	addClo := func(p int) {
-		if !inClo[p] {
-			inClo[p] = true
-			cloQ = append(cloQ, p)
-		}
-	}
-	propagate := func() {
-		for qh := 0; qh < len(cloQ); qh++ {
-			p := cloQ[qh]
-			for _, ci := range s.colCFDs[s.colStart[p]:s.colStart[p+1]] {
-				if missing[ci] > 0 {
-					missing[ci]--
-					if missing[ci] == 0 {
-						addClo(s.sigma[ci].rhs[0])
-					}
-				}
-			}
-			for _, e := range eqPairs {
-				if e[0] == p {
-					addClo(e[1])
-				} else if e[1] == p {
-					addClo(e[0])
-				}
-			}
-		}
-	}
-	for p, on := range s.sharedOn {
-		if on {
-			addClo(p)
-		}
-	}
-	rhs := phi.RHS[0]
-	if allFD {
-		for i := range s.sigma {
-			if missing[i] == 0 {
-				addClo(s.sigma[i].rhs[0])
-			}
-		}
-		propagate()
-		if !inClo[rhsPos] {
-			return true, false
-		}
-		if rhs.Pat.Wildcard {
-			return true, true
-		}
-		return true, s.sharedOn[rhsPos] && !s.sharedPat[rhsPos].Wildcard &&
-			s.sharedPat[rhsPos].Const == rhs.Pat.Const
-	}
-	compConst := make(map[int]string)
-	addCompConst := func(p int, c string) bool {
-		q := find(p)
-		if have, ok := compConst[q]; ok {
-			return have == c
-		}
-		compConst[q] = c
-		return true
-	}
-	for p, on := range s.sharedOn {
-		if on && !s.sharedPat[p].Wildcard && !addCompConst(p, s.sharedPat[p].Const) {
-			return false, false
-		}
-	}
-	fired := make([]bool, len(s.sigma))
-	for changed := true; changed; {
-		changed = false
-		for i := range s.sigma {
-			cc := &s.sigma[i]
-			if missing[i] < 0 || !cc.constRHS || fired[i] {
-				continue
-			}
-			ok := true
-			for k, it := range cc.c.LHS {
-				if c, has := compConst[find(cc.lhs[k])]; !it.Pat.Wildcard && (!has || c != it.Pat.Const) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			fired[i] = true
-			changed = true
-			if !addCompConst(cc.rhs[0], cc.c.RHS[0].Pat.Const) {
-				return false, false
-			}
-		}
-	}
-	for i := range s.sigma {
-		if missing[i] == 0 || (missing[i] > 0 && fired[i]) {
-			addClo(s.sigma[i].rhs[0])
-		}
-	}
-	propagate()
-	if !inClo[rhsPos] {
-		return true, false
-	}
-	return false, false
-}
-
 // poolWorkload builds Σ and a φ pool over eight attributes whose
 // constants all come from {a, b, c}, so patterns collide often: Σ holds
 // all-wildcard LHSs with constant RHSs and CFDs that can clash. When finite
-// is set every third attribute has the finite domain {a, b, c}, so the fast
-// path abstains and every probe chases.
+// is set every third attribute has the finite domain {a, b, c}.
 func poolWorkload(seed int64, finite bool) (Universe, []*cfd.CFD, []*cfd.CFD) {
 	rng := rand.New(rand.NewSource(seed))
 	attrs := make([]rel.Attribute, 8)
@@ -907,82 +729,149 @@ func TestLeftReduceMatchesRestart(t *testing.T) {
 	}
 }
 
-// TestIndexedProbeMatchesScan requires the indexed probe to make the same
-// decisions as the scans it replaced, on every left-reduction probe of the
-// restart scan and every redundancy probe under the skip and dead masks:
-// the fast path returns the same (decided, result), and the chase seed
-// applies the same equality CFDs and queues the same CFDs in the same
-// order.
-func TestIndexedProbeMatchesScan(t *testing.T) {
-	probes, seeded := 0, 0
-	check := func(t *testing.T, name string, sess *session, phi *cfd.CFD) {
-		t.Helper()
-		n := 1
-		if !phi.Equality {
-			n = 2
-			for _, it := range phi.LHS {
-				p, _ := sess.u.pos(it.Attr)
-				sess.sharedOn[p] = true
-				sess.sharedPat[p] = it.Pat
+// finiteWorkload builds Σ and a φ pool over a universe that mixes an empty
+// finite domain (E), two overlapping finite domains (P, Q), a one-value
+// domain (O) and infinite attributes. Constants come from {a, b, c, d}; Σ
+// draws them from a seeded subset, so φ may mention constants Σ never does.
+// Σ holds equality CFDs, and any LHS may repeat an attribute.
+func finiteWorkload(seed int64) (Universe, []*cfd.CFD, []*cfd.CFD) {
+	rng := rand.New(rand.NewSource(seed))
+	attrs := []rel.Attribute{
+		{Name: "E", Domain: rel.FiniteDomain("empty")},
+		{Name: "P", Domain: rel.FiniteDomain("abc", "a", "b", "c")},
+		{Name: "Q", Domain: rel.FiniteDomain("bcd", "b", "c", "d")},
+		{Name: "O", Domain: rel.FiniteDomain("one", "a")},
+		{Name: "W", Domain: rel.Infinite()},
+		{Name: "X", Domain: rel.Infinite()},
+		{Name: "Y", Domain: rel.Infinite()},
+		{Name: "Z", Domain: rel.Infinite()},
+	}
+	pool := []string{"a", "b", "c", "d"}
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	sigmaPool := pool[:2+rng.Intn(3)]
+	attr := func() string { return attrs[rng.Intn(len(attrs))].Name }
+	draw := func(num, maxLHS, eqPct int, consts []string) []*cfd.CFD {
+		pat := func() cfd.Pattern {
+			if rng.Intn(2) == 0 {
+				return cfd.Any()
 			}
-			defer sess.clearShared(phi)
-			rhsPos, _ := sess.u.pos(phi.RHS[0].Attr)
-			wd, wr := scanFastImplies(sess, phi, rhsPos)
-			gd, gr := sess.fastImplies(phi, rhsPos)
-			if gd != wd || gr != wr {
-				t.Fatalf("%s: fast path on %s gives (%v, %v), scan gives (%v, %v)", name, phi, gd, gr, wd, wr)
+			return cfd.Eq(consts[rng.Intn(len(consts))])
+		}
+		var out []*cfd.CFD
+		for len(out) < num {
+			if rng.Intn(100) < eqPct {
+				out = append(out, cfd.NewEquality("F", attr(), attr()))
+				continue
 			}
+			lhs := make([]cfd.Item, rng.Intn(maxLHS+1))
+			for i := range lhs {
+				lhs[i] = cfd.Item{Attr: attr(), Pat: pat()}
+			}
+			out = append(out, &cfd.CFD{Relation: "F", LHS: lhs, RHS: []cfd.Item{{Attr: attr(), Pat: pat()}}})
 		}
-		rows, err := sess.template(n)
-		if err != nil {
-			return // a constant outside its finite domain: implies errors before seeding
-		}
-		gotErr := sess.seed(rows)
-		got := append([]int32(nil), sess.queue...)
-		if rows, err = sess.template(n); err != nil {
+		return out
+	}
+	sigma := draw(8+rng.Intn(12), 3, rng.Intn(15), sigmaPool)
+	return NewUniverse("F", attrs), sigma, draw(60, 4, 10, pool)
+}
+
+// replayMinCover replays MinCover's probes over a work set on a fresh
+// session: every probe of the restart left-reduction scan, then the
+// redundancy loop under the skip and dead masks over the reduced set.
+// check receives each probe with the session and the alive Σ it runs
+// against, and decides it; a probe that errors counts as not implied, so
+// Σ may hold constants outside their domains.
+func replayMinCover(t *testing.T, u Universe, sigma []*cfd.CFD, check func(sess *session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error)) {
+	t.Helper()
+	s := NewSession(u)
+	work, err := s.minCoverNormalize(sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.inner
+	reduced := make([]*cfd.CFD, len(work))
+	for i, c := range work {
+		if reduced[i], err = leftReduceRestart(c, func(phi *cfd.CFD) (bool, error) { return check(sess, work, phi) }); err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := scanSeed(sess, rows)
-		if gotErr != wantErr || (gotErr == nil && fmt.Sprint(got) != fmt.Sprint(want)) {
-			t.Fatalf("%s: seed for %s is %v (err %v), scan seeds %v (err %v)", name, phi, got, gotErr, want, wantErr)
+	}
+	work = cfd.Dedup(reduced)
+	if err := sess.setSigma(work); err != nil {
+		t.Fatal(err)
+	}
+	for i := range work {
+		sess.setSkip(i)
+		var alive []*cfd.CFD
+		for j, c := range work {
+			if sess.alive(int32(j)) {
+				alive = append(alive, c)
+			}
 		}
-		probes++
-		if len(got) > 0 {
-			seeded++
+		ok, err := check(sess, alive, work[i])
+		if err != nil {
+			t.Fatal(err)
 		}
+		if ok {
+			sess.markDead(i)
+		}
+	}
+	sess.setSkip(-1)
+}
+
+// TestClosureMatchesReference requires the counter closure to give the
+// reference session's answer, or its error text, on finite domains and
+// equality components: random Σ and φ over finiteWorkload's universe, and
+// every left-reduction and redundancy probe of those workloads and of
+// probeWorkloads(), replayed under the skip and dead masks.
+func TestClosureMatchesReference(t *testing.T) {
+	compared, impliedN, vacuousN, errN := 0, 0, 0, 0
+	compare := func(t *testing.T, name string, sess *session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
+		t.Helper()
+		ref, err := newRefSession(sess.u, alive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := ref.implies(phi)
+		v, gotErr := sess.decide(phi)
+		got := v != rejected
+		compared++
+		switch {
+		case (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error():
+			t.Fatalf("%s: %s errors with %v, reference with %v\nΣ = %v", name, phi, gotErr, wantErr, alive)
+		case wantErr != nil:
+			errN++
+			return false, nil
+		case got != want:
+			t.Fatalf("%s: closure says %v (verdict %d), reference says %v for %s\nΣ = %v", name, got, v, want, phi, alive)
+		case v == vacuous:
+			vacuousN++
+		case got:
+			impliedN++
+		}
+		return got, nil
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		name := fmt.Sprintf("finite seed %d", seed)
+		u, sigma, phis := finiteWorkload(seed)
+		sess, err := newSession(u, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, phi := range phis {
+			compare(t, name, sess, sigma, phi)
+		}
+		replayMinCover(t, u, sigma, func(sess *session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
+			return compare(t, name, sess, alive, phi)
+		})
 	}
 	for _, w := range probeWorkloads() {
-		s := NewSession(w.u)
-		work, err := s.minCoverNormalize(w.sigma)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := s.inner
-		implied := func(phi *cfd.CFD) (bool, error) {
-			check(t, w.name, sess, phi)
-			return sess.implies(phi)
-		}
-		for _, c := range work {
-			if _, err := leftReduceRestart(c, implied); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if work, err = s.minCoverReduce(work); err != nil {
-			t.Fatal(err)
-		}
-		for i := range work {
-			sess.setSkip(i)
-			ok, err := implied(work[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
-				sess.markDead(i)
-			}
-		}
-		sess.setSkip(-1)
+		replayMinCover(t, w.u, w.sigma, func(sess *session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
+			return compare(t, w.name, sess, alive, phi)
+		})
 	}
-	if probes < 5000 || seeded == 0 {
-		t.Fatalf("%d probes compared, %d with a non-empty seed; want >= 5000 and > 0", probes, seeded)
+	t.Logf("%d comparisons: %d implied, %d vacuous, %d errors", compared, impliedN, vacuousN, errN)
+	if compared < 20000 || impliedN == 0 || vacuousN == 0 || errN == 0 {
+		t.Fatalf("%d comparisons, %d implied, %d vacuous, %d errors; want >= 20000 and some of each",
+			compared, impliedN, vacuousN, errN)
 	}
 }

@@ -12,41 +12,33 @@
 // finite domain (deciding those is coNP-complete, [8]). The §3 propagation
 // checks in internal/propagation handle finite domains themselves.
 //
-// # Architecture: sessions, worklist chase, closure fast path
+// # Architecture: sessions and the counter closure
 //
 // The hot path — MinCover and RBR issue many implication tests against one
-// Σ — runs through Session (session.go), an incremental engine that
-// compiles Σ once per universe and answers queries without per-call
-// allocation:
+// Σ — runs through Session (session.go), an engine that compiles Σ once
+// per universe and answers queries without per-call allocation
+// (TestImpliesSessionAllocationFree):
 //
-//   - Indexed probes. Compiled CFDs are indexed by the universe positions
-//     their LHS mentions (a CSR table) and, beside that, by the constant
-//     LHS patterns at each position. A probe finds the CFDs it seeds, and
-//     the constant-RHS CFDs that could fire, by counting pattern matches
-//     through the constant-pattern index instead of scanning all of Σ;
-//     what stays O(|Σ|) per probe is one copy of the armed closure
-//     counters and the worklist-flag clear.
+//   - Counter closure. The two-row template's state is a few monotone
+//     facts per equality component (the components of the alive equality
+//     CFDs): the rows are unioned, a row is bound to a constant, the rows
+//     are equal. Every Σ constant is interned as an int32 code. Each
+//     standard CFD counts its unmet LHS items, per row for a constant-RHS
+//     CFD and for the pair otherwise, as LinClosure does for FDs (Beeri &
+//     Bernstein, TODS 1979). A fact decrements only the counters of the LHS
+//     items it satisfies, found through per-position indexes of wildcard
+//     items and of constant items sorted by code; a counter that reaches 0
+//     queues one firing, which binds or unions its RHS component. Counters
+//     are epoch-stamped, so a query clears nothing in proportion to |Σ|,
+//     and the closure stops as soon as the conclusion holds.
 //
-//   - Worklist chase. The shared sym.State journals every class change
-//     (sym.Event: a bind or a union), and only the CFDs whose LHS touches a
-//     changed class re-enter the worklist — premises are monotone, so this
-//     finds every newly-enabled firing without the version-counter full
-//     rescans of the reference engine (kept as the oracle in
-//     differential_test.go).
-//
-//   - Pooled templates. One sym.State plus fixed row buffers are reset
-//     (epoch-style, capacity-preserving) per query; steady-state queries
-//     are allocation-free (TestImpliesSessionAllocationFree).
-//
-//   - Closure fast path (fastpath.go). Over infinite-domain universes, the
-//     attribute-set closure of the wildcard-FD skeleton of Σ decides the
-//     all-FD case exactly without chasing, and for general Σ soundly
-//     rejects non-implications whose RHS position is unreachable in an
-//     over-approximated closure — provided a per-column-component constant
-//     analysis rules out chase conflicts. The closure stops as soon as the
-//     RHS position enters it. The fast path abstains (and the full chase
-//     runs) whenever finite domains, a potential constant clash, or a
-//     reachable RHS make the cheap answer unsafe.
+//   - Exact semantics. The closure decides every query exactly as the
+//     reference sym.State chase of the template does (kept as the oracle in
+//     differential_test.go), finite domains included: a φ constant outside
+//     its attribute's domain is an error, and a component whose members'
+//     domains do not intersect, a bind outside a component's domain, a
+//     second constant in one class or a row union of an empty-domain cell
+//     is a conflict, so φ is vacuously implied.
 //
 //   - One-pass left-reduction. MinCover probes each LHS position of a
 //     candidate once: implication is monotone in the LHS, so a position
@@ -55,15 +47,16 @@
 //
 //   - Tombstoned MinCover. The redundancy phase excludes one candidate via
 //     a skip mask and kills redundant CFDs with a dead mask, instead of
-//     copying the compiled Σ per candidate.
+//     copying the compiled Σ per candidate. The components are rebuilt only
+//     when an equality CFD's liveness changes.
 //
-// Session.ProbeStats counts each MinCover phase's probes, split by whether
-// the fast path decided them or a chase ran.
+// Session.ProbeStats counts each MinCover phase's probes by answer, and the
+// closure firings they drew.
 //
 // # Concurrency model
 //
-// Sessions are single-owner: all pooled buffers (chase state, worklist,
-// templates) are mutated per query, so a Session must never be shared
+// Sessions are single-owner: all pooled buffers (facts, counters, the
+// firing queue) are mutated per query, so a Session must never be shared
 // between goroutines without external serialization. Concurrent work holds
 // one Session per goroutine. ParallelMinCover mints one Session per worker
 // for its call and fans the left-reduction and the candidate-redundancy

@@ -9,14 +9,14 @@ import (
 )
 
 // Session is the reusable public face of the implication engine: one
-// compiled universe with pooled chase state, worklist indexes and closure
-// buffers, shared across many queries and MinCover calls. Callers that
-// issue repeated implication work against the same relation — RBR's
+// compiled universe with its per-position indexes, counters and pooled
+// closure buffers, shared across many queries and MinCover calls. Callers
+// that issue repeated implication work against the same relation — RBR's
 // block-wise pruning, the final MinCover, the closure-baseline comparisons,
 // Equivalent — should hold one Session instead of paying per-call
 // compilation and allocation. Sessions assume the infinite-domain setting
-// of §4 (finite-domain attributes are tolerated but disable the fast path)
-// and are not safe for concurrent use.
+// of §4 (finite-domain attributes are tolerated: the test stays sound) and
+// are not safe for concurrent use.
 type Session struct {
 	inner *session
 
@@ -39,15 +39,14 @@ func (s *Session) SetSigma(sigma []*cfd.CFD) error {
 	return s.inner.setSigma(cfd.NormalizeAll(sigma))
 }
 
-// SetContext installs a cancellation context checked inside the worklist
-// chase of subsequent queries; a cancelled context surfaces as the
-// context's error from Implies/MinCover. Pass nil to clear. Cancellation
-// never corrupts the session: after Reset (or a fresh SetSigma) it is
-// fully reusable.
+// SetContext installs a cancellation context checked at every firing of
+// subsequent queries; a cancelled context surfaces as the context's error
+// from Implies/MinCover. Pass nil to clear. Cancellation never corrupts
+// the session: after Reset (or a fresh SetSigma) it is fully reusable.
 func (s *Session) SetContext(ctx context.Context) { s.inner.setContext(ctx) }
 
-// SetBudget installs a chase-step budget drawn down by every worklist pop
-// of subsequent queries, mirroring propagation.Options.MaxChaseSteps: when
+// SetBudget installs a chase-step budget drawn down by every firing of
+// subsequent queries, mirroring propagation.Options.MaxChaseSteps: when
 // the shared counter goes negative, Implies/MinCover abort with
 // chase.ErrStepBudget. The counter may be shared between sessions (one
 // global budget for fanned-out work). Pass nil to clear. Exhaustion never
@@ -57,21 +56,16 @@ func (s *Session) SetBudget(steps *atomic.Int64) { s.inner.setBudget(steps) }
 
 // Reset returns a session that stopped mid-query — cancelled, budget-
 // exhausted, or recovered from a panic — to the quiescent state it had
-// just after its last SetSigma: pooled chase state cleared, no
-// skip/tombstones, no context, no step budget. The compiled Σ is kept.
+// just after its last SetSigma: no firing queued, no skip/tombstones, no
+// context, no step budget. The compiled Σ is kept.
 func (s *Session) Reset() {
 	in := s.inner
-	in.st.Reset()
+	in.queue = in.queue[:0]
 	in.setContext(nil)
 	in.setBudget(nil)
-	in.setSkip(-1)
-	for i := range in.dead {
-		in.dead[i] = false
-	}
-	for i := range in.sharedOn {
-		in.sharedOn[i] = false
-	}
-	in.fp.dirty = true
+	in.skip = -1
+	clear(in.dead)
+	in.compDirty = true
 }
 
 // Implies reports whether the compiled Σ implies φ (infinite-domain
@@ -110,9 +104,8 @@ func (s *Session) Implies(phi *cfd.CFD) (bool, error) {
 // O(|Σ|·k) implication tests for LHS size k — in step 2 one per LHS
 // position unless a candidate repeats an attribute, in step 3 one per
 // CFD — within the O(|Σ|³) bound the paper quotes for MinCover of [8].
-// Each test goes through the session's indexed closure fast path and
-// worklist chase, and the redundancy phase tombstones candidates in place
-// instead of copying the compiled Σ.
+// Each test runs the session's counter closure, and the redundancy phase
+// tombstones candidates in place instead of copying the compiled Σ.
 func (s *Session) MinCover(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 	work, err := s.minCoverNormalize(sigma)
 	if err != nil {
@@ -196,17 +189,21 @@ func (s *Session) leftReduceOne(c *cfd.CFD) (*cfd.CFD, error) {
 	return c, nil
 }
 
-// ProbeStats counts one MinCover phase's implication probes by how they
-// were decided: by the closure fast path alone, or by a chase.
+// ProbeStats counts one MinCover phase's implication probes by answer,
+// and the closure steps they drew.
 type ProbeStats struct {
-	FastImplied, FastRejected     int64
-	ChasedImplied, ChasedRejected int64
+	Implied  int64 // probes answered "implied", Vacuous included
+	Rejected int64 // probes answered "not implied"
+	// Vacuous counts the implied probes whose premise conflicts: the
+	// closure met a conflict before it derived the conclusion.
+	Vacuous int64
+	// Firings counts the closure steps drawn, each of which also draws one
+	// step of a budget installed by SetBudget.
+	Firings int64
 }
 
 // Probes is the phase's total probe count.
-func (p ProbeStats) Probes() int64 {
-	return p.FastImplied + p.FastRejected + p.ChasedImplied + p.ChasedRejected
-}
+func (p ProbeStats) Probes() int64 { return p.Implied + p.Rejected }
 
 // MinCoverStats holds the probe counts of MinCover's two probing phases.
 type MinCoverStats struct {
@@ -220,22 +217,22 @@ func (s *Session) ProbeStats() MinCoverStats { return s.stats }
 
 // probe decides Σ |= φ on the compiled Σ and counts the probe into ps.
 func (s *Session) probe(phi *cfd.CFD, ps *ProbeStats) (bool, error) {
-	chases := s.inner.chases
-	ok, err := s.inner.implies(phi)
+	firings := s.inner.firings
+	v, err := s.inner.decide(phi)
 	if err != nil {
 		return false, err
 	}
-	switch chased := s.inner.chases != chases; {
-	case chased && ok:
-		ps.ChasedImplied++
-	case chased:
-		ps.ChasedRejected++
-	case ok:
-		ps.FastImplied++
+	ps.Firings += s.inner.firings - firings
+	switch v {
+	case vacuous:
+		ps.Vacuous++
+		ps.Implied++
+	case implied:
+		ps.Implied++
 	default:
-		ps.FastRejected++
+		ps.Rejected++
 	}
-	return ok, nil
+	return v != rejected, nil
 }
 
 // minCoverRedundancy runs the redundancy phase over a work set the session

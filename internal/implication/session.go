@@ -2,7 +2,6 @@ package implication
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -10,24 +9,40 @@ import (
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/chase"
 	"cfdprop/internal/faultinject"
-	"cfdprop/internal/sym"
+	"cfdprop/internal/rel"
 )
 
-// errConflict is the internal sentinel for "the chase became undefined":
-// the premise cannot be realized under Σ. It never escapes the package —
-// implies translates it into a (true, nil) vacuous-implication result.
-var errConflict = errors.New("implication: chase undefined")
+// verdict is one probe's answer: not implied, implied, or implied
+// vacuously because the template conflicts.
+type verdict int8
 
-// session is the incremental implication engine behind Implies-style
-// queries: Σ is compiled once against the universe and indexed by the
-// attribute positions its LHSs mention, and every query reuses one pooled
-// sym.State and row buffers instead of allocating a template per call.
-// The two-row chase is worklist-driven: the state journals which classes
-// change (sym.Event) and only the CFDs whose LHS touches a changed class
-// are re-examined, instead of rescanning all of Σ per fixpoint round.
+const (
+	rejected verdict = iota
+	implied
+	vacuous
+)
+
+// session is the implication engine behind Implies-style queries. Σ is
+// compiled once against the universe, and each query runs a counter
+// closure over the canonical two-row template (one row for equality
+// queries). The template's state is a few monotone facts per equality
+// component q, the components of the alive equality CFDs: the rows are
+// unioned (agree[q]), row r is bound to a constant code (val[r][q]), and
+// the rows are equal, unioned or bound to the same code (equal[q]). Each
+// fact becomes true at most once per query, and only touches the LHS items
+// it satisfies, through per-position indexes:
+//
+//   - a constant-RHS CFD fires once per row, when its row's counter of
+//     unmet constant LHS items reaches 0, and binds its RHS component in
+//     that row (its pair firing would add nothing: a pair premise implies
+//     both row premises, and both rows then hold the constant);
+//   - any other standard CFD fires when its pair counter of unmet LHS
+//     items reaches 0, and unions its RHS component across the rows.
 //
 // MinCover's redundancy phase tombstones CFDs (dead) and temporarily
-// excludes one candidate (skip) instead of copying the compiled slice.
+// excludes one candidate (skip) instead of copying the compiled slice;
+// the indexes cover every CFD and liveness is checked when a counter
+// reaches 0.
 type session struct {
 	u     Universe
 	sigma []compiledCFD
@@ -36,69 +51,93 @@ type session struct {
 
 	anyFinite bool // some universe attribute has a finite domain
 
-	// byCol is a CSR index: colCFDs[colStart[p]:colStart[p+1]] lists the
-	// standard (non-equality) CFDs whose LHS mentions universe position p.
-	// Beside it, the constant-pattern index constIdx[constStart[p]:
-	// constStart[p+1]] lists (standard CFD, constant) for every constant
-	// LHS pattern at p; nConst[i] counts CFD i's constant LHS patterns,
-	// noConst lists the standard CFDs with none and eqCFDs the equality
-	// CFDs, both in index order. The indexes cover dead CFDs too (filtered
-	// at use), so only setSigma dirties them.
-	colStart   []int32
-	colCFDs    []int32
-	constStart []int32
-	constIdx   []constEntry
-	nConst     []int32
-	noConst    []int32
-	eqCFDs     []int32
-	idxDirty   bool
+	// Constant codes: every Σ constant gets one at setSigma. A query's
+	// constants that Σ never mentions get codes from nSigmaCodes up,
+	// appended to strs for the query and truncated at the next.
+	codes       map[string]int32
+	strs        []string // code -> constant
+	nSigmaCodes int
 
-	// Epoch-stamped per-CFD match counters, shared by the chase seed and
-	// the fast path's firing analysis: cnt[i] counts only while
-	// cntEpoch[i] == epoch, so starting a count costs no O(|Σ|) clear.
-	cnt      []int32
-	cntEpoch []uint32
-	epoch    uint32
+	// Per-position indexes of the standard CFDs' LHS items, rebuilt by
+	// setSigma: wild holds the wildcard items of the CFDs that fire on
+	// pairs, pair their constant items, and row the constant items of the
+	// CFDs that fire per row.
+	wild, pair, row posIndex
+	init            []int32 // per CFD: its counters' starting value
+	rowRoots        []int32 // CFDs that fire per row with no constant LHS item
+	pairRoots       []int32 // CFDs that fire on pairs with an empty LHS
+	eqCFDs          []int32
 
-	chases int64 // chases run so far; a probe that ran none was decided by the fast path
+	// Equality components, rebuilt only when an equality CFD's liveness
+	// changes: comp maps a position to its component, members[memStart[q]:
+	// memStart[q+1]] lists component q's positions, dom[q] is the
+	// intersection of their domains, and seedConflict is set when a
+	// component of two or more members has an empty one.
+	compDirty         bool
+	parent            []int32 // scratch union-find over positions
+	comp              []int32
+	memStart, members []int32
+	dom               []rel.Domain
+	seedConflict      bool
 
-	// Pooled chase machinery, reused across implies calls.
-	st     *sym.State
-	rowBuf [][]sym.Term
-	queue  []int32
-	inQ    []bool
+	// Per-query facts, indexed by component, and the firing queue.
+	rows  int   // template rows of the current query: 1 or 2
+	tq    int32 // the conclusion's component (see reached)
+	tk    int32 // a standard φ's RHS code: -1 for a wildcard, -2 if unknown
+	tb    int32 // an equality φ's second component
+	agree []bool
+	equal []bool
+	val   [2][]int32 // -1: unbound
+	queue []int32    // firings: cfd<<1 | row (row 0 for pair firings)
 
-	// Pooled per-call φ-LHS pattern table, keyed by universe position.
-	// Invariant between calls: sharedOn is all-false.
-	sharedOn  []bool
+	// Epoch-stamped per-CFD counters: ctr[i] counts only while its epoch
+	// is the current one, so starting a query costs no O(|Σ|) clear.
+	ctr   []counter
+	epoch uint32
+
+	firings int64 // firings drawn so far
+
+	// φ's LHS positions, and its pattern at each, keyed by position: a
+	// repeated attribute takes its last pattern.
+	phiPos    []int
 	sharedPat []cfd.Pattern
 
-	// Cooperative cancellation, installed by setContext: the worklist chase
-	// polls done periodically and aborts with ctx's error.
+	// Cooperative cancellation, installed by setContext: every firing polls
+	// done and aborts with ctx's error.
 	ctx  context.Context
 	done <-chan struct{}
 
-	// Cooperative step budget, installed by setBudget: every worklist pop
-	// draws one step; exhaustion aborts with chase.ErrStepBudget. Like
+	// Cooperative step budget, installed by setBudget: every firing draws
+	// one step; exhaustion aborts with chase.ErrStepBudget. Like
 	// propagation.Options.MaxChaseSteps, the counter may be shared across
 	// sessions so concurrent work exhausts one global budget.
 	steps *atomic.Int64
-
-	fp fastPath
 }
 
-// constEntry is one constant LHS pattern in the constant-pattern index.
-type constEntry struct {
-	cfd int32
-	val string
+// posIndex groups LHS items by universe position: position p's items are
+// items[start[p]:start[p+1]], sorted by code and then by CFD.
+type posIndex struct {
+	start []int32
+	items []constItem
+}
+
+func (x *posIndex) at(p int32) []constItem { return x.items[x.start[p]:x.start[p+1]] }
+
+// constItem is one LHS item in a posIndex; code is 0 for a wildcard.
+type constItem struct{ code, cfd int32 }
+
+// counter holds one CFD's unmet-item counts: per row for a CFD that fires
+// per row, n[0] for one that fires on pairs.
+type counter struct {
+	epoch uint32
+	n     [2]int32
 }
 
 type compiledCFD struct {
-	c        *cfd.CFD
-	lhs      []int // universe positions of LHS attrs
-	rhs      []int // universe positions of RHS attrs
-	isFD     bool  // standard CFD with all-wildcard patterns
-	constRHS bool  // standard CFD with a constant RHS pattern
+	c       *cfd.CFD
+	lhs     []int // universe positions of LHS attrs
+	rhs     int   // universe position of the RHS attr
+	rhsCode int32 // code of a standard CFD's constant RHS; -1 for a wildcard
 }
 
 // newSession validates and compiles sigma (already normalized; CFDs on
@@ -106,14 +145,7 @@ type compiledCFD struct {
 func newSession(u Universe, sigma []*cfd.CFD) (*session, error) {
 	u = u.indexed()
 	n := len(u.Attrs)
-	s := &session{u: u, skip: -1, st: sym.NewState()}
-	s.st.TrackEvents(true)
-	s.rowBuf = make([][]sym.Term, 2)
-	for i := range s.rowBuf {
-		s.rowBuf[i] = make([]sym.Term, n)
-	}
-	s.sharedOn = make([]bool, n)
-	s.sharedPat = make([]cfd.Pattern, n)
+	s := &session{u: u, skip: -1, codes: make(map[string]int32), sharedPat: make([]cfd.Pattern, n)}
 	for _, a := range u.Attrs {
 		if a.Domain.Finite {
 			s.anyFinite = true
@@ -126,40 +158,46 @@ func newSession(u Universe, sigma []*cfd.CFD) (*session, error) {
 	return s, nil
 }
 
-// compile resolves a CFD's attribute positions and classifies it. Both
-// position slices share one backing array.
+// compile resolves a normalized CFD's attribute positions and codes a
+// standard CFD's constant RHS.
 func (s *session) compile(c *cfd.CFD) (compiledCFD, error) {
-	cc := compiledCFD{c: c}
-	buf := make([]int, len(c.LHS)+len(c.RHS))
+	cc := compiledCFD{c: c, lhs: make([]int, len(c.LHS)), rhsCode: -1}
+	ok := true
+	pos := func(attr string) int {
+		p, found := s.u.pos(attr)
+		ok = ok && found
+		return p
+	}
 	for k, it := range c.LHS {
-		i, found := s.u.pos(it.Attr)
-		if !found {
-			return cc, fmt.Errorf("implication: %s mentions attributes outside the universe", c)
-		}
-		buf[k] = i
+		cc.lhs[k] = pos(it.Attr)
 	}
-	for k, it := range c.RHS {
-		i, found := s.u.pos(it.Attr)
-		if !found {
-			return cc, fmt.Errorf("implication: %s mentions attributes outside the universe", c)
-		}
-		buf[len(c.LHS)+k] = i
+	if cc.rhs = pos(c.RHS[0].Attr); !ok {
+		return cc, fmt.Errorf("implication: %s mentions attributes outside the universe", c)
 	}
-	cc.lhs = buf[:len(c.LHS):len(c.LHS)]
-	cc.rhs = buf[len(c.LHS):]
-	if !c.Equality {
-		cc.isFD = c.IsFD()
-		cc.constRHS = !c.RHS[0].Pat.Wildcard
+	if !c.Equality && !c.RHS[0].Pat.Wildcard {
+		cc.rhsCode = s.code(c.RHS[0].Pat.Const)
 	}
 	return cc, nil
 }
 
-// setSigma (re)compiles sigma into the session, reusing pooled buffers.
-// CFDs on other relations are skipped, so when the caller prefilters to the
-// universe's relation (as MinCover does), compiled indices align with the
-// input slice.
+// code returns a Σ constant's code, assigning the next one if it is new.
+func (s *session) code(c string) int32 {
+	k, ok := s.codes[c]
+	if !ok {
+		k = int32(len(s.strs))
+		s.codes[c] = k
+		s.strs = append(s.strs, c)
+	}
+	return k
+}
+
+// setSigma (re)compiles sigma into the session. CFDs on other relations
+// are skipped, so when the caller prefilters to the universe's relation
+// (as MinCover does), compiled indices align with the input slice.
 func (s *session) setSigma(sigma []*cfd.CFD) error {
 	s.sigma = s.sigma[:0]
+	clear(s.codes)
+	s.strs = s.strs[:0]
 	for _, c := range sigma {
 		if c.Relation != s.u.Relation {
 			continue
@@ -170,22 +208,174 @@ func (s *session) setSigma(sigma []*cfd.CFD) error {
 		}
 		s.sigma = append(s.sigma, cc)
 	}
-	if cap(s.dead) < len(s.sigma) {
-		s.dead = make([]bool, len(s.sigma))
-	} else {
-		s.dead = s.dead[:len(s.sigma)]
-		for i := range s.dead {
-			s.dead[i] = false
-		}
-	}
+	s.dead = append(s.dead[:0], make([]bool, len(s.sigma))...)
 	s.skip = -1
-	s.idxDirty = true
-	s.fp.dirty = true
+	s.buildIndex()
+	s.nSigmaCodes = len(s.strs)
+	s.compDirty = true
 	return nil
 }
 
+// slot returns the index an LHS item with pattern pat of cc belongs in, or
+// nil for a wildcard of a CFD that fires per row: its row premise always
+// holds there.
+func (s *session) slot(cc *compiledCFD, pat cfd.Pattern) *posIndex {
+	switch {
+	case cc.rhsCode < 0 && pat.Wildcard:
+		return &s.wild
+	case cc.rhsCode < 0:
+		return &s.pair
+	case pat.Wildcard:
+		return nil
+	}
+	return &s.row
+}
+
+// buildIndex rebuilds the per-position indexes, codes the LHS constants
+// and sizes the counters: one pass counts each position's items, one fills
+// them in, and each position's run is sorted by code.
+func (s *session) buildIndex() {
+	n := len(s.u.Attrs)
+	idxs := [...]*posIndex{&s.wild, &s.pair, &s.row}
+	for _, x := range idxs {
+		x.start = append(x.start[:0], make([]int32, n+1)...)
+	}
+	s.init, s.rowRoots, s.pairRoots, s.eqCFDs = s.init[:0], s.rowRoots[:0], s.pairRoots[:0], s.eqCFDs[:0]
+	for i := range s.sigma {
+		cc := &s.sigma[i]
+		if cc.c.Equality {
+			s.eqCFDs = append(s.eqCFDs, int32(i))
+			s.init = append(s.init, 0)
+			continue
+		}
+		k := int32(0)
+		for j, p := range cc.lhs {
+			if x := s.slot(cc, cc.c.LHS[j].Pat); x != nil {
+				x.start[p+1]++
+				k++
+			}
+		}
+		switch {
+		case k == 0 && cc.rhsCode >= 0:
+			s.rowRoots = append(s.rowRoots, int32(i))
+		case k == 0:
+			s.pairRoots = append(s.pairRoots, int32(i))
+		}
+		s.init = append(s.init, k)
+	}
+	for _, x := range idxs {
+		for p := 0; p < n; p++ {
+			x.start[p+1] += x.start[p]
+		}
+		x.items = append(x.items[:0], make([]constItem, x.start[n])...)
+	}
+	// Fill using the starts as cursors, then shift them back.
+	for i := range s.sigma {
+		cc := &s.sigma[i]
+		if cc.c.Equality {
+			continue
+		}
+		for j, p := range cc.lhs {
+			pat := cc.c.LHS[j].Pat
+			if x := s.slot(cc, pat); x != nil {
+				it := constItem{cfd: int32(i)}
+				if !pat.Wildcard {
+					it.code = s.code(pat.Const)
+				}
+				x.items[x.start[p]] = it
+				x.start[p]++
+			}
+		}
+	}
+	byCode := func(a, b constItem) int { return int(a.code - b.code) }
+	for _, x := range idxs {
+		copy(x.start[1:], x.start[:n])
+		x.start[0] = 0
+		for p := int32(0); p < int32(n); p++ {
+			slices.SortStableFunc(x.at(p), byCode)
+		}
+	}
+	if len(s.ctr) < len(s.sigma) {
+		s.ctr = make([]counter, len(s.sigma))
+		s.epoch = 0
+	}
+}
+
+// buildComps recomputes the equality components of the alive equality
+// CFDs, their domains and the seed conflict.
+func (s *session) buildComps() {
+	n := len(s.u.Attrs)
+	s.parent = append(s.parent[:0], make([]int32, n)...)
+	for p := range s.parent {
+		s.parent[p] = int32(p)
+	}
+	find := func(p int32) int32 {
+		for s.parent[p] != p {
+			s.parent[p] = s.parent[s.parent[p]]
+			p = s.parent[p]
+		}
+		return p
+	}
+	for _, i := range s.eqCFDs {
+		if s.alive(i) {
+			cc := &s.sigma[i]
+			s.parent[find(int32(cc.lhs[0]))] = find(int32(cc.rhs))
+		}
+	}
+	// Number the components densely in position order; comp doubles as the
+	// root-to-id map while it is filled.
+	s.comp = append(s.comp[:0], make([]int32, n)...)
+	for p := range s.comp {
+		s.comp[p] = -1
+	}
+	nComp := int32(0)
+	for p := range s.comp {
+		r := find(int32(p))
+		if s.comp[r] < 0 {
+			s.comp[r] = nComp
+			nComp++
+		}
+		s.comp[p] = s.comp[r]
+	}
+	s.memStart = append(s.memStart[:0], make([]int32, nComp+1)...)
+	for _, q := range s.comp {
+		s.memStart[q+1]++
+	}
+	for q := int32(0); q < nComp; q++ {
+		s.memStart[q+1] += s.memStart[q]
+	}
+	s.members = append(s.members[:0], make([]int32, n)...)
+	for p, q := range s.comp {
+		s.members[s.memStart[q]] = int32(p)
+		s.memStart[q]++
+	}
+	copy(s.memStart[1:], s.memStart[:nComp])
+	s.memStart[0] = 0
+	s.dom = append(s.dom[:0], make([]rel.Domain, nComp)...)
+	s.seedConflict = false
+	for q := int32(0); q < nComp; q++ {
+		ms := s.members[s.memStart[q]:s.memStart[q+1]]
+		d := rel.Infinite()
+		for _, p := range ms {
+			d = d.Intersect(s.u.Attrs[p].Domain)
+		}
+		s.dom[q] = d
+		if len(ms) > 1 && emptyDomain(d) {
+			s.seedConflict = true
+		}
+	}
+	s.agree = append(s.agree[:0], make([]bool, nComp)...)
+	s.equal = append(s.equal[:0], make([]bool, nComp)...)
+	for r := range s.val {
+		s.val[r] = append(s.val[r][:0], make([]int32, nComp)...)
+	}
+	s.compDirty = false
+}
+
+func emptyDomain(d rel.Domain) bool { return d.Finite && len(d.Values) == 0 }
+
 // setContext installs (or, with nil, clears) a cancellation context
-// checked inside the worklist chase.
+// checked at every firing.
 func (s *session) setContext(ctx context.Context) {
 	s.ctx = ctx
 	if ctx != nil {
@@ -195,313 +385,241 @@ func (s *session) setContext(ctx context.Context) {
 	}
 }
 
-// setBudget installs (or, with nil, clears) a shared chase-step budget
-// drawn down by the worklist chase.
+// setBudget installs (or, with nil, clears) a shared step budget drawn
+// down by every firing.
 func (s *session) setBudget(steps *atomic.Int64) { s.steps = steps }
 
 // alive reports whether the i-th compiled CFD participates in queries.
-func (s *session) alive(i int) bool { return !s.dead[i] && i != s.skip }
+func (s *session) alive(i int32) bool { return !s.dead[i] && int(i) != s.skip }
 
 // setSkip temporarily excludes one compiled CFD (-1 for none) — MinCover's
 // redundancy phase tests "Σ − {φ} |= φ" this way.
 func (s *session) setSkip(i int) {
+	if s.isEquality(s.skip) || s.isEquality(i) {
+		s.compDirty = true
+	}
 	s.skip = i
-	s.fp.dirty = true
 }
 
 // markDead tombstones the i-th compiled CFD — used by MinCover's
 // redundancy phase instead of copying the compiled slice per candidate.
 func (s *session) markDead(i int) {
 	s.dead[i] = true
-	s.fp.dirty = true
+	if s.isEquality(i) {
+		s.compDirty = true
+	}
 }
 
-// buildColIndex rebuilds the LHS-position and constant-pattern indexes.
-func (s *session) buildColIndex() {
-	n := len(s.u.Attrs)
-	s.colStart = append(s.colStart[:0], make([]int32, n+1)...)
-	s.constStart = append(s.constStart[:0], make([]int32, n+1)...)
-	s.nConst, s.noConst, s.eqCFDs = s.nConst[:0], s.noConst[:0], s.eqCFDs[:0]
-	for i, cc := range s.sigma {
-		k := int32(0)
-		if cc.c.Equality {
-			s.eqCFDs = append(s.eqCFDs, int32(i))
-		} else {
-			for j, p := range cc.lhs {
-				s.colStart[p+1]++
-				if !cc.c.LHS[j].Pat.Wildcard {
-					s.constStart[p+1]++
-					k++
-				}
-			}
-			if k == 0 {
-				s.noConst = append(s.noConst, int32(i))
-			}
-		}
-		s.nConst = append(s.nConst, k)
-	}
-	for p := 0; p < n; p++ {
-		s.colStart[p+1] += s.colStart[p]
-		s.constStart[p+1] += s.constStart[p]
-	}
-	s.colCFDs = append(s.colCFDs[:0], make([]int32, s.colStart[n])...)
-	s.constIdx = append(s.constIdx[:0], make([]constEntry, s.constStart[n])...)
-	// Fill using the starts as cursors, then shift them back.
-	for i, cc := range s.sigma {
-		if cc.c.Equality {
-			continue
-		}
-		for j, p := range cc.lhs {
-			s.colCFDs[s.colStart[p]] = int32(i)
-			s.colStart[p]++
-			if pat := cc.c.LHS[j].Pat; !pat.Wildcard {
-				s.constIdx[s.constStart[p]] = constEntry{int32(i), pat.Const}
-				s.constStart[p]++
-			}
-		}
-	}
-	copy(s.colStart[1:], s.colStart[:n])
-	copy(s.constStart[1:], s.constStart[:n])
-	s.colStart[0], s.constStart[0] = 0, 0
-	if len(s.cnt) < len(s.sigma) {
-		s.cnt = make([]int32, len(s.sigma))
-		s.cntEpoch = make([]uint32, len(s.sigma))
-		s.epoch = 0
-	}
-	s.idxDirty = false
-}
+func (s *session) isEquality(i int) bool { return i >= 0 && s.sigma[i].c.Equality }
 
-// newEpoch starts a fresh round of bump counts.
-func (s *session) newEpoch() {
+// begin starts a query over an n-row template: a fresh counter epoch, no
+// facts, an empty queue, and no per-query codes.
+func (s *session) begin(rows int) {
+	if s.compDirty {
+		s.buildComps()
+	}
+	s.rows = rows
 	s.epoch++
 	if s.epoch == 0 { // wrapped: stale stamps could match again
-		clear(s.cntEpoch)
+		clear(s.ctr)
 		s.epoch = 1
 	}
-}
-
-// bump increments CFD i's count in the current epoch and returns it.
-func (s *session) bump(i int32) int32 {
-	if s.cntEpoch[i] != s.epoch {
-		s.cntEpoch[i] = s.epoch
-		s.cnt[i] = 0
-	}
-	s.cnt[i]++
-	return s.cnt[i]
-}
-
-// enqueue appends CFD i to the chase worklist.
-func (s *session) enqueue(i int32) {
-	s.inQ[i] = true
-	s.queue = append(s.queue, i)
-}
-
-// chase runs the two-row (or one-row) worklist chase to fixpoint. It
-// returns nil on fixpoint, errConflict when the chase is undefined
-// (conflict — the premise cannot be realized under Σ), or the context's
-// error when a context installed via setContext is cancelled mid-chase.
-func (s *session) chase(rows [][]sym.Term) error {
-	s.chases++
-	if err := s.seed(rows); err != nil {
-		return err
-	}
-	// The equality seeding can merge classes and — through template
-	// constants — bind them, enabling constant-pattern CFDs that were not
-	// seeded. Drain its journal like any other application's.
-	s.drainEvents(rows)
-	return s.chaseLoop(rows)
-}
-
-// seed applies the equality CFDs and fills the worklist with the standard
-// CFDs whose premise is initially determinable, in index order. Equality
-// CFDs are applied once up front, in index order: equating t[A] and t[B]
-// is idempotent, so they never need re-examination. A standard CFD is
-// seeded only when every constant LHS pattern is pinned by a matching
-// template constant (wildcard positions hold trivially for the
-// single-tuple case); the constant-pattern index counts those matches
-// from the pinned positions, so the seed touches only the CFDs they
-// mention. Any other premise requires a class to change first — a bind or
-// union on a mentioned column — and the change journal enqueues the CFD
-// then.
-func (s *session) seed(rows [][]sym.Term) error {
-	st := s.st
-	if s.idxDirty {
-		s.buildColIndex()
-	}
-	if cap(s.inQ) < len(s.sigma) {
-		s.inQ = make([]bool, len(s.sigma))
-	} else {
-		s.inQ = s.inQ[:len(s.sigma)]
-		clear(s.inQ)
+	clear(s.agree)
+	clear(s.equal)
+	for r := range s.val {
+		for q := range s.val[r] {
+			s.val[r][q] = -1
+		}
 	}
 	s.queue = s.queue[:0]
-	for _, i := range s.eqCFDs {
-		if !s.alive(int(i)) {
-			continue
-		}
-		cc := &s.sigma[i]
-		for _, r := range rows {
-			if st.Equate(r[cc.lhs[0]], r[cc.rhs[0]]) != nil {
-				return errConflict
-			}
-		}
-	}
-	for _, i := range s.noConst {
-		if s.alive(int(i)) {
-			s.enqueue(i)
-		}
-	}
-	s.newEpoch()
-	for p, on := range s.sharedOn {
-		if !on || s.sharedPat[p].Wildcard {
-			continue
-		}
-		for _, e := range s.constIdx[s.constStart[p]:s.constStart[p+1]] {
-			if e.val == s.sharedPat[p].Const && s.bump(e.cfd) == s.nConst[e.cfd] && s.alive(int(e.cfd)) {
-				s.enqueue(e.cfd)
-			}
-		}
-	}
-	slices.Sort(s.queue)
-	return nil
+	s.strs = s.strs[:s.nSigmaCodes]
 }
 
-// chaseLoop drains the worklist to fixpoint: the tail of chase, once the
-// template constants and equality CFDs have seeded it.
-func (s *session) chaseLoop(rows [][]sym.Term) error {
-	st := s.st
-	for qh := 0; qh < len(s.queue); qh++ {
-		faultinject.Hit(faultinject.SiteImplicationStep)
-		// The two-row template bounds the worklist, so one poll per pop is
-		// cheap relative to the chase work and keeps cancellation prompt.
-		if s.done != nil {
-			select {
-			case <-s.done:
-				return s.ctx.Err()
-			default:
-			}
-		}
-		if s.steps != nil && s.steps.Add(-1) < 0 {
-			return chase.ErrStepBudget
-		}
-		i := s.queue[qh]
-		s.inQ[i] = false
-		if !s.alive(int(i)) {
-			continue
-		}
-		cc := &s.sigma[i]
-		for a := range rows {
-			for b := a; b < len(rows); b++ {
-				if !s.premiseHolds(st, *cc, rows[a], rows[b]) {
-					continue
-				}
-				for k, it := range cc.c.RHS {
-					x, y := rows[a][cc.rhs[k]], rows[b][cc.rhs[k]]
-					if st.Equate(x, y) != nil {
-						return errConflict
-					}
-					if !it.Pat.Wildcard {
-						if st.Bind(x, it.Pat.Const) != nil {
-							return errConflict
-						}
-					}
-				}
-			}
-		}
-		s.drainEvents(rows)
+// queryCode returns the code of a query constant. A constant Σ never
+// mentions gets a per-query code when add is set, and -2 otherwise: no fact
+// can hold it.
+func (s *session) queryCode(c string, add bool) int32 {
+	if k, ok := s.codes[c]; ok {
+		return k
 	}
-	return nil
+	for k := s.nSigmaCodes; k < len(s.strs); k++ {
+		if s.strs[k] == c {
+			return int32(k)
+		}
+	}
+	if !add {
+		return -2
+	}
+	s.strs = append(s.strs, c)
+	return int32(len(s.strs) - 1)
 }
 
-// drainEvents empties the state's change journal, re-enqueueing the CFDs
-// whose LHS touches a column holding a member of a changed class. For a
-// union event, members of both classes now find() to ev.Root, so scanning
-// for that root over-approximates the absorbed class — sound, and the
-// template is tiny.
-func (s *session) drainEvents(rows [][]sym.Term) {
-	st := s.st
-	evs := st.Events()
-	if len(evs) == 0 {
-		return
+// dec counts one met item of CFD i's counter slot, queueing its firing when
+// none is left.
+func (s *session) dec(i int32, slot int) {
+	c := &s.ctr[i]
+	if c.epoch != s.epoch {
+		c.epoch = s.epoch
+		c.n[0], c.n[1] = s.init[i], s.init[i]
 	}
-	for _, ev := range evs {
-		for p := range rows[0] {
-			touched := false
-			for r := range rows {
-				if t := rows[r][p]; t.IsVar && st.Root(t) == ev.Root {
-					touched = true
-					break
-				}
-			}
-			if touched {
-				for _, ci := range s.colCFDs[s.colStart[p]:s.colStart[p+1]] {
-					if !s.inQ[ci] && s.alive(int(ci)) {
-						s.inQ[ci] = true
-						s.queue = append(s.queue, ci)
-					}
-				}
-			}
-		}
+	c.n[slot]--
+	if c.n[slot] == 0 && s.alive(i) {
+		s.queue = append(s.queue, i<<1|int32(slot))
 	}
-	st.ClearEvents()
 }
 
-func (s *session) premiseHolds(st *sym.State, cc compiledCFD, t1, t2 []sym.Term) bool {
-	for k, it := range cc.c.LHS {
-		a := st.Resolve(t1[cc.lhs[k]])
-		b := st.Resolve(t2[cc.lhs[k]])
-		if a.IsVar != b.IsVar {
-			return false
-		}
-		if a.IsVar {
-			if a.Var != b.Var || !it.Pat.Wildcard {
-				return false
+// decConst counts the constant items of x with code k at component q's
+// positions into counter slot.
+func (s *session) decConst(x *posIndex, q, k int32, slot int) {
+	for _, p := range s.members[s.memStart[q]:s.memStart[q+1]] {
+		run := x.at(p)
+		lo, hi := 0, len(run)
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); run[m].code < k {
+				lo = m + 1
+			} else {
+				hi = m
 			}
-		} else if a.Const != b.Const || !it.Pat.Matches(a.Const) {
-			return false
 		}
+		for ; lo < len(run) && run[lo].code == k; lo++ {
+			s.dec(run[lo].cfd, slot)
+		}
+	}
+}
+
+// bind binds component q in row r to code k, reporting false on a
+// conflict: a second constant in the class, or k outside q's domain.
+func (s *session) bind(r int, q, k int32) bool {
+	switch v := s.val[r][q]; {
+	case v == k:
+		return true
+	case v >= 0:
+		return false
+	}
+	if d := &s.dom[q]; d.Finite && !d.Contains(s.strs[k]) {
+		return false
+	}
+	s.val[r][q] = k
+	s.decConst(&s.row, q, k, r)
+	if s.rows == 1 {
+		return true
+	}
+	o := 1 - r
+	switch {
+	case s.val[o][q] == k:
+		s.decConst(&s.pair, q, k, 0)
+		s.setEqual(q)
+	case s.agree[q]:
+		return s.bind(o, q, k)
 	}
 	return true
 }
 
-// template rebuilds the pooled n-row implication template over the full
-// universe, column-major: positions flagged in sharedOn carry phi's LHS
-// pattern (a fixed constant in every row, or one variable shared by all
-// rows); every other position gets per-row fresh variables.
-func (s *session) template(n int) ([][]sym.Term, error) {
-	st := s.st
-	st.Reset()
-	rows := s.rowBuf[:n]
-	for i, a := range s.u.Attrs {
-		if s.sharedOn[i] {
-			if pat := s.sharedPat[i]; !pat.Wildcard {
-				if !a.Domain.Contains(pat.Const) {
-					return nil, fmt.Errorf("implication: constant %q outside domain of %s", pat.Const, a.Name)
-				}
-				c := sym.Constant(pat.Const)
-				for r := range rows {
-					rows[r][i] = c
-				}
-				continue
-			}
-			v := st.NewVar(a.Domain)
-			for r := range rows {
-				rows[r][i] = v
-			}
-			continue
-		}
-		for r := range rows {
-			rows[r][i] = st.NewVar(a.Domain)
-		}
+// union unions the rows' classes of component q, reporting false on a
+// conflict: two constants, or an empty domain. A φ LHS position shared by
+// both rows is one class already, so its union never conflicts.
+func (s *session) union(q int32, shared bool) bool {
+	if s.agree[q] {
+		return true
 	}
-	return rows, nil
+	if !shared && emptyDomain(s.dom[q]) {
+		return false
+	}
+	s.agree[q] = true
+	switch v0, v1 := s.val[0][q], s.val[1][q]; {
+	case v0 >= 0 && v1 >= 0:
+		return v0 == v1 // equal already holds
+	case v0 >= 0:
+		return s.bind(1, q, v0)
+	case v1 >= 0:
+		return s.bind(0, q, v1)
+	}
+	s.setEqual(q)
+	return true
 }
 
-// clearShared restores the all-false sharedOn invariant after a query.
-func (s *session) clearShared(phi *cfd.CFD) {
-	for _, it := range phi.LHS {
-		if p, ok := s.u.pos(it.Attr); ok {
-			s.sharedOn[p] = false
+// setEqual records that the rows are equal on component q, counting the
+// wildcard items at its positions.
+func (s *session) setEqual(q int32) {
+	if s.equal[q] {
+		return
+	}
+	s.equal[q] = true
+	for _, p := range s.members[s.memStart[q]:s.memStart[q+1]] {
+		for _, it := range s.wild.at(p) {
+			s.dec(it.cfd, 0)
+		}
+	}
+}
+
+// queueRoots queues the firings whose premise holds in every template.
+func (s *session) queueRoots() {
+	for _, i := range s.rowRoots {
+		if s.alive(i) {
+			s.queue = append(s.queue, i<<1)
+			if s.rows == 2 {
+				s.queue = append(s.queue, i<<1|1)
+			}
+		}
+	}
+	if s.rows == 2 {
+		for _, i := range s.pairRoots {
+			if s.alive(i) {
+				s.queue = append(s.queue, i<<1)
+			}
+		}
+	}
+}
+
+// reached reports whether the query's conclusion holds: for a standard φ,
+// the rows are equal on its RHS component tq and, for a constant RHS, hold
+// code tk; for an equality φ, the row holds one code on components tq and
+// tb.
+func (s *session) reached() bool {
+	if s.rows == 1 {
+		v := s.val[0][s.tq]
+		return v >= 0 && v == s.val[0][s.tb]
+	}
+	return s.equal[s.tq] && (s.tk == -1 || s.val[0][s.tq] == s.tk)
+}
+
+// drain runs the queued firings until the query's conclusion holds, the
+// queue runs dry (the closure is complete), or a firing conflicts. It
+// returns the context's error when a context installed via setContext is
+// cancelled, and chase.ErrStepBudget when the budget runs out.
+func (s *session) drain() (verdict, error) {
+	for qh := 0; ; qh++ {
+		// A conclusion that holds stays true whatever follows, a conflict
+		// included, so the closure stops as soon as it holds.
+		if s.reached() {
+			return implied, nil
+		}
+		if qh == len(s.queue) {
+			return rejected, nil
+		}
+		faultinject.Hit(faultinject.SiteImplicationStep)
+		if s.done != nil {
+			select {
+			case <-s.done:
+				return rejected, s.ctx.Err()
+			default:
+			}
+		}
+		if s.steps != nil && s.steps.Add(-1) < 0 {
+			return rejected, chase.ErrStepBudget
+		}
+		s.firings++
+		f := s.queue[qh]
+		cc := &s.sigma[f>>1]
+		q := s.comp[cc.rhs]
+		var ok bool
+		if cc.rhsCode >= 0 {
+			ok = s.bind(int(f&1), q, cc.rhsCode)
+		} else {
+			ok = s.union(q, false)
+		}
+		if !ok {
+			return vacuous, nil
 		}
 	}
 }
@@ -509,79 +627,91 @@ func (s *session) clearShared(phi *cfd.CFD) {
 // implies decides Σ |= φ using the compiled Σ (infinite-domain setting;
 // phi must be in normal form and validated against the universe).
 func (s *session) implies(phi *cfd.CFD) (bool, error) {
-	// The chase loop polls the context too, but the closure fast paths
-	// answer many queries without ever chasing — poll once up front so a
-	// cancelled session refuses all queries, not just the slow ones.
+	v, err := s.decide(phi)
+	return v != rejected, err
+}
+
+// decide is implies with the kind of positive answer.
+func (s *session) decide(phi *cfd.CFD) (verdict, error) {
+	// Poll once up front so a cancelled session refuses every query, not
+	// just those that fire.
 	if s.done != nil {
 		select {
 		case <-s.done:
-			return false, s.ctx.Err()
+			return rejected, s.ctx.Err()
 		default:
 		}
 	}
 	if phi.Equality {
-		a, ok1 := s.u.pos(phi.LHS[0].Attr)
-		b, ok2 := s.u.pos(phi.RHS[0].Attr)
-		if !ok1 || !ok2 {
-			return false, fmt.Errorf("implication: %s mentions attribute outside the universe", phi)
-		}
-		if a == b {
-			return true, nil
-		}
-		if decided, result := s.fastImpliesEquality(); decided {
-			return result, nil
-		}
-		rows, err := s.template(1)
-		if err != nil {
-			return false, err
-		}
-		switch err := s.chase(rows); err {
-		case nil:
-		case errConflict:
-			return true, nil // no tuple can exist
-		default:
-			return false, err
-		}
-		return s.st.SameTerm(rows[0][a], rows[0][b]), nil
+		return s.decideEquality(phi)
 	}
-
+	s.phiPos = s.phiPos[:0]
 	for _, it := range phi.LHS {
 		p, ok := s.u.pos(it.Attr)
 		if !ok {
-			return false, fmt.Errorf("implication: %s mentions attribute outside the universe", phi)
+			return rejected, fmt.Errorf("implication: %s mentions attribute outside the universe", phi)
 		}
-		s.sharedOn[p] = true
 		s.sharedPat[p] = it.Pat
+		s.phiPos = append(s.phiPos, p)
 	}
-	defer s.clearShared(phi)
-
 	rhs := phi.RHS[0]
 	ai, ok := s.u.pos(rhs.Attr)
 	if !ok {
-		return false, fmt.Errorf("implication: %s mentions attribute outside the universe", phi)
+		return rejected, fmt.Errorf("implication: %s mentions attribute outside the universe", phi)
 	}
-	if decided, result := s.fastImplies(phi, ai); decided {
-		return result, nil
+	if s.anyFinite {
+		// The first offending position in universe order is reported.
+		bad := -1
+		for _, p := range s.phiPos {
+			if pat := s.sharedPat[p]; !pat.Wildcard && !s.u.Attrs[p].Domain.Contains(pat.Const) && (bad < 0 || p < bad) {
+				bad = p
+			}
+		}
+		if bad >= 0 {
+			return rejected, fmt.Errorf("implication: constant %q outside domain of %s", s.sharedPat[bad].Const, s.u.Attrs[bad].Name)
+		}
 	}
-	rows, err := s.template(2)
-	if err != nil {
-		return false, err
+
+	s.begin(2)
+	if s.seedConflict {
+		return vacuous, nil
 	}
-	switch err := s.chase(rows); err {
-	case nil:
-	case errConflict:
-		return true, nil // premise unsatisfiable: vacuously implied
-	default:
-		return false, err
+	for _, p := range s.phiPos {
+		q := s.comp[p]
+		if pat := s.sharedPat[p]; pat.Wildcard {
+			ok = s.union(q, true)
+		} else {
+			k := s.queryCode(pat.Const, true)
+			ok = s.bind(0, q, k) && s.bind(1, q, k)
+		}
+		if !ok {
+			return vacuous, nil
+		}
 	}
-	st := s.st
-	a1 := st.Resolve(rows[0][ai])
-	a2 := st.Resolve(rows[1][ai])
-	if !st.SameTerm(a1, a2) {
-		return false, nil
+	s.queueRoots()
+	s.tq, s.tk = s.comp[ai], -1
+	if !rhs.Pat.Wildcard {
+		s.tk = s.queryCode(rhs.Pat.Const, false)
 	}
-	if rhs.Pat.Wildcard {
-		return true, nil
+	return s.drain()
+}
+
+// decideEquality decides an equality query t[A] = t[B] on the one-row
+// template.
+func (s *session) decideEquality(phi *cfd.CFD) (verdict, error) {
+	a, ok1 := s.u.pos(phi.LHS[0].Attr)
+	b, ok2 := s.u.pos(phi.RHS[0].Attr)
+	if !ok1 || !ok2 {
+		return rejected, fmt.Errorf("implication: %s mentions attribute outside the universe", phi)
 	}
-	return !a1.IsVar && a1.Const == rhs.Pat.Const, nil
+	s.begin(1)
+	s.tq, s.tb = s.comp[a], s.comp[b]
+	if s.tq == s.tb {
+		return implied, nil // one class
+	}
+	if s.seedConflict {
+		return vacuous, nil
+	}
+	s.queueRoots()
+	return s.drain()
 }

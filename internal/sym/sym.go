@@ -165,17 +165,6 @@ func (s *State) Resolve(t Term) Term {
 	return Variable(r)
 }
 
-// Root returns the union-find root of a variable term's class — even when
-// the class is bound to a constant, unlike Resolve — and -1 for constant
-// terms. Worklist chase loops use it to match template positions against
-// journal events.
-func (s *State) Root(t Term) int {
-	if !t.IsVar {
-		return -1
-	}
-	return s.find(t.Var)
-}
-
 // SameTerm reports whether two terms resolve to the same constant or the
 // same variable class.
 func (s *State) SameTerm(a, b Term) bool {

@@ -252,17 +252,17 @@ func TestEventJournal(t *testing.T) {
 		t.Fatalf("want one union event, got %v", evs)
 	}
 	// Members of both classes must find() to the event's root.
-	if st.Root(a) != evs[0].Root || st.Root(b) != evs[0].Root {
-		t.Fatalf("union event root %d does not cover both members (%d, %d)",
-			evs[0].Root, st.Root(a), st.Root(b))
+	if ra, rb := st.Resolve(a), st.Resolve(b); ra.Var != evs[0].Root || rb.Var != evs[0].Root {
+		t.Fatalf("union event root %d does not cover both members (%s, %s)", evs[0].Root, ra, rb)
 	}
 	st.ClearEvents()
+	rootC := st.Resolve(c).Var
 	if err := st.Bind(c, "x"); err != nil {
 		t.Fatal(err)
 	}
 	evs = st.Events()
-	if len(evs) != 1 || evs[0].Merged != -1 || evs[0].Root != st.Root(c) {
-		t.Fatalf("want one bind event on c's root, got %v", evs)
+	if len(evs) != 1 || evs[0].Merged != -1 || evs[0].Root != rootC {
+		t.Fatalf("want one bind event on c's root %d, got %v", rootC, evs)
 	}
 	// Redundant operations must not journal.
 	st.ClearEvents()
@@ -274,13 +274,6 @@ func TestEventJournal(t *testing.T) {
 	}
 	if evs := st.Events(); len(evs) != 0 {
 		t.Fatalf("no-op operations journaled %v", evs)
-	}
-	// Root still answers for bound classes, unlike Resolve.
-	if st.Root(c) < 0 {
-		t.Fatal("Root must return the class of a bound variable")
-	}
-	if Root := st.Root(Constant("k")); Root != -1 {
-		t.Fatalf("Root of a constant = %d, want -1", Root)
 	}
 }
 
