@@ -25,11 +25,13 @@
 // full file across the worker grid while a heap sampler asserts the fixed
 // memory budget.
 //
-// The mincover experiment (not part of -exp all) times Fig. 2 line 1 alone:
-// serial implication.Session.MinCover over every relation bucket of the
-// §5 grid's 40 cells, drawn as perfbench's cover workload draws them with
-// -seed as the pool seed, reporting per cell the median ms over -trials and
-// each MinCover phase's probes, implied probes and closure firings.
+// The mincover experiment (not part of -exp all) times a §5 cover in two
+// serial parts on each of the grid's 40 cells, drawn as perfbench's cover
+// workload draws them with -seed as the pool seed: Fig. 2 line 1
+// (implication.Session.MinCover over every relation bucket) and lines 2-13
+// on its output (core.PropCFDSPC with SkipPreMinCover at Parallelism 1).
+// Per cell it reports each part's median ms over -trials, each MinCover
+// phase's probes, implied probes and closure firings, and the cover size.
 //
 // With -quick the sweeps run on reduced grids (useful for smoke tests);
 // otherwise the paper's full parameter grids are used: |Σ| ∈ 200..2000,
@@ -182,7 +184,7 @@ func main() {
 				bench.PrintStream(os.Stdout, cs)
 			}
 		case "mincover":
-			run, err := bench.MinCoverLineOne(cfg, *quick)
+			run, err := bench.MinCoverGrid(cfg, *quick)
 			if err != nil {
 				return err
 			}

@@ -24,7 +24,11 @@
 //     first-counterexample cancellation, byte-identical at every worker
 //     count
 //   - internal/emptiness — the view-emptiness problem (§3.3)
-//   - internal/core      — PropCFD_SPC: minimal propagation covers (§4)
+//   - internal/core      — PropCFD_SPC: minimal propagation covers (§4);
+//     RBR keeps Γ in one working set with an occurrence index, so
+//     eliminating an attribute touches only the CFDs that mention it, and
+//     per-attribute item counts, updated as CFDs enter and leave, pick
+//     the next attribute to eliminate
 //   - internal/closure   — the exponential closure-based baseline
 //   - internal/stream    — bounded-memory streaming violation detection:
 //     chunked CSV scanning, hash-sharded witness groups across workers,

@@ -4,7 +4,9 @@
 // with its subroutines ComputeEQ (attribute equivalence classes under the
 // selection condition and the domain-constraint CFDs of Σ), EQ2CFD
 // (Fig. 4) and RBR, reduction by resolution (Fig. 3, extending Gottlob's
-// algorithm for embedded FDs to CFDs).
+// algorithm for embedded FDs to CFDs). RBR is variable elimination over
+// one working set of CFDs: an occurrence index lists the CFDs that mention
+// each attribute, so eliminating one touches only those.
 //
 // CoverSession computes every cover: the one-shot PropCFDSPC and
 // PropCFDSPCU entry points run a fresh session once, and a session kept

@@ -154,37 +154,12 @@ func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, si
 		}, nil
 	}
 
-	// Lines 7-10: apply the domain constraints, substituting class
-	// representatives (preferring projected attributes) and discharging
-	// keyed entries.
-	prefer := make(map[string]bool, len(view.Projection))
-	for _, y := range view.Projection {
-		prefer[y] = true
-	}
-	esAttrs := view.EsAttrs()
-	rep := eq.Rep(esAttrs, prefer)
-	var reduced []*cfd.CFD
-	for _, c := range sigmaV {
-		if r := ApplyEQ(c, eq, rep); r != nil {
-			reduced = append(reduced, r)
-		}
-	}
-	reduced = cfd.Dedup(reduced)
+	// Lines 7-10: apply the domain constraints.
+	reduced, dropAttrs := reduceByEQ(view, eq, sigmaV)
 
 	// Line 11: Σc := RBR(ΣV, attr(Es) − Y).
-	workspace := workspaceUniverse(db, view)
-	projected := make(map[string]bool, len(view.Projection))
-	for _, y := range view.Projection {
-		projected[y] = true
-	}
-	var dropAttrs []string
-	for _, a := range esAttrs {
-		if !projected[a] {
-			dropAttrs = append(dropAttrs, a)
-		}
-	}
 	cfg := rbrConfig{ctx: ctx, order: opts.DropOrder, blockSize: blockSize, maxCover: opts.MaxCoverSize, parallelism: par}
-	sigmaC, truncated, err := runRBR(workspace, reduced, dropAttrs, cfg)
+	sigmaC, truncated, err := runRBR(workspaceUniverse(db, view), reduced, dropAttrs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -204,6 +179,31 @@ func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, si
 		}
 	}
 	return &Result{Cover: all, ViewSchema: viewSchema, Truncated: truncated, EQ: eq}, nil
+}
+
+// reduceByEQ applies the domain constraints of Fig. 2 lines 7-10: it
+// substitutes class representatives (preferring projected attributes) in
+// every view CFD and discharges keyed entries. It also returns the
+// attributes line 11 eliminates, attr(Es) − Y, in atom order. The reduced
+// CFDs may repeat; runRBR drops the repeats.
+func reduceByEQ(view *algebra.SPC, eq *EQ, sigmaV []*cfd.CFD) (reduced []*cfd.CFD, dropAttrs []string) {
+	projected := make(map[string]bool, len(view.Projection))
+	for _, y := range view.Projection {
+		projected[y] = true
+	}
+	esAttrs := view.EsAttrs()
+	rep := eq.Rep(esAttrs, projected)
+	for _, c := range sigmaV {
+		if r := ApplyEQ(c, eq, rep); r != nil {
+			reduced = append(reduced, r)
+		}
+	}
+	for _, a := range esAttrs {
+		if !projected[a] {
+			dropAttrs = append(dropAttrs, a)
+		}
+	}
+	return reduced, dropAttrs
 }
 
 // lemma45Pair synthesizes the two conflicting constant CFDs of Lemma 4.5
