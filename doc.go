@@ -10,7 +10,8 @@
 //   - internal/cfd       — CFDs: pattern tuples, satisfaction, violations
 //   - internal/algebra   — SPC / SPCU views in normal form, evaluator
 //   - internal/sym, internal/chase, internal/tableau — the chase machinery
-//     (sym journals class changes so chase fixpoints are worklist-driven)
+//     (sym journals class changes so chase fixpoints are worklist-driven;
+//     chase.Run and the resumable chase share one worklist loop)
 //   - internal/implication — CFD implication and MinCover; the Session
 //     API compiles Σ once and decides every query with one counter
 //     closure over the two-row template, whose per-CFD counters are
@@ -22,8 +23,11 @@
 //     instantiation enumeration on Options.Parallelism workers (a single
 //     worker on the calling goroutine at Parallelism 1) with
 //     first-counterexample cancellation, byte-identical at every worker
-//     count
-//   - internal/emptiness — the view-emptiness problem (§3.3)
+//     count. The view-emptiness problem (§3.3) is decided through
+//     propagation.Check by Lemma 4.5: V is always empty under Σ iff Σ
+//     |=V V(A → A, (_ ‖ c0)) and V(A → A, (_ ‖ c1)) for distinct c0, c1
+//     in dom(A), and the refuted check's counterexample is a source
+//     database whose view is non-empty
 //   - internal/core      — PropCFD_SPC: minimal propagation covers (§4);
 //     RBR keeps Γ in one working set with an occurrence index, so
 //     eliminating an attribute touches only the CFDs that mention it, and

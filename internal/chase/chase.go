@@ -18,6 +18,11 @@
 // The chase is sound and complete for reasoning about CFDs in the absence
 // of finite-domain attributes; with finite domains the callers in
 // internal/propagation enumerate instantiations first (Thm 3.2/3.3).
+//
+// The chase has one worklist loop, Resumable's: Run is that loop seeded
+// with every dependency, and RunPrefix keeps it alive after the fixpoint
+// so that per-assignment bindings can be chased by Extend and rolled back
+// by Rewind.
 package chase
 
 import (
@@ -33,9 +38,10 @@ import (
 	"cfdprop/internal/sym"
 )
 
-// ErrStepBudget is returned by Run when the shared step budget installed
-// via SetControl is exhausted. Callers distinguish it from ErrUndefined:
-// budget exhaustion means "stopped early", not "chase undefined".
+// ErrStepBudget is returned by Run and Extend when the shared step budget
+// installed via SetControl is exhausted. Callers distinguish it from
+// ErrUndefined: budget exhaustion means "stopped early", not "chase
+// undefined".
 var ErrStepBudget = errors.New("chase: step budget exhausted")
 
 // Row is one symbolic tuple of a named source relation. Cols follow the
@@ -114,12 +120,13 @@ func (ci *Inst) Reset() {
 	}
 }
 
-// SetControl installs cooperative stop controls for subsequent Runs: a
-// context checked periodically inside the worklist loop, and an optional
-// shared step budget decremented once per worklist pop (Run returns
-// ErrStepBudget when it hits zero). Either may be nil to disable that
-// control; SetControl(nil, nil) clears both. The instance stays fully
-// reusable after a stopped Run (callers Reset/Restore state as usual).
+// SetControl installs cooperative stop controls for subsequent Runs and
+// Extends: a context checked periodically inside the worklist loop, and an
+// optional shared step budget decremented once per worklist pop (Run and
+// Extend return ErrStepBudget when it hits zero). Either may be nil to
+// disable that control; SetControl(nil, nil) clears both. The instance
+// stays fully reusable after a stopped Run (callers Reset/Restore state as
+// usual).
 func (ci *Inst) SetControl(ctx context.Context, steps *atomic.Int64) {
 	ci.ctx = ctx
 	ci.steps = steps
@@ -163,65 +170,32 @@ func (e ErrUndefined) Unwrap() error { return e.Cause }
 // whose relation has no rows are ignored. Multi-RHS CFDs are applied
 // directly (no prior normalization needed).
 //
-// The fixpoint is worklist-driven: dependencies are indexed by the columns
-// their LHS mentions, the term state journals which classes change (see
-// sym.Event), and only the dependencies whose LHS touches a changed class
-// are re-examined — instead of rescanning all of Σ against all row pairs
-// per round.
+// Run is the resumable worklist (see Resumable) seeded with every
+// dependency: dependencies are indexed by the columns their LHS mentions,
+// the term state journals which classes change (see sym.Event), and only
+// the dependencies whose LHS touches a changed class are re-examined —
+// instead of rescanning all of Σ against all row pairs per round. Any
+// premise that holds initially is found by the seed's examination; later
+// ones only start to hold after a journal event on a mentioned class.
 func (ci *Inst) Run(sigma []*cfd.CFD) error {
 	cs, err := ci.compile(sigma)
 	if err != nil {
 		return err
 	}
-	occ := ci.buildOcc(cs)
-
+	rs := Resumable{
+		ci:      ci,
+		cs:      cs,
+		overlay: ci.buildOcc(cs),
+		queue:   make([]int, len(cs), 2*len(cs)),
+		inQ:     make([]bool, len(cs)),
+	}
+	for i := range cs {
+		rs.queue[i] = i
+		rs.inQ[i] = true
+	}
 	ci.St.TrackEvents(true)
 	defer ci.St.TrackEvents(false)
-
-	// Seed with every dependency: any premise that holds initially is found
-	// by the first examination; later ones only start to hold after a
-	// journal event on a mentioned class.
-	queue := make([]int, len(cs), 2*len(cs))
-	inQ := make([]bool, len(cs))
-	for i := range cs {
-		queue[i] = i
-		inQ[i] = true
-	}
-	enqueue := func(list []int) {
-		for _, i := range list {
-			if !inQ[i] {
-				inQ[i] = true
-				queue = append(queue, i)
-			}
-		}
-	}
-	for qh := 0; qh < len(queue); qh++ {
-		if err := ci.checkpoint(qh); err != nil {
-			return err
-		}
-		i := queue[qh]
-		inQ[i] = false
-		cc := cs[i]
-		if err := ci.apply(cc.c, cc.lhs, cc.rhs, cc.rows); err != nil {
-			return err
-		}
-		for _, ev := range ci.St.Events() {
-			if ev.Merged >= 0 {
-				// Union: only members of the absorbed class changed how
-				// they resolve; carry their interests over to the winner.
-				if l := occ[ev.Merged]; len(l) > 0 {
-					enqueue(l)
-					occ[ev.Root] = append(occ[ev.Root], l...)
-				}
-				delete(occ, ev.Merged)
-			} else {
-				// Bind: the whole class now resolves to a constant.
-				enqueue(occ[ev.Root])
-			}
-		}
-		ci.St.ClearEvents()
-	}
-	return nil
+	return rs.drain()
 }
 
 // compiled is one dependency with attribute positions pre-resolved against

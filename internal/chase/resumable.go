@@ -25,10 +25,14 @@ import (
 // base occurrence index built by RunPrefix is never mutated after the
 // prefix: suffix unions carry member lists into a per-suffix overlay whose
 // mutations are journaled, so Rewind restores the index exactly.
+//
+// Run drains the same worklist, seeded with every dependency. It never
+// rewinds, so it has no base: its whole index is the overlay, and its
+// unions are not journaled.
 type Resumable struct {
 	ci  *Inst
 	cs  []compiled
-	occ map[int][]int // frozen after RunPrefix
+	occ map[int][]int // frozen after RunPrefix; nil under Run
 
 	overlay map[int][]int // suffix additions, keyed by winning root
 	ops     []overlayOp   // journal of overlay mutations, for Rewind
@@ -108,12 +112,18 @@ func (rs *Resumable) Rewind(m Mark) {
 // assignment's chase is undefined (the caller counts it and rewinds);
 // ErrStepBudget and context errors mean "stopped early".
 func (rs *Resumable) Extend() error {
-	ci := rs.ci
 	rs.queue = rs.queue[:0]
-	for i := range rs.inQ {
-		rs.inQ[i] = false
-	}
+	clear(rs.inQ)
 	rs.drainEvents()
+	return rs.drain()
+}
+
+// drain is the one worklist loop of the chase: it pops dependencies until
+// the queue runs dry, applying each and enqueueing the dependencies its
+// journal events make interesting. Every pop passes the checkpoint, so a
+// step budget meters pops.
+func (rs *Resumable) drain() error {
+	ci := rs.ci
 	for qh := 0; qh < len(rs.queue); qh++ {
 		if err := ci.checkpoint(qh); err != nil {
 			return err
@@ -145,10 +155,11 @@ func (rs *Resumable) drainEvents() {
 			}
 			rs.enqueue(base)
 			rs.enqueue(over)
-			prev := len(rs.overlay[ev.Root])
-			rs.overlay[ev.Root] = append(rs.overlay[ev.Root], base...)
-			rs.overlay[ev.Root] = append(rs.overlay[ev.Root], over...)
-			rs.ops = append(rs.ops, overlayOp{root: ev.Root, prevLen: prev})
+			into := rs.overlay[ev.Root]
+			if rs.occ != nil { // Run never rewinds
+				rs.ops = append(rs.ops, overlayOp{root: ev.Root, prevLen: len(into)})
+			}
+			rs.overlay[ev.Root] = append(append(into, base...), over...)
 		} else {
 			rs.enqueue(rs.occ[ev.Root])
 			rs.enqueue(rs.overlay[ev.Root])

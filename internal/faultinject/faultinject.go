@@ -15,7 +15,8 @@ package faultinject
 // Site names instrumented by the library. They live in the always-built
 // file so call sites and the tagged test suite share one vocabulary.
 const (
-	// SiteChaseStep fires once per worklist pop of chase.Inst.Run.
+	// SiteChaseStep fires once per worklist pop of the chase, in
+	// chase.Inst.Run and chase.Resumable.Extend alike.
 	SiteChaseStep = "chase.step"
 	// SiteChaseRewind fires inside chase.Resumable.Rewind, before the
 	// suffix state (occurrence overlay + term state) is rolled back.

@@ -94,7 +94,7 @@ func TestProbeStats(t *testing.T) {
 	var restart int64
 	count := func(phi *cfd.CFD) (bool, error) {
 		restart++
-		return s.inner.implies(phi)
+		return s.implies(phi)
 	}
 	for _, c := range work {
 		if _, err := leftReduceRestart(c, count); err != nil {

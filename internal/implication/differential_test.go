@@ -30,6 +30,12 @@ type refCompiled struct {
 	lhs, rhs []int
 }
 
+// newSession compiles an already normalized Σ into a fresh session.
+func newSession(u Universe, sigma []*cfd.CFD) (*Session, error) {
+	s := NewSession(u)
+	return s, s.setSigma(sigma)
+}
+
 func newRefSession(u Universe, sigma []*cfd.CFD) (*refSession, error) {
 	u = u.indexed()
 	s := &refSession{u: u}
@@ -691,7 +697,7 @@ func TestLeftReduceMatchesRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := leftReduceRestart(c, s.inner.implies)
+			want, err := leftReduceRestart(c, s.implies)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -716,7 +722,7 @@ func TestLeftReduceMatchesRestart(t *testing.T) {
 	c := &cfd.CFD{Relation: "R",
 		LHS: []cfd.Item{{Attr: "A", Pat: cfd.Any()}, {Attr: "A", Pat: cfd.Eq("c")}, {Attr: "B", Pat: cfd.Eq("b")}},
 		RHS: []cfd.Item{{Attr: "A", Pat: cfd.Eq("c")}}}
-	want, err := leftReduceRestart(c, s.inner.implies)
+	want, err := leftReduceRestart(c, s.implies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,41 +787,40 @@ func finiteWorkload(seed int64) (Universe, []*cfd.CFD, []*cfd.CFD) {
 // check receives each probe with the session and the alive Σ it runs
 // against, and decides it; a probe that errors counts as not implied, so
 // Σ may hold constants outside their domains.
-func replayMinCover(t *testing.T, u Universe, sigma []*cfd.CFD, check func(sess *session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error)) {
+func replayMinCover(t *testing.T, u Universe, sigma []*cfd.CFD, check func(s *Session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error)) {
 	t.Helper()
 	s := NewSession(u)
 	work, err := s.minCoverNormalize(sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := s.inner
 	reduced := make([]*cfd.CFD, len(work))
 	for i, c := range work {
-		if reduced[i], err = leftReduceRestart(c, func(phi *cfd.CFD) (bool, error) { return check(sess, work, phi) }); err != nil {
+		if reduced[i], err = leftReduceRestart(c, func(phi *cfd.CFD) (bool, error) { return check(s, work, phi) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	work = cfd.Dedup(reduced)
-	if err := sess.setSigma(work); err != nil {
+	if err := s.setSigma(work); err != nil {
 		t.Fatal(err)
 	}
 	for i := range work {
-		sess.setSkip(i)
+		s.setSkip(i)
 		var alive []*cfd.CFD
 		for j, c := range work {
-			if sess.alive(int32(j)) {
+			if s.alive(int32(j)) {
 				alive = append(alive, c)
 			}
 		}
-		ok, err := check(sess, alive, work[i])
+		ok, err := check(s, alive, work[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok {
-			sess.markDead(i)
+			s.markDead(i)
 		}
 	}
-	sess.setSkip(-1)
+	s.setSkip(-1)
 }
 
 // TestClosureMatchesReference requires the counter closure to give the
@@ -825,7 +830,7 @@ func replayMinCover(t *testing.T, u Universe, sigma []*cfd.CFD, check func(sess 
 // probeWorkloads(), replayed under the skip and dead masks.
 func TestClosureMatchesReference(t *testing.T) {
 	compared, impliedN, vacuousN, errN := 0, 0, 0, 0
-	compare := func(t *testing.T, name string, sess *session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
+	compare := func(t *testing.T, name string, sess *Session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
 		t.Helper()
 		ref, err := newRefSession(sess.u, alive)
 		if err != nil {
@@ -860,12 +865,12 @@ func TestClosureMatchesReference(t *testing.T) {
 		for _, phi := range phis {
 			compare(t, name, sess, sigma, phi)
 		}
-		replayMinCover(t, u, sigma, func(sess *session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
+		replayMinCover(t, u, sigma, func(sess *Session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
 			return compare(t, name, sess, alive, phi)
 		})
 	}
 	for _, w := range probeWorkloads() {
-		replayMinCover(t, w.u, w.sigma, func(sess *session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
+		replayMinCover(t, w.u, w.sigma, func(sess *Session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
 			return compare(t, w.name, sess, alive, phi)
 		})
 	}

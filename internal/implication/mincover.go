@@ -2,83 +2,40 @@ package implication
 
 import (
 	"context"
-	"sync/atomic"
 
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/parutil"
 )
 
-// Session is the reusable public face of the implication engine: one
-// compiled universe with its per-position indexes, counters and pooled
-// closure buffers, shared across many queries and MinCover calls. Callers
-// that issue repeated implication work against the same relation — RBR's
-// block-wise pruning, the final MinCover, the closure-baseline comparisons,
-// Equivalent — should hold one Session instead of paying per-call
-// compilation and allocation. Sessions assume the infinite-domain setting
-// of §4 (finite-domain attributes are tolerated: the test stays sound) and
-// are not safe for concurrent use.
-type Session struct {
-	inner *session
-
-	stats MinCoverStats // see ProbeStats
-}
-
-// NewSession builds an empty session over the universe; load Σ with
-// SetSigma or run MinCover directly.
-func NewSession(u Universe) *Session {
-	s, err := newSession(u, nil)
-	if err != nil {
-		panic(err) // unreachable: an empty Σ cannot fail compilation
-	}
-	return &Session{inner: s}
-}
-
 // SetSigma compiles Σ into the session: CFDs on other relations are
 // dropped, the rest are normalized and validated against the universe.
 func (s *Session) SetSigma(sigma []*cfd.CFD) error {
-	return s.inner.setSigma(cfd.NormalizeAll(sigma))
+	return s.setSigma(cfd.NormalizeAll(sigma))
 }
 
-// SetContext installs a cancellation context checked at every firing of
-// subsequent queries; a cancelled context surfaces as the context's error
-// from Implies/MinCover. Pass nil to clear. Cancellation never corrupts
-// the session: after Reset (or a fresh SetSigma) it is fully reusable.
-func (s *Session) SetContext(ctx context.Context) { s.inner.setContext(ctx) }
-
-// SetBudget installs a chase-step budget drawn down by every firing of
-// subsequent queries, mirroring propagation.Options.MaxChaseSteps: when
-// the shared counter goes negative, Implies/MinCover abort with
-// chase.ErrStepBudget. The counter may be shared between sessions (one
-// global budget for fanned-out work). Pass nil to clear. Exhaustion never
-// corrupts the session: after Reset (or a fresh SetSigma) it is fully
-// reusable.
-func (s *Session) SetBudget(steps *atomic.Int64) { s.inner.setBudget(steps) }
-
-// Reset returns a session that stopped mid-query — cancelled, budget-
-// exhausted, or recovered from a panic — to the quiescent state it had
-// just after its last SetSigma: no firing queued, no skip/tombstones, no
-// context, no step budget. The compiled Σ is kept.
+// Reset returns a session that stopped mid-query — cancelled or recovered
+// from a panic — to the quiescent state it had just after its last
+// SetSigma: no firing queued, no skip/tombstones, no context. The compiled
+// Σ is kept.
 func (s *Session) Reset() {
-	in := s.inner
-	in.queue = in.queue[:0]
-	in.setContext(nil)
-	in.setBudget(nil)
-	in.skip = -1
-	clear(in.dead)
-	in.compDirty = true
+	s.queue = s.queue[:0]
+	s.SetContext(nil)
+	s.skip = -1
+	clear(s.dead)
+	s.compDirty = true
 }
 
 // Implies reports whether the compiled Σ implies φ (infinite-domain
 // setting). Multi-RHS φ are normalized on the fly.
 func (s *Session) Implies(phi *cfd.CFD) (bool, error) {
-	if err := s.inner.u.checkCFD(phi); err != nil {
+	if err := s.u.checkCFD(phi); err != nil {
 		return false, err
 	}
 	if phi.Equality || len(phi.RHS) == 1 {
-		return s.inner.implies(phi)
+		return s.implies(phi)
 	}
 	for _, p := range phi.Normalize() {
-		ok, err := s.inner.implies(p)
+		ok, err := s.implies(p)
 		if err != nil || !ok {
 			return false, err
 		}
@@ -121,10 +78,9 @@ func (s *Session) MinCover(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 // single-RHS, drop trivial CFDs, dedup, compile — leaving the session
 // ready for left-reduction probes against the work set it returns.
 func (s *Session) minCoverNormalize(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
-	sess := s.inner
 	work := make([]*cfd.CFD, 0, len(sigma))
 	for _, c := range cfd.NormalizeAll(sigma) {
-		if c.Relation != sess.u.Relation {
+		if c.Relation != s.u.Relation {
 			continue
 		}
 		if c.IsTrivial() {
@@ -133,7 +89,7 @@ func (s *Session) minCoverNormalize(sigma []*cfd.CFD) ([]*cfd.CFD, error) {
 		work = append(work, c.Clone())
 	}
 	work = cfd.Dedup(work)
-	if err := sess.setSigma(work); err != nil {
+	if err := s.setSigma(work); err != nil {
 		return nil, err
 	}
 	return work, nil
@@ -197,8 +153,7 @@ type ProbeStats struct {
 	// Vacuous counts the implied probes whose premise conflicts: the
 	// closure met a conflict before it derived the conclusion.
 	Vacuous int64
-	// Firings counts the closure steps drawn, each of which also draws one
-	// step of a budget installed by SetBudget.
+	// Firings counts the closure steps drawn.
 	Firings int64
 }
 
@@ -217,12 +172,12 @@ func (s *Session) ProbeStats() MinCoverStats { return s.stats }
 
 // probe decides Σ |= φ on the compiled Σ and counts the probe into ps.
 func (s *Session) probe(phi *cfd.CFD, ps *ProbeStats) (bool, error) {
-	firings := s.inner.firings
-	v, err := s.inner.decide(phi)
+	firings := s.firings
+	v, err := s.decide(phi)
 	if err != nil {
 		return false, err
 	}
-	ps.Firings += s.inner.firings - firings
+	ps.Firings += s.firings - firings
 	switch v {
 	case vacuous:
 		ps.Vacuous++
@@ -244,25 +199,24 @@ func (s *Session) probe(phi *cfd.CFD, ps *ProbeStats) (bool, error) {
 // premise set) and their probe is skipped; the output is identical either
 // way.
 func (s *Session) minCoverRedundancy(work []*cfd.CFD, maybe []bool) ([]*cfd.CFD, error) {
-	sess := s.inner
 	for i := range work {
 		if maybe != nil && !maybe[i] {
 			continue
 		}
-		sess.setSkip(i)
+		s.setSkip(i)
 		ok, err := s.probe(work[i], &s.stats.Redundancy)
 		if err != nil {
-			sess.setSkip(-1)
+			s.setSkip(-1)
 			return nil, err
 		}
 		if ok {
-			sess.markDead(i)
+			s.markDead(i)
 		}
 	}
-	sess.setSkip(-1)
+	s.setSkip(-1)
 	out := work[:0]
 	for i, c := range work {
-		if !sess.dead[i] {
+		if !s.dead[i] {
 			out = append(out, c)
 		}
 	}
@@ -281,7 +235,7 @@ func (s *Session) minCoverReduce(work []*cfd.CFD) ([]*cfd.CFD, error) {
 		work[i] = r
 	}
 	work = cfd.Dedup(work)
-	if err := s.inner.setSigma(work); err != nil {
+	if err := s.setSigma(work); err != nil {
 		return nil, err
 	}
 	return work, nil
@@ -343,7 +297,7 @@ func ParallelMinCover(ctx context.Context, u Universe, sigma []*cfd.CFD, workers
 					sessions[w] = NewSession(u)
 					sessions[w].SetContext(ctx)
 				}
-				if errs[i] = sessions[w].inner.setSigma(set); errs[i] != nil {
+				if errs[i] = sessions[w].setSigma(set); errs[i] != nil {
 					return
 				}
 				fresh[w] = true
@@ -368,14 +322,14 @@ func ParallelMinCover(ctx context.Context, u Universe, sigma []*cfd.CFD, workers
 		return nil, err
 	}
 	work = cfd.Dedup(reduced)
-	if err := s0.inner.setSigma(work); err != nil {
+	if err := s0.setSigma(work); err != nil {
 		return nil, err
 	}
 
 	// maybe[i] reports work[i] implied by work − {work[i]}.
 	maybe := make([]bool, len(work))
 	if err := fanOut(work, func(sess *Session, i int) (err error) {
-		sess.inner.setSkip(i)
+		sess.setSkip(i)
 		maybe[i], err = sess.probe(work[i], &sess.stats.Redundancy)
 		return err
 	}); err != nil {

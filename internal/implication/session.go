@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"cfdprop/internal/cfd"
-	"cfdprop/internal/chase"
 	"cfdprop/internal/faultinject"
 	"cfdprop/internal/rel"
 )
@@ -22,8 +20,17 @@ const (
 	vacuous
 )
 
-// session is the implication engine behind Implies-style queries. Σ is
-// compiled once against the universe, and each query runs a counter
+// Session is the reusable implication engine: one compiled universe with
+// its per-position indexes, counters and pooled closure buffers, shared
+// across many queries and MinCover calls. Callers that issue repeated
+// implication work against the same relation — RBR's block-wise pruning,
+// the final MinCover, the closure-baseline comparisons, Equivalent —
+// should hold one Session instead of paying per-call compilation and
+// allocation. Sessions assume the infinite-domain setting of §4
+// (finite-domain attributes are tolerated: the test stays sound) and are
+// not safe for concurrent use.
+//
+// Σ is compiled once against the universe, and each query runs a counter
 // closure over the canonical two-row template (one row for equality
 // queries). The template's state is a few monotone facts per equality
 // component q, the components of the alive equality CFDs: the rows are
@@ -43,7 +50,7 @@ const (
 // excludes one candidate (skip) instead of copying the compiled slice;
 // the indexes cover every CFD and liveness is checked when a counter
 // reaches 0.
-type session struct {
+type Session struct {
 	u     Universe
 	sigma []compiledCFD
 	dead  []bool // tombstoned CFDs are ignored by every query
@@ -102,16 +109,12 @@ type session struct {
 	phiPos    []int
 	sharedPat []cfd.Pattern
 
-	// Cooperative cancellation, installed by setContext: every firing polls
+	// Cooperative cancellation, installed by SetContext: every firing polls
 	// done and aborts with ctx's error.
 	ctx  context.Context
 	done <-chan struct{}
 
-	// Cooperative step budget, installed by setBudget: every firing draws
-	// one step; exhaustion aborts with chase.ErrStepBudget. Like
-	// propagation.Options.MaxChaseSteps, the counter may be shared across
-	// sessions so concurrent work exhausts one global budget.
-	steps *atomic.Int64
+	stats MinCoverStats // see ProbeStats
 }
 
 // posIndex groups LHS items by universe position: position p's items are
@@ -140,27 +143,30 @@ type compiledCFD struct {
 	rhsCode int32 // code of a standard CFD's constant RHS; -1 for a wildcard
 }
 
-// newSession validates and compiles sigma (already normalized; CFDs on
-// other relations are skipped).
-func newSession(u Universe, sigma []*cfd.CFD) (*session, error) {
+// NewSession builds an empty session over the universe; load Σ with
+// SetSigma or run MinCover directly.
+func NewSession(u Universe) *Session {
 	u = u.indexed()
-	n := len(u.Attrs)
-	s := &session{u: u, skip: -1, codes: make(map[string]int32), sharedPat: make([]cfd.Pattern, n)}
+	s := &Session{
+		u:         u,
+		skip:      -1,
+		codes:     make(map[string]int32),
+		sharedPat: make([]cfd.Pattern, len(u.Attrs)),
+		compDirty: true,
+	}
 	for _, a := range u.Attrs {
 		if a.Domain.Finite {
 			s.anyFinite = true
 			break
 		}
 	}
-	if err := s.setSigma(sigma); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.buildIndex()
+	return s
 }
 
 // compile resolves a normalized CFD's attribute positions and codes a
 // standard CFD's constant RHS.
-func (s *session) compile(c *cfd.CFD) (compiledCFD, error) {
+func (s *Session) compile(c *cfd.CFD) (compiledCFD, error) {
 	cc := compiledCFD{c: c, lhs: make([]int, len(c.LHS)), rhsCode: -1}
 	ok := true
 	pos := func(attr string) int {
@@ -181,7 +187,7 @@ func (s *session) compile(c *cfd.CFD) (compiledCFD, error) {
 }
 
 // code returns a Σ constant's code, assigning the next one if it is new.
-func (s *session) code(c string) int32 {
+func (s *Session) code(c string) int32 {
 	k, ok := s.codes[c]
 	if !ok {
 		k = int32(len(s.strs))
@@ -194,7 +200,7 @@ func (s *session) code(c string) int32 {
 // setSigma (re)compiles sigma into the session. CFDs on other relations
 // are skipped, so when the caller prefilters to the universe's relation
 // (as MinCover does), compiled indices align with the input slice.
-func (s *session) setSigma(sigma []*cfd.CFD) error {
+func (s *Session) setSigma(sigma []*cfd.CFD) error {
 	s.sigma = s.sigma[:0]
 	clear(s.codes)
 	s.strs = s.strs[:0]
@@ -219,7 +225,7 @@ func (s *session) setSigma(sigma []*cfd.CFD) error {
 // slot returns the index an LHS item with pattern pat of cc belongs in, or
 // nil for a wildcard of a CFD that fires per row: its row premise always
 // holds there.
-func (s *session) slot(cc *compiledCFD, pat cfd.Pattern) *posIndex {
+func (s *Session) slot(cc *compiledCFD, pat cfd.Pattern) *posIndex {
 	switch {
 	case cc.rhsCode < 0 && pat.Wildcard:
 		return &s.wild
@@ -234,7 +240,7 @@ func (s *session) slot(cc *compiledCFD, pat cfd.Pattern) *posIndex {
 // buildIndex rebuilds the per-position indexes, codes the LHS constants
 // and sizes the counters: one pass counts each position's items, one fills
 // them in, and each position's run is sorted by code.
-func (s *session) buildIndex() {
+func (s *Session) buildIndex() {
 	n := len(s.u.Attrs)
 	idxs := [...]*posIndex{&s.wild, &s.pair, &s.row}
 	for _, x := range idxs {
@@ -303,7 +309,7 @@ func (s *session) buildIndex() {
 
 // buildComps recomputes the equality components of the alive equality
 // CFDs, their domains and the seed conflict.
-func (s *session) buildComps() {
+func (s *Session) buildComps() {
 	n := len(s.u.Attrs)
 	s.parent = append(s.parent[:0], make([]int32, n)...)
 	for p := range s.parent {
@@ -374,9 +380,11 @@ func (s *session) buildComps() {
 
 func emptyDomain(d rel.Domain) bool { return d.Finite && len(d.Values) == 0 }
 
-// setContext installs (or, with nil, clears) a cancellation context
-// checked at every firing.
-func (s *session) setContext(ctx context.Context) {
+// SetContext installs a cancellation context checked at every firing of
+// subsequent queries; a cancelled context surfaces as the context's error
+// from Implies/MinCover. Pass nil to clear. Cancellation never corrupts
+// the session: after Reset (or a fresh SetSigma) it is fully reusable.
+func (s *Session) SetContext(ctx context.Context) {
 	s.ctx = ctx
 	if ctx != nil {
 		s.done = ctx.Done()
@@ -385,16 +393,12 @@ func (s *session) setContext(ctx context.Context) {
 	}
 }
 
-// setBudget installs (or, with nil, clears) a shared step budget drawn
-// down by every firing.
-func (s *session) setBudget(steps *atomic.Int64) { s.steps = steps }
-
 // alive reports whether the i-th compiled CFD participates in queries.
-func (s *session) alive(i int32) bool { return !s.dead[i] && int(i) != s.skip }
+func (s *Session) alive(i int32) bool { return !s.dead[i] && int(i) != s.skip }
 
 // setSkip temporarily excludes one compiled CFD (-1 for none) — MinCover's
 // redundancy phase tests "Σ − {φ} |= φ" this way.
-func (s *session) setSkip(i int) {
+func (s *Session) setSkip(i int) {
 	if s.isEquality(s.skip) || s.isEquality(i) {
 		s.compDirty = true
 	}
@@ -403,18 +407,18 @@ func (s *session) setSkip(i int) {
 
 // markDead tombstones the i-th compiled CFD — used by MinCover's
 // redundancy phase instead of copying the compiled slice per candidate.
-func (s *session) markDead(i int) {
+func (s *Session) markDead(i int) {
 	s.dead[i] = true
 	if s.isEquality(i) {
 		s.compDirty = true
 	}
 }
 
-func (s *session) isEquality(i int) bool { return i >= 0 && s.sigma[i].c.Equality }
+func (s *Session) isEquality(i int) bool { return i >= 0 && s.sigma[i].c.Equality }
 
 // begin starts a query over an n-row template: a fresh counter epoch, no
 // facts, an empty queue, and no per-query codes.
-func (s *session) begin(rows int) {
+func (s *Session) begin(rows int) {
 	if s.compDirty {
 		s.buildComps()
 	}
@@ -438,7 +442,7 @@ func (s *session) begin(rows int) {
 // queryCode returns the code of a query constant. A constant Σ never
 // mentions gets a per-query code when add is set, and -2 otherwise: no fact
 // can hold it.
-func (s *session) queryCode(c string, add bool) int32 {
+func (s *Session) queryCode(c string, add bool) int32 {
 	if k, ok := s.codes[c]; ok {
 		return k
 	}
@@ -456,7 +460,7 @@ func (s *session) queryCode(c string, add bool) int32 {
 
 // dec counts one met item of CFD i's counter slot, queueing its firing when
 // none is left.
-func (s *session) dec(i int32, slot int) {
+func (s *Session) dec(i int32, slot int) {
 	c := &s.ctr[i]
 	if c.epoch != s.epoch {
 		c.epoch = s.epoch
@@ -470,7 +474,7 @@ func (s *session) dec(i int32, slot int) {
 
 // decConst counts the constant items of x with code k at component q's
 // positions into counter slot.
-func (s *session) decConst(x *posIndex, q, k int32, slot int) {
+func (s *Session) decConst(x *posIndex, q, k int32, slot int) {
 	for _, p := range s.members[s.memStart[q]:s.memStart[q+1]] {
 		run := x.at(p)
 		lo, hi := 0, len(run)
@@ -489,7 +493,7 @@ func (s *session) decConst(x *posIndex, q, k int32, slot int) {
 
 // bind binds component q in row r to code k, reporting false on a
 // conflict: a second constant in the class, or k outside q's domain.
-func (s *session) bind(r int, q, k int32) bool {
+func (s *Session) bind(r int, q, k int32) bool {
 	switch v := s.val[r][q]; {
 	case v == k:
 		return true
@@ -518,7 +522,7 @@ func (s *session) bind(r int, q, k int32) bool {
 // union unions the rows' classes of component q, reporting false on a
 // conflict: two constants, or an empty domain. A φ LHS position shared by
 // both rows is one class already, so its union never conflicts.
-func (s *session) union(q int32, shared bool) bool {
+func (s *Session) union(q int32, shared bool) bool {
 	if s.agree[q] {
 		return true
 	}
@@ -540,7 +544,7 @@ func (s *session) union(q int32, shared bool) bool {
 
 // setEqual records that the rows are equal on component q, counting the
 // wildcard items at its positions.
-func (s *session) setEqual(q int32) {
+func (s *Session) setEqual(q int32) {
 	if s.equal[q] {
 		return
 	}
@@ -553,7 +557,7 @@ func (s *session) setEqual(q int32) {
 }
 
 // queueRoots queues the firings whose premise holds in every template.
-func (s *session) queueRoots() {
+func (s *Session) queueRoots() {
 	for _, i := range s.rowRoots {
 		if s.alive(i) {
 			s.queue = append(s.queue, i<<1)
@@ -575,7 +579,7 @@ func (s *session) queueRoots() {
 // the rows are equal on its RHS component tq and, for a constant RHS, hold
 // code tk; for an equality φ, the row holds one code on components tq and
 // tb.
-func (s *session) reached() bool {
+func (s *Session) reached() bool {
 	if s.rows == 1 {
 		v := s.val[0][s.tq]
 		return v >= 0 && v == s.val[0][s.tb]
@@ -585,9 +589,9 @@ func (s *session) reached() bool {
 
 // drain runs the queued firings until the query's conclusion holds, the
 // queue runs dry (the closure is complete), or a firing conflicts. It
-// returns the context's error when a context installed via setContext is
-// cancelled, and chase.ErrStepBudget when the budget runs out.
-func (s *session) drain() (verdict, error) {
+// returns the context's error when a context installed via SetContext is
+// cancelled.
+func (s *Session) drain() (verdict, error) {
 	for qh := 0; ; qh++ {
 		// A conclusion that holds stays true whatever follows, a conflict
 		// included, so the closure stops as soon as it holds.
@@ -604,9 +608,6 @@ func (s *session) drain() (verdict, error) {
 				return rejected, s.ctx.Err()
 			default:
 			}
-		}
-		if s.steps != nil && s.steps.Add(-1) < 0 {
-			return rejected, chase.ErrStepBudget
 		}
 		s.firings++
 		f := s.queue[qh]
@@ -626,13 +627,13 @@ func (s *session) drain() (verdict, error) {
 
 // implies decides Σ |= φ using the compiled Σ (infinite-domain setting;
 // phi must be in normal form and validated against the universe).
-func (s *session) implies(phi *cfd.CFD) (bool, error) {
+func (s *Session) implies(phi *cfd.CFD) (bool, error) {
 	v, err := s.decide(phi)
 	return v != rejected, err
 }
 
 // decide is implies with the kind of positive answer.
-func (s *session) decide(phi *cfd.CFD) (verdict, error) {
+func (s *Session) decide(phi *cfd.CFD) (verdict, error) {
 	// Poll once up front so a cancelled session refuses every query, not
 	// just those that fire.
 	if s.done != nil {
@@ -698,7 +699,7 @@ func (s *session) decide(phi *cfd.CFD) (verdict, error) {
 
 // decideEquality decides an equality query t[A] = t[B] on the one-row
 // template.
-func (s *session) decideEquality(phi *cfd.CFD) (verdict, error) {
+func (s *Session) decideEquality(phi *cfd.CFD) (verdict, error) {
 	a, ok1 := s.u.pos(phi.LHS[0].Attr)
 	b, ok2 := s.u.pos(phi.RHS[0].Attr)
 	if !ok1 || !ok2 {

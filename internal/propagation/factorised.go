@@ -1,6 +1,7 @@
 package propagation
 
 import (
+	"cfdprop/internal/cfd"
 	"cfdprop/internal/chase"
 	"cfdprop/internal/rel"
 	"cfdprop/internal/sym"
@@ -66,10 +67,10 @@ func belowSizes(plan enumPlan) []int {
 // window iteratively with a mark stack: marks[d] is the rewind point
 // taken just before digit d was bound, and moving to the next index
 // rewinds only up to the highest digit whose value changes.
-func scanFactorised(w *pairWorker, db *rel.DBSchema, opts Options, plan enumPlan, ev *pairEval, lo, hi, taskIdx int, bound, inner *atomicMin) chunkResult {
+func scanFactorised(w *pairWorker, db *rel.DBSchema, opts Options, plan enumPlan, sigmaN []*cfd.CFD, verdict func() bool, lo, hi, taskIdx int, bound, inner *atomicMin) chunkResult {
 	st := w.st
 	r := chunkResult{stopIdx: -1}
-	rs, err := w.ci.RunPrefix(ev.sigmaN)
+	rs, err := w.ci.RunPrefix(sigmaN)
 	if err != nil {
 		if isUndefined(err) {
 			r.count = hi - lo // the whole window is vacuous
@@ -146,7 +147,7 @@ func scanFactorised(w *pairWorker, db *rel.DBSchema, opts Options, plan enumPlan
 			continue
 		}
 		r.count++
-		if !ev.verdict() {
+		if !verdict() {
 			r.stopIdx = idx
 			if opts.WantCounterexample {
 				if witness, err := w.ci.Concrete(db, true); err == nil {

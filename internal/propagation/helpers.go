@@ -1,19 +1,9 @@
 package propagation
 
 import (
-	"cfdprop/internal/algebra"
 	"cfdprop/internal/chase"
-	"cfdprop/internal/rel"
 	"cfdprop/internal/tableau"
 )
-
-func declareSources(ci *chase.Inst, db *rel.DBSchema) error {
-	return tableau.DeclareSources(ci, db)
-}
-
-func buildTableau(ci *chase.Inst, db *rel.DBSchema, q *algebra.SPC) (*tableau.Tableau, error) {
-	return tableau.Build(ci, db, q)
-}
 
 func isInconsistent(err error) bool {
 	_, ok := err.(tableau.ErrInconsistent)

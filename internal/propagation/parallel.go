@@ -10,6 +10,7 @@ import (
 	"cfdprop/internal/faultinject"
 	"cfdprop/internal/parutil"
 	"cfdprop/internal/rel"
+	"cfdprop/internal/tableau"
 )
 
 // The schedule executor is the one implementation of the §3 pair loop, at
@@ -164,7 +165,7 @@ func runSchedule(db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *c
 			}
 		}
 		scout.reset()
-		if _, err := buildTableau(scout.ci, db, view.Disjuncts[d]); err != nil {
+		if _, err := tableau.Build(scout.ci, db, view.Disjuncts[d]); err != nil {
 			if isInconsistent(err) {
 				empty[d] = true
 			} else {
@@ -362,22 +363,18 @@ func safeRunEvalTask(w *pairWorker, db *rel.DBSchema, view *algebra.SPCU, sigmaN
 	return runEvalTask(w, db, view, sigmaN, phi, opts, task, taskIdx, bound, innerP)
 }
 
-// prepare builds the task's pair state in w and returns its evaluation
-// bundle; ok is false when the premise is unrealizable (the task
-// propagates trivially). The construction sequence is identical on every
-// worker, so enumeration plans and counterexamples are reproducible.
-func prepareTask(w *pairWorker, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, task pairTask) (ev *pairEval, ok bool, err error) {
+// prepareTask builds the task's pair state in w and returns its verdict;
+// ok is false when the premise is unrealizable (the task propagates
+// trivially). The construction sequence is identical on every worker, so
+// enumeration plans and counterexamples are reproducible.
+func prepareTask(w *pairWorker, db *rel.DBSchema, view *algebra.SPCU, phi *cfd.CFD, task pairTask) (verdict func() bool, ok bool, err error) {
 	w.reset()
 	if task.kind == taskEquality {
 		t, outcome, err := prepareEquality(w, db, view.Disjuncts[task.i])
 		if err != nil || outcome != prepOK {
 			return nil, false, err
 		}
-		return &pairEval{
-			sigmaN:   sigmaN,
-			evaluate: equalityEvaluate(w, sigmaN, t, phi.LHS[0].Attr, phi.RHS[0].Attr),
-			verdict:  equalityVerdict(w, t, phi.LHS[0].Attr, phi.RHS[0].Attr),
-		}, true, nil
+		return equalityVerdict(w, t, phi.LHS[0].Attr, phi.RHS[0].Attr), true, nil
 	}
 	t1, t2, outcome, err := preparePair(w, db, view.Disjuncts[task.i], view.Disjuncts[task.j], phi)
 	if err != nil || outcome != prepOK {
@@ -385,17 +382,13 @@ func prepareTask(w *pairWorker, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*
 		// for disjuncts known non-empty. Unrealizable premises propagate.
 		return nil, false, err
 	}
-	return &pairEval{
-		sigmaN:   sigmaN,
-		evaluate: pairEvaluate(w, sigmaN, t1, t2, phi.RHS[0]),
-		verdict:  pairVerdict(w, t1, t2, phi.RHS[0]),
-	}, true, nil
+	return pairVerdict(w, t1, t2, phi.RHS[0]), true, nil
 }
 
 // runEvalTask runs one taskPair/taskEquality entry, fanning the
 // general-setting enumeration across innerP sub-workers when profitable.
 func runEvalTask(w *pairWorker, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options, task pairTask, taskIdx int, bound *atomicMin, innerP int) taskOutcome {
-	ev, ok, err := prepareTask(w, db, view, sigmaN, phi, task)
+	verdict, ok, err := prepareTask(w, db, view, phi, task)
 	if err != nil {
 		return taskOutcome{err: err}
 	}
@@ -406,36 +399,32 @@ func runEvalTask(w *pairWorker, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*
 		return taskOutcome{unrealizable: task.kind == taskPair}
 	}
 
-	if !opts.General {
-		ok, err := ev.evaluate()
-		if err != nil {
-			return taskOutcome{err: err}
+	// The infinite-domain setting, and a general-setting pair with no
+	// finite root to enumerate (its one instantiation), chase once.
+	var plan enumPlan
+	insts := 0
+	if opts.General {
+		var emptyDomain bool
+		if plan, emptyDomain = planEnumeration(w.st, opts.MaxInstantiations); emptyDomain {
+			return taskOutcome{}
 		}
-		if ok {
-			return taskOutcome{evaluated: true}
-		}
-		return refutedOutcome(w, db, opts, 0)
-	}
-
-	plan, emptyDomain := planEnumeration(w.st, opts.MaxInstantiations)
-	if emptyDomain {
-		return taskOutcome{}
+		insts = 1
 	}
 	if len(plan.roots) == 0 {
-		ok, err := ev.evaluate()
+		ok, err := evaluate(w, sigmaN, verdict)
 		if err != nil {
 			return taskOutcome{err: err}
 		}
 		if ok {
-			return taskOutcome{insts: 1, evaluated: true}
+			return taskOutcome{insts: insts, evaluated: true}
 		}
-		return refutedOutcome(w, db, opts, 1)
+		return refutedOutcome(w, db, opts, insts)
 	}
 
 	// Decide the fan-out: splitting is only worth a tableau rebuild per
 	// sub-worker when the range is long enough.
 	chunks := max(min(innerP, plan.limit/minChunk), 1)
-	out := scanPlan(w, ev, db, view, sigmaN, phi, opts, task, plan, taskIdx, bound, chunks)
+	out := scanPlan(w, verdict, db, view, sigmaN, phi, opts, task, plan, taskIdx, bound, chunks)
 	if !out.skipped {
 		out.evaluated = true
 	}
@@ -477,7 +466,7 @@ type chunkResult struct {
 // never skipped, which keeps the applicable-assignment count and the
 // winning counterexample exact. The outer bound cancels the whole task
 // when a lower schedule index refutes.
-func scanPlan(w *pairWorker, ev *pairEval, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options, task pairTask, plan enumPlan, taskIdx int, bound *atomicMin, chunks int) taskOutcome {
+func scanPlan(w *pairWorker, verdict func() bool, db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *cfd.CFD, opts Options, task pairTask, plan enumPlan, taskIdx int, bound *atomicMin, chunks int) taskOutcome {
 	results := make([]chunkResult, chunks)
 	var inner atomicMin
 	inner.store(int64(plan.limit))
@@ -503,7 +492,7 @@ func scanPlan(w *pairWorker, ev *pairEval, db *rel.DBSchema, view *algebra.SPCU,
 				return
 			}
 			cw.attach(opts)
-			cev, ok, err := prepareTask(cw, db, view, sigmaN, phi, task)
+			cverdict, ok, err := prepareTask(cw, db, view, phi, task)
 			if err != nil {
 				results[c] = chunkResult{stopIdx: chunkLo(plan.limit, chunks, c), stopErr: err}
 				inner.min(int64(results[c].stopIdx))
@@ -514,12 +503,12 @@ func scanPlan(w *pairWorker, ev *pairEval, db *rel.DBSchema, view *algebra.SPCU,
 				results[c] = chunkResult{stopIdx: -1}
 				return
 			}
-			results[c] = scanFactorised(cw, db, opts, plan, cev, chunkLo(plan.limit, chunks, c), chunkLo(plan.limit, chunks, c+1), taskIdx, bound, &inner)
+			results[c] = scanFactorised(cw, db, opts, plan, sigmaN, cverdict, chunkLo(plan.limit, chunks, c), chunkLo(plan.limit, chunks, c+1), taskIdx, bound, &inner)
 		}(c)
 	}
 	// The owning worker takes the first chunk with its already-prepared
-	// state and evaluation bundle — no rebuild.
-	results[0] = scanFactorised(w, db, opts, plan, ev, 0, chunkLo(plan.limit, chunks, 1), taskIdx, bound, &inner)
+	// state and verdict — no rebuild.
+	results[0] = scanFactorised(w, db, opts, plan, sigmaN, verdict, 0, chunkLo(plan.limit, chunks, 1), taskIdx, bound, &inner)
 	wg.Wait()
 
 	// Assemble: find the lowest stop event; applicable counts accumulate

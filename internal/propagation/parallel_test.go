@@ -44,8 +44,9 @@ func checkAllLevels(t *testing.T, db *rel.DBSchema, view *algebra.SPCU, sigma []
 // the plain nested loop over disjunct pairs (i, j ≥ i): it finds empty
 // disjuncts as it goes and enumerates each pair's finite-domain
 // assignments in order, re-chasing every one (scanChunk). It shares only
-// the pair preparation and the chase with Check, and has no memo and no
-// stop controls: TestMemoReplayByteIdentical and stop_test.go cover those.
+// the pair preparation, the verdicts and evaluate (the chase, then the
+// verdict) with Check, and has no memo and no stop controls:
+// TestMemoReplayByteIdentical and stop_test.go cover those.
 func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD, opts Options) (*Result, error) {
 	if opts.MaxInstantiations <= 0 {
 		opts.MaxInstantiations = DefaultMaxInstantiations
@@ -57,7 +58,7 @@ func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *c
 	}
 	res := &Result{Propagated: true}
 	// run evaluates one prepared pair; it reports false on a refutation.
-	run := func(ev *pairEval) (bool, error) {
+	run := func(verdict func() bool) (bool, error) {
 		roots := 0
 		var plan enumPlan
 		if opts.General {
@@ -71,14 +72,14 @@ func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *c
 			}
 		}
 		if roots == 0 {
-			ok, err := ev.evaluate()
+			ok, err := evaluate(w, sigmaN, verdict)
 			if err == nil && !ok && opts.WantCounterexample {
 				// Like Check, leave out a witness that cannot be built.
 				res.Counterexample, _ = w.ci.Concrete(db, true)
 			}
 			return ok, err
 		}
-		r := scanChunk(w, db, opts, plan, ev)
+		r := scanChunk(w, db, opts, plan, sigmaN, verdict)
 		res.Instantiations += r.count
 		switch {
 		case r.stopErr != nil:
@@ -104,7 +105,7 @@ func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *c
 				}
 				res.PairsChecked++
 				w.reset()
-				ev := &pairEval{sigmaN: sigmaN}
+				var verdict func() bool
 				if p.Equality {
 					t, outcome, err := prepareEquality(w, db, view.Disjuncts[i])
 					if err != nil {
@@ -113,7 +114,7 @@ func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *c
 					if outcome == prepEmptyFirst {
 						continue
 					}
-					ev.evaluate = equalityEvaluate(w, sigmaN, t, p.LHS[0].Attr, p.RHS[0].Attr)
+					verdict = equalityVerdict(w, t, p.LHS[0].Attr, p.RHS[0].Attr)
 				} else {
 					t1, t2, outcome, err := preparePair(w, db, view.Disjuncts[i], view.Disjuncts[j], p)
 					if err != nil {
@@ -129,9 +130,9 @@ func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *c
 					case prepUnrealizable:
 						continue
 					}
-					ev.evaluate = pairEvaluate(w, sigmaN, t1, t2, p.RHS[0])
+					verdict = pairVerdict(w, t1, t2, p.RHS[0])
 				}
-				ok, err := run(ev)
+				ok, err := run(verdict)
 				if err != nil {
 					return nil, err
 				}
@@ -149,7 +150,7 @@ func serialOracle(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *c
 // re-chasing the full pair per assignment from the pre-bind state — the
 // reference enumeration scanFactorised is differentially tested against.
 // It stops at the first refuting or erroring index.
-func scanChunk(w *pairWorker, db *rel.DBSchema, opts Options, plan enumPlan, ev *pairEval) chunkResult {
+func scanChunk(w *pairWorker, db *rel.DBSchema, opts Options, plan enumPlan, sigmaN []*cfd.CFD, verdict func() bool) chunkResult {
 	st := w.st
 	base := st.Save()
 	choice := make([]int, len(plan.roots))
@@ -168,7 +169,7 @@ func scanChunk(w *pairWorker, db *rel.DBSchema, opts Options, plan enumPlan, ev 
 			continue
 		}
 		r.count++
-		ok, err := ev.evaluate()
+		ok, err := evaluate(w, sigmaN, verdict)
 		if err != nil {
 			r.stopIdx, r.stopErr = idx, err
 			return r

@@ -279,7 +279,7 @@ type pairWorker struct {
 func newPairWorker(db *rel.DBSchema) (*pairWorker, error) {
 	st := sym.NewState()
 	ci := chase.NewInst(st)
-	if err := declareSources(ci, db); err != nil {
+	if err := tableau.DeclareSources(ci, db); err != nil {
 		return nil, err
 	}
 	return &pairWorker{st: st, ci: ci}, nil
@@ -315,14 +315,14 @@ const (
 // so every worker reproduces identical sym.State layouts.
 func preparePair(w *pairWorker, db *rel.DBSchema, e1, e2 *algebra.SPC, phi *cfd.CFD) (t1, t2 *tableau.Tableau, outcome int, err error) {
 	st, ci := w.st, w.ci
-	t1, err = buildTableau(ci, db, e1)
+	t1, err = tableau.Build(ci, db, e1)
 	if err != nil {
 		if isInconsistent(err) {
 			return nil, nil, prepEmptyFirst, nil
 		}
 		return nil, nil, 0, err
 	}
-	t2, err = buildTableau(ci, db, e2)
+	t2, err = tableau.Build(ci, db, e2)
 	if err != nil {
 		if isInconsistent(err) {
 			return nil, nil, prepEmptySecond, nil
@@ -345,21 +345,9 @@ func preparePair(w *pairWorker, db *rel.DBSchema, e1, e2 *algebra.SPC, phi *cfd.
 	return t1, t2, prepOK, nil
 }
 
-// pairEval bundles the two per-instantiation tests of a prepared pair:
-// evaluate chases from scratch and compares (the infinite-domain setting,
-// a pair with no finite root to enumerate, and the tests' full-rechase
-// oracle); verdict only compares, for use on a state the factorised path
-// has already chased.
-type pairEval struct {
-	sigmaN   []*cfd.CFD
-	evaluate func() (bool, error)
-	verdict  func() bool
-}
-
 // pairVerdict returns the summary comparison of a prepared pair, to be
-// called on an already-chased state. It duplicates the tail of
-// pairEvaluate on purpose: evaluate is the reference the factorised path
-// is differentially tested against, so they must not share code.
+// called on an already-chased state: the two summary terms of φ's RHS
+// attribute must coincide and match a constant RHS pattern.
 func pairVerdict(w *pairWorker, t1, t2 *tableau.Tableau, rhs cfd.Item) func() bool {
 	st := w.st
 	return func() bool {
@@ -381,33 +369,23 @@ func equalityVerdict(w *pairWorker, t *tableau.Tableau, a, b string) func() bool
 	return func() bool { return st.SameTerm(t.Summary[a], t.Summary[b]) }
 }
 
-// pairEvaluate returns the per-instantiation test for a prepared pair:
-// chase with Σ, then compare the two summary terms of φ's RHS attribute.
-func pairEvaluate(w *pairWorker, sigmaN []*cfd.CFD, t1, t2 *tableau.Tableau, rhs cfd.Item) func() (bool, error) {
-	st, ci := w.st, w.ci
-	return func() (propagated bool, err error) {
-		if err := ci.Run(sigmaN); err != nil {
-			if isUndefined(err) {
-				return true, nil // premise unrealizable under Σ
-			}
-			return false, err
-		}
-		a1 := st.Resolve(t1.Summary[rhs.Attr])
-		a2 := st.Resolve(t2.Summary[rhs.Attr])
-		if !st.SameTerm(a1, a2) {
-			return false, nil
-		}
-		if rhs.Pat.Wildcard {
+// evaluate is the per-instantiation test of a prepared pair or equality
+// task: chase with Σ, then take the verdict. An undefined chase means the
+// premise is unrealizable under Σ, so the instantiation propagates.
+func evaluate(w *pairWorker, sigmaN []*cfd.CFD, verdict func() bool) (bool, error) {
+	if err := w.ci.Run(sigmaN); err != nil {
+		if isUndefined(err) {
 			return true, nil
 		}
-		return !a1.IsVar && a1.Const == rhs.Pat.Const, nil
+		return false, err
 	}
+	return verdict(), nil
 }
 
 // prepareEquality builds the single-disjunct tableau for a special-form
 // equality CFD V(A → B, (x ‖ x)).
 func prepareEquality(w *pairWorker, db *rel.DBSchema, e *algebra.SPC) (t *tableau.Tableau, outcome int, err error) {
-	t, err = buildTableau(w.ci, db, e)
+	t, err = tableau.Build(w.ci, db, e)
 	if err != nil {
 		if isInconsistent(err) {
 			return nil, prepEmptyFirst, nil
@@ -415,21 +393,6 @@ func prepareEquality(w *pairWorker, db *rel.DBSchema, e *algebra.SPC) (t *tablea
 		return nil, 0, err
 	}
 	return t, prepOK, nil
-}
-
-// equalityEvaluate returns the per-instantiation test for an equality CFD:
-// chase with Σ, then check the two summary terms coincide.
-func equalityEvaluate(w *pairWorker, sigmaN []*cfd.CFD, t *tableau.Tableau, a, b string) func() (bool, error) {
-	st, ci := w.st, w.ci
-	return func() (bool, error) {
-		if err := ci.Run(sigmaN); err != nil {
-			if isUndefined(err) {
-				return true, nil
-			}
-			return false, err
-		}
-		return st.SameTerm(t.Summary[a], t.Summary[b]), nil
-	}
 }
 
 // enumPlan describes a pair's finite-domain enumeration: the unbound

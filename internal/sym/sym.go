@@ -280,7 +280,10 @@ func (s *State) UnboundFiniteRoots() []int {
 }
 
 // Snapshot captures the state so it can be restored after speculative
-// chasing. Restoring is O(n) in the number of variables.
+// chasing. Restoring is O(n) in the number of variables. The library
+// rolls back through Mark/Rewind instead; Save and Restore are the
+// tests' reference for Rewind, and for the re-chase oracles the
+// factorised enumeration is compared against.
 type Snapshot struct {
 	parent  []int
 	rank    []int
