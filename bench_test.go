@@ -163,25 +163,6 @@ func BenchmarkClosureBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRBRPrune compares RBR with and without the block-wise
-// MinCover pruning of §4.3.
-func BenchmarkAblationRBRPrune(b *testing.B) {
-	db, cfds, view := workload(9, 500, 15, 6, 3)
-	for _, block := range []int{-1, 64} {
-		name := "prune=off"
-		if block > 0 {
-			name = fmt.Sprintf("prune=%d", block)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.PropCFDSPC(db, view, cfds, core.Options{RBRBlockSize: block}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationPreMinCover compares Fig. 2 line 1 on and off.
 func BenchmarkAblationPreMinCover(b *testing.B) {
 	db, cfds, view := workload(10, 500, 15, 6, 3)
@@ -267,7 +248,7 @@ func BenchmarkMinCover(b *testing.B) {
 	u := implication.UniverseOf(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := implication.MinCover(u, sigma); err != nil {
+		if _, err := implication.NewSession(u).MinCover(sigma); err != nil {
 			b.Fatal(err)
 		}
 	}

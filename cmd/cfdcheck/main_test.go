@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,7 +74,8 @@ func TestMalformedInputsErrorCleanly(t *testing.T) {
 					t.Errorf("CSV %s: panicked: %v", tc.name, r)
 				}
 			}()
-			if _, err := stream.CheckReader(strings.NewReader(tc.data), tc.name, rules, stream.Options{}); err == nil {
+			open := func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(tc.data)), nil }
+			if _, err := stream.Check(open, tc.name, rules, stream.Options{}); err == nil {
 				t.Errorf("CSV %s: accepted", tc.name)
 			}
 		}()

@@ -20,7 +20,9 @@
 //
 // With -server the spec is sent to a running propcfdd instance instead of
 // being computed in-process; the client retries 429/503 answers (the
-// daemon's shed/drain contract) with backoff, honoring Retry-After.
+// daemon's shed/drain contract) with backoff, honoring Retry-After. Both
+// modes print an answer through the same functions, from the daemon's
+// wire form, so their output is the same bytes.
 package main
 
 import (
@@ -28,14 +30,19 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
+	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/cliutil"
 	"cfdprop/internal/core"
 	"cfdprop/internal/daemon"
 	"cfdprop/internal/propagation"
+	"cfdprop/internal/rel"
 	"cfdprop/internal/spec"
+	"cfdprop/internal/sym"
 )
 
 const exampleSpec = `{
@@ -95,64 +102,76 @@ func main() {
 		if err != nil {
 			cliutil.Fatal("propcfd", err)
 		}
-		res, err := propagation.Check(db, view, sigma, phi,
-			propagation.Options{General: db.HasFiniteAttr(), WantCounterexample: true, Parallelism: common.Parallel, Context: ctx})
+		res, err := checkLocal(ctx, db, view, sigma, phi, common.Parallel)
 		if err != nil {
 			cliutil.Fatal("propcfd", err)
 		}
-		if res.Truncated {
-			fmt.Println("# warning: finite-domain enumeration hit the instantiation cap; a propagated verdict is not exhaustive")
-		}
-		if res.Stopped != propagation.StopNone {
-			fmt.Printf("# warning: check stopped early (%s); a propagated verdict only means no counterexample was found before the stop\n", res.Stopped)
-		}
-		if res.Propagated {
-			fmt.Printf("PROPAGATED: %s\n", phi)
-			return
-		}
-		fmt.Printf("NOT PROPAGATED: %s\n", phi)
-		if res.Counterexample != nil {
-			fmt.Println("counterexample source database:")
-			for _, name := range db.Names() {
-				in := res.Counterexample.Instance(name)
-				if in.Len() > 0 {
-					fmt.Print(in)
-				}
-			}
-		}
-		os.Exit(cliutil.ExitFailure)
-	}
-
-	if len(view.Disjuncts) == 1 {
-		res, err := core.PropCFDSPC(db, view.Disjuncts[0], sigma, core.Options{MaxCoverSize: *heuristic, Parallelism: common.Parallel, Context: ctx})
-		if err != nil {
-			cliutil.FatalStopped("propcfd", ctx, err)
-		}
-		if res.AlwaysEmpty {
-			fmt.Println("# view is empty for every source satisfying the CFDs")
-		}
-		if res.Truncated {
-			fmt.Println("# heuristic bound reached: this is a subset of a cover")
-		}
-		fmt.Printf("# minimal propagation cover (%d CFDs) on %s\n", len(res.Cover), res.ViewSchema)
-		for _, c := range res.Cover {
-			fmt.Println(c)
+		if !printCheck(os.Stdout, res) {
+			os.Exit(cliutil.ExitFailure)
 		}
 		return
 	}
-	res, err := core.PropCFDSPCU(db, view, sigma, core.Options{MaxCoverSize: *heuristic, Parallelism: common.Parallel, Context: ctx})
+
+	cover, err := coverLocal(db, view, sigma, core.Options{MaxCoverSize: *heuristic, Parallelism: common.Parallel, Context: ctx})
 	if err != nil {
 		cliutil.FatalStopped("propcfd", ctx, err)
 	}
-	fmt.Printf("# propagated CFDs on the union (%d CFDs, sound candidate heuristic) on %s\n",
-		len(res.Cover), res.ViewSchema)
-	for _, c := range res.Cover {
-		fmt.Println(c)
-	}
+	printCover(os.Stdout, cover)
 }
 
-// remote answers the same queries through a propcfdd daemon. The output
-// format matches the local paths so scripts can switch with just -server.
+// coverLocal computes the view's cover in-process and returns it in the
+// daemon's wire form: exact for a single SPC view unless the heuristic
+// bound truncated it, else the union's sound candidate heuristic.
+func coverLocal(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, opts core.Options) (*daemon.CoverResponse, error) {
+	if len(view.Disjuncts) != 1 {
+		res, err := core.PropCFDSPCU(db, view, sigma, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &daemon.CoverResponse{ViewSchema: res.ViewSchema.String(), Cover: cfdStrings(res.Cover)}, nil
+	}
+	res, err := core.PropCFDSPC(db, view.Disjuncts[0], sigma, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &daemon.CoverResponse{
+		ViewSchema:  res.ViewSchema.String(),
+		Cover:       cfdStrings(res.Cover),
+		Exact:       !res.Truncated,
+		AlwaysEmpty: res.AlwaysEmpty,
+		Truncated:   res.Truncated,
+	}, nil
+}
+
+// checkLocal decides φ in-process and returns the answer in the daemon's
+// wire form.
+func checkLocal(ctx context.Context, db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD, parallel int) (daemon.CheckResult, error) {
+	res, err := propagation.Check(db, view, sigma, phi,
+		propagation.Options{General: db.HasFiniteAttr(), WantCounterexample: true, Parallelism: parallel, Context: ctx})
+	if err != nil {
+		return daemon.CheckResult{}, err
+	}
+	return daemon.ResultOf(phi.String(), res, db), nil
+}
+
+// checkRemote asks a propcfdd daemon to decide φ. φ travels in its
+// canonical text, so the answer echoes it as checkLocal's does.
+func checkRemote(ctx context.Context, client *daemon.Client, problem *spec.Problem, phi *cfd.CFD, parallel int, deadlineMillis int64) (daemon.CheckResult, error) {
+	resp, err := client.Check(ctx, &daemon.CheckRequest{
+		Spec:               problem,
+		Phi:                phi.String(),
+		WantCounterexample: true,
+		Parallelism:        parallel,
+		DeadlineMillis:     deadlineMillis,
+	})
+	if err != nil {
+		return daemon.CheckResult{}, err
+	}
+	return resp.Results[0], nil
+}
+
+// remote answers the same queries through a propcfdd daemon, printing
+// them through the same functions as the local paths.
 func remote(ctx context.Context, base string, data []byte, check string, heuristic int, common *cliutil.Common) {
 	var problem spec.Problem
 	if err := json.Unmarshal(data, &problem); err != nil {
@@ -162,38 +181,18 @@ func remote(ctx context.Context, base string, data []byte, check string, heurist
 	deadlineMillis := common.Timeout.Milliseconds()
 
 	if check != "" {
-		resp, err := client.Check(ctx, &daemon.CheckRequest{
-			Spec:               &problem,
-			Phi:                check,
-			WantCounterexample: true,
-			Parallelism:        common.Parallel,
-			DeadlineMillis:     deadlineMillis,
-		})
+		phi, err := cfd.Parse(check)
+		if err != nil {
+			cliutil.Fatal("propcfd", err)
+		}
+		res, err := checkRemote(ctx, client, &problem, phi, common.Parallel, deadlineMillis)
 		if err != nil {
 			cliutil.FatalStopped("propcfd", ctx, err)
 		}
-		res := resp.Results[0]
-		if res.Truncated {
-			fmt.Println("# warning: finite-domain enumeration hit the instantiation cap; a propagated verdict is not exhaustive")
+		if !printCheck(os.Stdout, res) {
+			os.Exit(cliutil.ExitFailure)
 		}
-		if res.Stopped != propagation.StopNone {
-			fmt.Printf("# warning: check stopped early (%s); a propagated verdict only means no counterexample was found before the stop\n", res.Stopped)
-		}
-		if res.Propagated {
-			fmt.Printf("PROPAGATED: %s\n", res.Phi)
-			return
-		}
-		fmt.Printf("NOT PROPAGATED: %s\n", res.Phi)
-		if len(res.Counterexample) > 0 {
-			fmt.Println("counterexample source database:")
-			for _, wr := range res.Counterexample {
-				fmt.Printf("%s(%v)\n", wr.Name, wr.Attrs)
-				for _, t := range wr.Tuples {
-					fmt.Printf("  %v\n", t)
-				}
-			}
-		}
-		os.Exit(cliutil.ExitFailure)
+		return
 	}
 
 	resp, err := client.Cover(ctx, &daemon.CoverRequest{
@@ -205,18 +204,65 @@ func remote(ctx context.Context, base string, data []byte, check string, heurist
 	if err != nil {
 		cliutil.FatalStopped("propcfd", ctx, err)
 	}
-	if resp.AlwaysEmpty {
-		fmt.Println("# view is empty for every source satisfying the CFDs")
+	printCover(os.Stdout, resp)
+}
+
+// printCheck prints a check answer and reports whether φ is propagated.
+// Fresh constants in a counterexample print as ⋆n.
+func printCheck(w io.Writer, res daemon.CheckResult) bool {
+	if res.Truncated {
+		fmt.Fprintln(w, "# warning: finite-domain enumeration hit the instantiation cap; a propagated verdict is not exhaustive")
 	}
-	if resp.Truncated {
-		fmt.Println("# heuristic bound reached: this is a subset of a cover")
+	if res.Stopped != propagation.StopNone {
+		fmt.Fprintf(w, "# warning: check stopped early (%s); a propagated verdict only means no counterexample was found before the stop\n", res.Stopped)
 	}
-	kind := "minimal propagation cover"
-	if !resp.Exact {
-		kind = "propagated CFDs on the union (sound candidate heuristic)"
+	if res.Propagated {
+		fmt.Fprintf(w, "PROPAGATED: %s\n", res.Phi)
+		return true
 	}
-	fmt.Printf("# %s (%d CFDs) on %s [universe %s]\n", kind, len(resp.Cover), resp.ViewSchema, resp.Universe)
-	for _, c := range resp.Cover {
-		fmt.Println(c)
+	fmt.Fprintf(w, "NOT PROPAGATED: %s\n", res.Phi)
+	if len(res.Counterexample) > 0 {
+		fmt.Fprintln(w, "counterexample source database:")
+		for _, wr := range res.Counterexample {
+			fmt.Fprintf(w, "%s(%s)\n", wr.Name, strings.Join(wr.Attrs, ", "))
+			for _, t := range wr.Tuples {
+				row := make([]string, len(t))
+				for i, v := range t {
+					row[i] = sym.DisplayConstant(v)
+				}
+				fmt.Fprintf(w, "  (%s)\n", strings.Join(row, ", "))
+			}
+		}
 	}
+	return false
+}
+
+// printCover prints a cover answer.
+func printCover(w io.Writer, res *daemon.CoverResponse) {
+	if res.AlwaysEmpty {
+		fmt.Fprintln(w, "# view is empty for every source satisfying the CFDs")
+	}
+	if res.Truncated {
+		fmt.Fprintln(w, "# heuristic bound reached: this is a subset of a cover")
+	}
+	// Only a single SPC view's cover is truncated: the union heuristic
+	// has no bound.
+	if res.Exact || res.Truncated {
+		fmt.Fprintf(w, "# minimal propagation cover (%d CFDs) on %s\n", len(res.Cover), res.ViewSchema)
+	} else {
+		fmt.Fprintf(w, "# propagated CFDs on the union (%d CFDs, sound candidate heuristic) on %s\n", len(res.Cover), res.ViewSchema)
+	}
+	for _, c := range res.Cover {
+		fmt.Fprintln(w, c)
+	}
+}
+
+// cfdStrings renders CFDs in the text syntax, as the daemon's answers
+// carry them.
+func cfdStrings(cs []*cfd.CFD) []string {
+	out := make([]string, len(cs))
+	for i, c := range cs {
+		out[i] = c.String()
+	}
+	return out
 }

@@ -43,12 +43,12 @@
 // # Cancellation and budget semantics
 //
 // Every long-running entry point is cooperatively cancellable and
-// budgetable. propagation.Options carries a Context, a wall-clock Deadline
-// and a MaxChaseSteps budget (one step pool shared by all workers of a
-// call);
-// core.Options and bench.Config thread a Context through the cover
-// algorithms, implication Sessions accept one via SetContext, and
-// implication.ParallelMinCover takes one as its first argument.
+// budgetable. propagation.Options carries a Context, whose deadline bounds
+// the call's wall-clock time, and a MaxChaseSteps budget (one step pool
+// shared by all workers of a call); core.Options and bench.Config thread a
+// Context through the cover algorithms, implication Sessions accept one
+// via SetContext, and implication.ParallelMinCover takes one as its first
+// argument.
 // The chase worklists, the implication closure's firings, the pair loops
 // and the finite-domain enumerations all poll these controls.
 //

@@ -14,6 +14,7 @@ import (
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/propagation"
 	"cfdprop/internal/rel"
+	"cfdprop/internal/sym"
 )
 
 func main() {
@@ -65,11 +66,10 @@ func main() {
 		fmt.Printf("%-44s %-38s %s\n", tgt.label, tgt.phi, status)
 		if !res.Propagated && res.Counterexample != nil {
 			fmt.Println("  a source database defeating it:")
-			seen := map[string]string{}
 			for _, name := range db.Names() {
 				in := res.Counterexample.Instance(name)
 				for _, t := range in.Sorted() {
-					fmt.Printf("    %s%v\n", name, pretty(t, seen))
+					fmt.Printf("    %s%v\n", name, pretty(t))
 				}
 			}
 		}
@@ -81,19 +81,12 @@ func main() {
 	}
 }
 
-// pretty replaces fresh-constant placeholders with readable stars; seen is
-// shared across the whole printout so equal stars mean equal values.
-func pretty(t rel.Tuple, seen map[string]string) []string {
+// pretty renders fresh-constant placeholders as readable stars; equal
+// stars mean equal values.
+func pretty(t rel.Tuple) []string {
 	out := make([]string, len(t))
 	for i, v := range t {
-		if len(v) > 0 && v[0] == 0 {
-			if _, ok := seen[v]; !ok {
-				seen[v] = fmt.Sprintf("⋆%d", len(seen))
-			}
-			out[i] = seen[v]
-		} else {
-			out[i] = v
-		}
+		out[i] = sym.DisplayConstant(v)
 	}
 	return out
 }

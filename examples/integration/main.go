@@ -13,6 +13,7 @@ import (
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/propagation"
 	"cfdprop/internal/rel"
+	"cfdprop/internal/sym"
 )
 
 var attrs = []string{"AC", "phn", "name", "street", "city", "zip"}
@@ -104,7 +105,6 @@ func main() {
 }
 
 func printWitness(w *rel.Database) {
-	fresh := map[string]string{} // shared across relations so equal stars mean equal values
 	for _, name := range w.Schema.Names() {
 		in := w.Instance(name)
 		if in.Len() == 0 {
@@ -113,14 +113,7 @@ func printWitness(w *rel.Database) {
 		for _, t := range in.Sorted() {
 			row := make([]string, len(t))
 			for i, v := range t {
-				if len(v) > 0 && v[0] == 0 { // sym.FreshConstant marker
-					if _, ok := fresh[v]; !ok {
-						fresh[v] = fmt.Sprintf("⋆%d", len(fresh))
-					}
-					row[i] = fresh[v]
-				} else {
-					row[i] = v
-				}
+				row[i] = sym.DisplayConstant(v) // equal stars mean equal values
 			}
 			fmt.Printf("    %s%v\n", name, row)
 		}

@@ -206,9 +206,6 @@ func TestSPCUEvalUnion(t *testing.T) {
 	if out.Len() != 2 {
 		t.Errorf("union with overlap must have 2 tuples, got %d", out.Len())
 	}
-	if u.Fragment() != "SPCU" {
-		t.Errorf("Fragment() = %q, want SPCU", u.Fragment())
-	}
 }
 
 func TestViewSchemaDomains(t *testing.T) {

@@ -97,15 +97,6 @@ func (u *SPCU) Eval(db *rel.Database) (*rel.Instance, error) {
 	return out.Dedup(), nil
 }
 
-// Fragment returns "SPCU" when there are several disjuncts, otherwise the
-// single disjunct's fragment.
-func (u *SPCU) Fragment() string {
-	if len(u.Disjuncts) == 1 {
-		return u.Disjuncts[0].Fragment()
-	}
-	return "SPCU"
-}
-
 func (u *SPCU) String() string {
 	s := u.Name + " ="
 	for i, d := range u.Disjuncts {

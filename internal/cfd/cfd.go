@@ -47,15 +47,6 @@ func (p Pattern) Matches(v string) bool {
 	return p.Wildcard || p.Const == v
 }
 
-// Compatible implements the ≍ relation between two pattern entries:
-// η1 ≍ η2 iff they are the same constant or at least one is '_'.
-func (p Pattern) Compatible(q Pattern) bool {
-	if p.Wildcard || q.Wildcard {
-		return true
-	}
-	return p.Const == q.Const
-}
-
 // LE implements the partial order ≤ of §4.2: η1 ≤ η2 iff η1 and η2 are the
 // same constant, or η2 = '_'.
 func (p Pattern) LE(q Pattern) bool {

@@ -20,24 +20,6 @@ func TestPatternMatches(t *testing.T) {
 	}
 }
 
-func TestPatternCompatible(t *testing.T) {
-	cases := []struct {
-		p, q Pattern
-		want bool
-	}{
-		{Any(), Any(), true},
-		{Any(), Eq("x"), true},
-		{Eq("x"), Any(), true},
-		{Eq("x"), Eq("x"), true},
-		{Eq("x"), Eq("y"), false},
-	}
-	for _, c := range cases {
-		if got := c.p.Compatible(c.q); got != c.want {
-			t.Errorf("Compatible(%s, %s) = %v, want %v", c.p, c.q, got, c.want)
-		}
-	}
-}
-
 func TestPatternLE(t *testing.T) {
 	if !Eq("a").LE(Any()) {
 		t.Error("a ≤ _ must hold")

@@ -180,7 +180,7 @@ func TestResumableMatchesFullRechase(t *testing.T) {
 			switch {
 			case bindErr == nil:
 				got.fp = fingerprint(ciF, rels)
-			case errors.As(bindErr, &undef) || stF.Conflict() != nil:
+			case errors.Is(bindErr, sym.ErrConflict):
 				got.undef = true
 			default:
 				t.Fatalf("seed %d idx %d: Extend: %v", seed, idx, bindErr)

@@ -142,7 +142,7 @@ func TestComputeEQ(t *testing.T) {
 	if eq.Inconsistent {
 		t.Fatal("unexpected inconsistency")
 	}
-	if !eq.Same("A", "B") {
+	if eq.find("A") != eq.find("B") {
 		t.Error("A and B must be one class")
 	}
 	if k, ok := eq.Key("A"); !ok || k != "7" {
@@ -478,9 +478,6 @@ func TestFiniteDomainRejected(t *testing.T) {
 		Projection: []string{"A", "B"},
 	}
 	if _, err := PropCFDSPC(db, view, nil, Options{}); err == nil {
-		t.Error("finite-domain schema must be rejected without AllowFiniteDomains")
-	}
-	if _, err := PropCFDSPC(db, view, nil, Options{AllowFiniteDomains: true}); err != nil {
-		t.Errorf("AllowFiniteDomains must permit the run: %v", err)
+		t.Error("finite-domain schema must be rejected")
 	}
 }

@@ -71,8 +71,9 @@ type bucketEntry struct {
 
 // NewCoverSession compiles a (db, view) pair for incremental covering.
 // opts fixes the algorithm knobs for the session's lifetime, Parallelism
-// included (Context is overridden per call; Memo is the initial memo, see
-// SetMemo).
+// included; Context is overridden per call. The session starts without a
+// memo: Cover makes its own on first need, and SetMemo installs a shared
+// one.
 func NewCoverSession(db *rel.DBSchema, view *algebra.SPCU, opts Options) (*CoverSession, error) {
 	if err := view.Validate(db); err != nil {
 		return nil, err
@@ -81,7 +82,7 @@ func NewCoverSession(db *rel.DBSchema, view *algebra.SPCU, opts Options) (*Cover
 	if err != nil {
 		return nil, err
 	}
-	cs := &CoverSession{db: db, view: view, viewSchema: viewSchema, opts: opts, memo: opts.Memo}
+	cs := &CoverSession{db: db, view: view, viewSchema: viewSchema, opts: opts}
 	for _, d := range view.Disjuncts {
 		ds, err := d.ViewSchema(db)
 		if err != nil {
@@ -111,16 +112,14 @@ func (cs *CoverSession) RebaseMemo(m *propagation.Memo, sigma []*cfd.CFD) {
 	cs.lastSigma = append([]*cfd.CFD(nil), cfd.NormalizeAll(sigma)...)
 }
 
-// CarryStats returns the cumulative memo-migration tallies over every Σ
-// edit this session absorbed — the carryover counters the daemon surfaces
-// on /statusz.
+// CarryStats returns the cumulative tallies of the memo migrations Cover
+// ran itself, one per Σ edit it found against the memo's scope. A memo
+// installed by RebaseMemo was migrated by its caller, so those edits are
+// not counted here: the daemon reports its own migrations per edit.
 func (cs *CoverSession) CarryStats() propagation.CarryStats { return cs.carry }
 
-// MemoStats snapshots the session's memo.
-func (cs *CoverSession) MemoStats() propagation.MemoStats { return cs.memo.Stats() }
-
 // errFiniteAttrs rejects schemas outside §4's infinite-domain setting.
-var errFiniteAttrs = errors.New("core: schema has finite-domain attributes; §4 assumes their absence (set Options.AllowFiniteDomains to force)")
+var errFiniteAttrs = errors.New("core: schema has finite-domain attributes; §4 assumes their absence")
 
 // sameCFDs reports whether two CFD lists are equal member by member, in
 // order. Stage outputs are order-deterministic, so this is an exact input
@@ -144,7 +143,7 @@ func sameCFDs(a, b []*cfd.CFD) bool {
 func (cs *CoverSession) CoverDisjunct(ctx context.Context, i int, sigma []*cfd.CFD) (*Result, error) {
 	opts := cs.opts
 	opts.Context = ctx
-	if cs.db.HasFiniteAttr() && !opts.AllowFiniteDomains {
+	if cs.db.HasFiniteAttr() {
 		return nil, errFiniteAttrs
 	}
 	if err := cfd.ValidateAll(sigma, cs.db); err != nil {
@@ -246,7 +245,7 @@ func (d *coverSPC) minCoverBuckets(ctx context.Context, db *rel.DBSchema, sigma 
 func (cs *CoverSession) Cover(ctx context.Context, sigma []*cfd.CFD) (*UnionResult, error) {
 	opts := cs.opts
 	opts.Context = ctx
-	if cs.db.HasFiniteAttr() && !opts.AllowFiniteDomains {
+	if cs.db.HasFiniteAttr() {
 		return nil, errFiniteAttrs
 	}
 	if err := cfd.ValidateAll(sigma, cs.db); err != nil {

@@ -236,7 +236,7 @@ func TestCoverSessionCachesUnchangedSigma(t *testing.T) {
 	if first != again {
 		t.Fatal("unchanged Σ did not return the cached UnionResult")
 	}
-	misses := cs.MemoStats().Misses
+	misses := cs.memo.Stats().Misses
 
 	// An edit touching one relation re-checks only affected pairs: the
 	// memo must register new misses, but carry entries too.
@@ -248,7 +248,7 @@ func TestCoverSessionCachesUnchangedSigma(t *testing.T) {
 	if st.PairsCarried+st.EmptyCarried == 0 {
 		t.Fatalf("edit carried nothing: %+v", st)
 	}
-	if cs.MemoStats().Misses == misses && cs.MemoStats().Hits == 0 {
+	if cs.memo.Stats().Misses == misses && cs.memo.Stats().Hits == 0 {
 		t.Fatal("edited Σ neither hit nor missed the memo; checks did not run")
 	}
 

@@ -63,9 +63,6 @@ func (e *EQ) Key(a string) (string, bool) {
 	return k, ok
 }
 
-// Same reports whether two attributes are in one class.
-func (e *EQ) Same(a, b string) bool { return e.find(a) == e.find(b) }
-
 // setKey assigns a constant key, detecting conflicts. Returns true if the
 // state changed.
 func (e *EQ) setKey(a, c string) bool {

@@ -7,7 +7,6 @@ import (
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/implication"
-	"cfdprop/internal/propagation"
 	"cfdprop/internal/rel"
 )
 
@@ -22,22 +21,10 @@ type Options struct {
 	// SkipPreMinCover skips the initial Σ := MinCover(Σ) (Fig. 2 line 1);
 	// exposed for the ablation benchmarks.
 	SkipPreMinCover bool
-	// RBRBlockSize is the block size for intermediate MinCover pruning
-	// inside RBR (§4.3). 0 selects DefaultRBRBlockSize, < 0 disables.
-	RBRBlockSize int
-	// DropOrder selects the attribute elimination order inside RBR.
-	DropOrder DropOrder
 	// MaxCoverSize, when > 0, switches to the polynomial-time heuristic of
 	// §1: once the working set exceeds the bound, no further resolvents
 	// are generated and the result is a subset of a cover (Truncated set).
 	MaxCoverSize int
-	// AllowFiniteDomains permits running on schemas with finite-domain
-	// attributes. §4 assumes their absence; with this flag the algorithm
-	// treats every domain as infinite, which keeps the output sound as a
-	// set of propagated CFDs but may miss CFDs that hold only for
-	// finite-domain reasons (the general-setting cover problem is open,
-	// §7). Off by default: such schemas are rejected.
-	AllowFiniteDomains bool
 	// SkipFinalMinCover returns Σc ∪ Σd without the last MinCover call
 	// (Fig. 2 line 13); exposed for the ablation benchmarks.
 	SkipFinalMinCover bool
@@ -50,18 +37,7 @@ type Options struct {
 	// them on one worker, on the same code. The output is identical at
 	// every setting.
 	Parallelism int
-	// Memo, when non-nil, caches §3 pair verdicts and pair-emptiness
-	// results across the union-candidate checks of PropCFDSPCU — the
-	// candidates share most of their tableau pairs, so later checks replay
-	// earlier verdicts instead of re-chasing. A Memo is scoped to one
-	// (schema, Σ, V) triple: callers reusing one across calls must discard
-	// it whenever any of the three changes (see propagation.Memo). nil
-	// gives each PropCFDSPCU call a private memo.
-	Memo *propagation.Memo
 }
-
-// DefaultRBRBlockSize is the default block size for intermediate pruning.
-const DefaultRBRBlockSize = 64
 
 // Result is the output of PropCFDSPC.
 type Result struct {
@@ -82,7 +58,8 @@ type Result struct {
 
 // PropCFDSPC computes a minimal cover of all CFDs propagated from Σ via
 // the SPC view (Fig. 2). Σ may contain FDs (all-wildcard CFDs) or CFDs on
-// the source relations; the infinite-domain setting is assumed. It is a
+// the source relations. The infinite-domain setting of §4 is assumed: a
+// schema with finite-domain attributes is rejected. It is a
 // CoverSession used once: CoverSession.CoverDisjunct runs line 1 and
 // propSPCTail lines 2-13. The view is validated as an SPC query first, so
 // its errors read as they do for an SPC view, not a one-disjunct union.
@@ -123,10 +100,6 @@ func optContext(opts Options) context.Context {
 // 13 MinCover fans out over Options.Parallelism workers; its output is
 // deterministic in (universe, input) at every worker count.
 func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, sigma []*cfd.CFD, opts Options) (*Result, error) {
-	blockSize := opts.RBRBlockSize
-	if blockSize == 0 {
-		blockSize = DefaultRBRBlockSize
-	}
 	par := optParallelism(opts)
 	ctx := optContext(opts)
 
@@ -158,7 +131,7 @@ func propSPCTail(db *rel.DBSchema, view *algebra.SPC, viewSchema *rel.Schema, si
 	reduced, dropAttrs := reduceByEQ(view, eq, sigmaV)
 
 	// Line 11: Σc := RBR(ΣV, attr(Es) − Y).
-	cfg := rbrConfig{ctx: ctx, order: opts.DropOrder, blockSize: blockSize, maxCover: opts.MaxCoverSize, parallelism: par}
+	cfg := rbrConfig{ctx: ctx, blockSize: rbrBlockSize, maxCover: opts.MaxCoverSize, parallelism: par}
 	sigmaC, truncated, err := runRBR(workspaceUniverse(db, view), reduced, dropAttrs, cfg)
 	if err != nil {
 		return nil, err

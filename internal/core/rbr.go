@@ -9,26 +9,32 @@ import (
 	"cfdprop/internal/parutil"
 )
 
-// DropOrder selects the order in which RBR eliminates non-projected
-// attributes. The choice does not affect the result (any order yields a
-// cover, Proposition 4.4) but can affect intermediate sizes considerably.
-type DropOrder int
+// dropOrder selects the order in which RBR eliminates non-projected
+// attributes. The choice does not affect the result up to equivalence
+// (any order yields a cover, Proposition 4.4) but can affect intermediate
+// sizes considerably.
+type dropOrder int
 
 const (
-	// DropFewestOccurrences eliminates next the remaining attribute that
+	// dropFewestOccurrences eliminates next the remaining attribute that
 	// the fewest items of Γ name (a CFD naming it on both sides counts
-	// twice), ties broken by attribute name (default).
-	DropFewestOccurrences DropOrder = iota
-	// DropSequential eliminates attributes in the given order.
-	DropSequential
+	// twice), ties broken by attribute name. PropCFDSPC uses it.
+	dropFewestOccurrences dropOrder = iota
+	// dropSequential eliminates attributes in the given order; the tests
+	// check Proposition 4.4 against it.
+	dropSequential
 )
+
+// rbrBlockSize is the block size of the §4.3 intermediate MinCover
+// pruning inside RBR.
+const rbrBlockSize = 64
 
 // rbrConfig tunes procedure RBR.
 type rbrConfig struct {
 	// ctx cancels the run cooperatively between elimination rounds and
 	// inside the implication closure; nil disables.
 	ctx   context.Context
-	order DropOrder
+	order dropOrder
 	// blockSize: Γ is partitioned into blocks of this size and MinCover is
 	// applied per block after each elimination round, pruning redundant
 	// CFDs without the full cubic cost (§4.3 optimization). <= 0 disables.
@@ -270,7 +276,7 @@ func runRBR(u implication.Universe, gamma []*cfd.CFD, dropAttrs []string, cfg rb
 			}
 		}
 		next := 0
-		if cfg.order == DropFewestOccurrences {
+		if cfg.order == dropFewestOccurrences {
 			for i := 1; i < len(remaining); i++ {
 				ci, cn := g.occ[remaining[i]].items, g.occ[remaining[next]].items
 				if ci < cn || (ci == cn && remaining[i] < remaining[next]) {

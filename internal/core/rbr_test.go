@@ -27,50 +27,104 @@ func TestDropOrderIndependence(t *testing.T) {
 		db := gen.Schema(rng, gen.SchemaParams{NumRelations: 3, MinAttrs: 4, MaxAttrs: 5})
 		sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 8, LHSMin: 1, LHSMax: 2, VarPct: 60})
 		view := gen.View(rng, db, "V", gen.ViewParams{Y: 4, F: 2, Ec: 2})
-
-		resA, err := PropCFDSPC(db, view, sigma, Options{DropOrder: DropFewestOccurrences})
+		u, reduced, dropAttrs, ok := rbrInput(t, db, view, sigma, true)
+		if !ok {
+			continue
+		}
+		fewest, _, err := runRBR(u, reduced, dropAttrs, rbrConfig{order: dropFewestOccurrences, blockSize: rbrBlockSize})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resB, err := PropCFDSPC(db, view, sigma, Options{DropOrder: DropSequential})
+		sequential, _, err := runRBR(u, reduced, dropAttrs, rbrConfig{order: dropSequential, blockSize: rbrBlockSize})
 		if err != nil {
 			t.Fatal(err)
 		}
-		u := implication.UniverseOf(resA.ViewSchema)
-		eq, err := implication.Equivalent(u, resA.Cover, resB.Cover)
+		eq, err := implication.Equivalent(u, fewest, sequential)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !eq {
-			t.Errorf("trial %d: covers differ across drop orders:\nA: %v\nB: %v", trial, resA.Cover, resB.Cover)
+			t.Errorf("trial %d: RBR outputs differ across drop orders:\nfewest:     %v\nsequential: %v", trial, fewest, sequential)
 		}
 	}
 }
 
 // TestBlockPruningPreservesCover: disabling the §4.3 block pruning must
-// not change the cover up to equivalence.
+// not change RBR's output up to equivalence. The specs are dense, so the
+// prune fires at block size 4.
 func TestBlockPruningPreservesCover(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	for trial := 0; trial < 8; trial++ {
-		db := gen.Schema(rng, gen.SchemaParams{NumRelations: 3, MinAttrs: 4, MaxAttrs: 5})
-		sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 8, LHSMin: 1, LHSMax: 2, VarPct: 60})
-		view := gen.View(rng, db, "V", gen.ViewParams{Y: 4, F: 2, Ec: 2})
-
-		pruned, err := PropCFDSPC(db, view, sigma, Options{RBRBlockSize: 4})
+	for trial := 0; trial < 40; trial++ {
+		db, view, sigma := denseSpec(rng)
+		u, reduced, dropAttrs, ok := rbrInput(t, db, view, sigma, false)
+		if !ok {
+			continue
+		}
+		pruned, _, err := runRBR(u, reduced, dropAttrs, rbrConfig{blockSize: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := PropCFDSPC(db, view, sigma, Options{RBRBlockSize: -1})
+		plain, _, err := runRBR(u, reduced, dropAttrs, rbrConfig{blockSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		u := implication.UniverseOf(pruned.ViewSchema)
-		eq, err := implication.Equivalent(u, pruned.Cover, plain.Cover)
+		eq, err := implication.Equivalent(u, pruned, plain)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !eq {
-			t.Errorf("trial %d: pruning changed the cover:\nwith:    %v\nwithout: %v", trial, pruned.Cover, plain.Cover)
+			t.Errorf("trial %d: pruning changed RBR's output:\nwith:    %v\nwithout: %v", trial, pruned, plain)
+		}
+	}
+}
+
+// BenchmarkAblationRBRPrune times RBR (Fig. 2 line 11) serially with and
+// without the §4.3 block prune, over two families of inputs. dense: 20
+// one-relation specs of 60 dense CFDs (LHS 1–2, var% 90) with line 1
+// skipped, whose resolvents are largely redundant, so the prune keeps Γ
+// small. grid: the Fig. 8 |Ec| 8–10 cells behind line 1, where the prune
+// sheds little and costs its MinCover calls.
+func BenchmarkAblationRBRPrune(b *testing.B) {
+	type input struct {
+		u         implication.Universe
+		gamma     []*cfd.CFD
+		dropAttrs []string
+	}
+	var dense, grid []input
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := gen.Schema(rng, gen.SchemaParams{NumRelations: 1, MinAttrs: 14, MaxAttrs: 14})
+		sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 60, LHSMin: 1, LHSMax: 2, VarPct: 90})
+		view := gen.View(rng, db, "V", gen.ViewParams{Y: 3, F: 1, Ec: 2})
+		if u, reduced, dropAttrs, ok := rbrInput(b, db, view, sigma, false); ok {
+			dense = append(dense, input{u, reduced, dropAttrs})
+		}
+	}
+	for ec := 8; ec <= 10; ec++ {
+		_, db, view, sigma := fig8Cell(ec)
+		if u, reduced, dropAttrs, ok := rbrInput(b, db, view, sigma, true); ok {
+			grid = append(grid, input{u, reduced, dropAttrs})
+		}
+	}
+	for _, family := range []struct {
+		name   string
+		inputs []input
+	}{{"dense", dense}, {"grid", grid}} {
+		for _, block := range []int{-1, rbrBlockSize} {
+			name := family.name + "/prune=off"
+			if block > 0 {
+				name = fmt.Sprintf("%s/prune=%d", family.name, block)
+			}
+			b.Run(name, func(b *testing.B) {
+				cfg := rbrConfig{blockSize: block, parallelism: 1}
+				for i := 0; i < b.N; i++ {
+					for _, in := range family.inputs {
+						if _, _, err := runRBR(in.u, in.gamma, in.dropAttrs, cfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -116,7 +170,7 @@ func rescanRBR(u implication.Universe, gamma []*cfd.CFD, dropAttrs []string, cfg
 	sinceLastPrune := 0
 	for len(remaining) > 0 {
 		next := 0
-		if cfg.order == DropFewestOccurrences {
+		if cfg.order == dropFewestOccurrences {
 			counts := occurrenceCounts(gamma, remaining)
 			for i := 1; i < len(remaining); i++ {
 				if counts[remaining[i]] < counts[remaining[next]] ||
@@ -264,12 +318,36 @@ func mapResolvent(phi1, phi2 *cfd.CFD, a string) *cfd.CFD {
 	return out
 }
 
+// fig8Cell draws the Fig. 8 grid cell with |Ec| = ec as perfbench's cover
+// workload draws it at pool seed 1, and returns its name.
+func fig8Cell(ec int) (string, *rel.DBSchema, *algebra.SPC, []*cfd.CFD) {
+	pct := 40 + 10*(ec%2)
+	name := fmt.Sprintf("fig8/|Sigma|=2000/Y=25/F=10/Ec=%d/var=%d", ec, pct)
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	rng := rand.New(rand.NewSource(1 ^ int64(h.Sum32())*31))
+	db := gen.Schema(rng, gen.SchemaParams{})
+	sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 2000, LHSMin: 3, LHSMax: 9, VarPct: pct})
+	view := gen.View(rng, db, "V", gen.ViewParams{Y: 25, F: 10, Ec: ec})
+	return name, db, view, sigma
+}
+
+// denseSpec draws a small dense spec: one relation of 5–6 attributes,
+// 20–49 CFDs with LHS 1–2 and var% 80–99, and a view over it. With line 1
+// skipped, resolution grows RBR's Γ, so block prunes fire.
+func denseSpec(rng *rand.Rand) (*rel.DBSchema, *algebra.SPC, []*cfd.CFD) {
+	db := gen.Schema(rng, gen.SchemaParams{NumRelations: 1, MinAttrs: 5, MaxAttrs: 6})
+	sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 20 + rng.Intn(30), LHSMin: 1, LHSMax: 2, VarPct: 80 + rng.Intn(20)})
+	view := gen.View(rng, db, "V", gen.ViewParams{Y: 2 + rng.Intn(3), F: rng.Intn(3), Ec: 1 + rng.Intn(2)})
+	return db, view, sigma
+}
+
 // rbrInput returns what propSPCTail hands RBR for (db, view, Σ): the
 // workspace universe, the domain-reduced view CFDs and the attributes to
 // eliminate. Σ is covered per relation first (Fig. 2 line 1) when line1 is
 // set, and passed through as SkipPreMinCover passes it otherwise. ok is
 // false when EQ is inconsistent, where RBR does not run.
-func rbrInput(t *testing.T, db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD, line1 bool) (u implication.Universe, reduced []*cfd.CFD, dropAttrs []string, ok bool) {
+func rbrInput(t testing.TB, db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD, line1 bool) (u implication.Universe, reduced []*cfd.CFD, dropAttrs []string, ok bool) {
 	t.Helper()
 	sigma = cfd.NormalizeAll(sigma)
 	if line1 {
@@ -334,19 +412,13 @@ func checkRBR(t *testing.T, name string, u implication.Universe, gamma []*cfd.CF
 // block prunes then fire, and the bound truncates after Γ has grown past
 // its input.
 func TestRBRMatchesRescan(t *testing.T) {
-	for i := 6; i <= 8; i++ {
-		name := fmt.Sprintf("fig8/|Sigma|=2000/Y=25/F=10/Ec=%d/var=%d", i+2, 40+10*(i%2))
-		h := fnv.New32a()
-		h.Write([]byte(name))
-		rng := rand.New(rand.NewSource(1 ^ int64(h.Sum32())*31))
-		db := gen.Schema(rng, gen.SchemaParams{})
-		sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 2000, LHSMin: 3, LHSMax: 9, VarPct: 40 + 10*(i%2)})
-		view := gen.View(rng, db, "V", gen.ViewParams{Y: 25, F: 10, Ec: i + 2})
+	for ec := 8; ec <= 10; ec++ {
+		name, db, view, sigma := fig8Cell(ec)
 		u, reduced, dropAttrs, ok := rbrInput(t, db, view, sigma, true)
 		if !ok || len(dropAttrs) == 0 {
 			t.Fatalf("%s: RBR does not run", name)
 		}
-		checkRBR(t, name, u, reduced, dropAttrs, rbrConfig{blockSize: DefaultRBRBlockSize, parallelism: optParallelism(Options{})})
+		checkRBR(t, name, u, reduced, dropAttrs, rbrConfig{blockSize: rbrBlockSize, parallelism: optParallelism(Options{})})
 	}
 
 	specs := 200
@@ -356,15 +428,13 @@ func TestRBRMatchesRescan(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	runs, truncated := 0, 0
 	for s := 0; s < specs; s++ {
-		db := gen.Schema(rng, gen.SchemaParams{NumRelations: 1, MinAttrs: 5, MaxAttrs: 6})
-		sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 20 + rng.Intn(30), LHSMin: 1, LHSMax: 2, VarPct: 80 + rng.Intn(20)})
-		view := gen.View(rng, db, "V", gen.ViewParams{Y: 2 + rng.Intn(3), F: rng.Intn(3), Ec: 1 + rng.Intn(2)})
+		db, view, sigma := denseSpec(rng)
 		u, reduced, dropAttrs, ok := rbrInput(t, db, view, sigma, false)
 		if !ok {
 			continue
 		}
-		checkRBR(t, fmt.Sprintf("spec %d, nothing to drop", s), u, reduced, nil, rbrConfig{blockSize: DefaultRBRBlockSize})
-		for _, order := range []DropOrder{DropFewestOccurrences, DropSequential} {
+		checkRBR(t, fmt.Sprintf("spec %d, nothing to drop", s), u, reduced, nil, rbrConfig{blockSize: rbrBlockSize})
+		for _, order := range []dropOrder{dropFewestOccurrences, dropSequential} {
 			for _, block := range []int{-1, 4, 8, 64} {
 				for _, maxCover := range []int{0, len(cfd.Dedup(reduced))} {
 					name := fmt.Sprintf("spec %d order %d block %d maxCover %d", s, order, block, maxCover)

@@ -3,7 +3,6 @@ package core
 import (
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
-	"cfdprop/internal/implication"
 	"cfdprop/internal/rel"
 )
 
@@ -41,12 +40,4 @@ func PropCFDSPCU(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, opts Op
 		return nil, err
 	}
 	return cs.Cover(opts.Context, sigma)
-}
-
-// IsPropagated decides via the computed cover; since the union cover may
-// be incomplete, a negative answer from the cover is re-checked against
-// callers' expectations only if they consult the decision procedure — use
-// propagation.Check for an exact answer.
-func (r *UnionResult) IsPropagated(phi *cfd.CFD) (bool, error) {
-	return implication.Implies(implication.UniverseOf(r.ViewSchema), r.Cover, phi)
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
 	"cfdprop/internal/gen"
+	"cfdprop/internal/implication"
 	"cfdprop/internal/propagation"
 	"cfdprop/internal/rel"
 )
@@ -57,7 +59,7 @@ func TestUnionCoverExample11(t *testing.T) {
 		`R([CC=31, AC=20] -> [city=Amsterdam])`, // ϕ5
 	}
 	for _, w := range want {
-		ok, err := res.IsPropagated(cfd.MustParse(w))
+		ok, err := implication.Implies(implication.UniverseOf(res.ViewSchema), res.Cover, cfd.MustParse(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +69,7 @@ func TestUnionCoverExample11(t *testing.T) {
 	}
 	// The plain FDs must NOT be implied.
 	for _, bad := range []string{`R(zip -> street)`, `R(AC -> city)`} {
-		ok, err := res.IsPropagated(cfd.MustParse(bad))
+		ok, err := implication.Implies(implication.UniverseOf(res.ViewSchema), res.Cover, cfd.MustParse(bad))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +174,7 @@ func TestUnionOfIdenticalDisjunctsMatchesSPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range spc.Cover {
-		ok, err := spcu.IsPropagated(c)
+		ok, err := implication.Implies(implication.UniverseOf(spcu.ViewSchema), spcu.Cover, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +199,15 @@ func TestUnionMemoSharedAcrossCandidates(t *testing.T) {
 		t.Fatal("first call must record memo misses (pairs chased and stored)")
 	}
 	memo := propagation.NewMemo()
-	cold, err := PropCFDSPCU(db, view, sigma, Options{Memo: memo, Parallelism: 4})
+	withMemo := func() (*UnionResult, error) {
+		cs, err := NewCoverSession(db, view, Options{Parallelism: 4})
+		if err != nil {
+			return nil, err
+		}
+		cs.SetMemo(memo)
+		return cs.Cover(context.Background(), sigma)
+	}
+	cold, err := withMemo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +217,7 @@ func TestUnionMemoSharedAcrossCandidates(t *testing.T) {
 	if st := memo.Stats(); st.Pairs == 0 || st.Disjuncts == 0 {
 		t.Errorf("memo after a cold call: %+v, want pair and disjunct entries", st)
 	}
-	warm, err := PropCFDSPCU(db, view, sigma, Options{Memo: memo, Parallelism: 4})
+	warm, err := withMemo()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,10 +259,11 @@ func (e *entry) coverLocked(ctx context.Context, parallelism, maxCoverSize int) 
 	cs := e.cs
 	if cs == nil || maxCoverSize > 0 {
 		var err error
-		cs, err = core.NewCoverSession(e.db, e.view, core.Options{Parallelism: parallelism, MaxCoverSize: maxCoverSize, Memo: e.memo})
+		cs, err = core.NewCoverSession(e.db, e.view, core.Options{Parallelism: parallelism, MaxCoverSize: maxCoverSize})
 		if err != nil {
 			return nil, err
 		}
+		cs.SetMemo(e.memo)
 		if maxCoverSize == 0 {
 			e.cs = cs
 		}

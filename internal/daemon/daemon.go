@@ -322,10 +322,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if opts.Parallelism == 0 || opts.Parallelism > s.cfg.Parallelism {
 		opts.Parallelism = s.cfg.Parallelism
 	}
-	// The deadline bounds the whole batch, so it rides on the context
-	// rather than Options.Deadline (which is per Check call). The
-	// chase-step budget stays per φ — deterministic regardless of how far
-	// through the batch the deadline struck.
+	// The deadline bounds the whole batch: one context serves every φ's
+	// Check. The chase-step budget stays per φ — deterministic regardless
+	// of how far through the batch the deadline struck.
 	ctx, cancel := s.deadlineCtx(r, req.DeadlineMillis)
 	defer cancel()
 	opts.Context = ctx

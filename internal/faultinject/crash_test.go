@@ -93,7 +93,7 @@ func TestMinCoverScreenSurvivesFaults(t *testing.T) {
 	// Redundant Σ so MinCover has real screening work.
 	work := append([]*cfd.CFD{cfd.MustParse("V(A -> C)"), cfd.MustParse("V(A -> D)")}, sigma...)
 
-	ref, err := implication.MinCover(u, work)
+	ref, err := implication.NewSession(u).MinCover(work)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,92 +206,3 @@ func View(rng *rand.Rand, db *rel.DBSchema, name string, p ViewParams) *algebra.
 	}
 	return q
 }
-
-// Instance generates a random concrete instance for each source relation,
-// with rows tuples each, drawing values from a pool of poolSize constants
-// (smaller pools create more value collisions and hence more CFD
-// interactions). It makes no effort to satisfy any CFDs; use Repair for
-// that.
-func Instance(rng *rand.Rand, db *rel.DBSchema, rows, poolSize int) *rel.Database {
-	if poolSize <= 0 {
-		poolSize = 20
-	}
-	out := rel.NewDatabase(db)
-	for _, s := range db.Relations() {
-		in := out.Instance(s.Name)
-		for r := 0; r < rows; r++ {
-			t := make(rel.Tuple, s.Arity())
-			for i := range t {
-				d := s.Attrs[i].Domain
-				if d.Finite {
-					t[i] = d.Values[rng.Intn(len(d.Values))]
-				} else {
-					t[i] = fmt.Sprintf("%d", 1+rng.Intn(poolSize))
-				}
-			}
-			if err := in.Insert(t); err != nil {
-				panic(err)
-			}
-		}
-		in.Dedup()
-	}
-	return out
-}
-
-// Repair mutates the database until it satisfies sigma, by repeatedly
-// overwriting the RHS values of violating tuples (and, for pattern
-// violations, deleting the offender). It gives a cheap generator of
-// Σ-satisfying instances for end-to-end propagation tests. maxRounds
-// bounds the fixpoint loop.
-func Repair(db *rel.Database, sigma []*cfd.CFD, maxRounds int) error {
-	norm := cfd.NormalizeAll(sigma)
-	for round := 0; round < maxRounds; round++ {
-		clean := true
-		for _, c := range norm {
-			in := db.Instance(c.Relation)
-			if in == nil {
-				return fmt.Errorf("gen: no instance for %q", c.Relation)
-			}
-			vs, err := cfd.Violations(in, c)
-			if err != nil {
-				return err
-			}
-			if len(vs) == 0 {
-				continue
-			}
-			clean = false
-			drop := map[int]bool{}
-			for _, v := range vs {
-				if v.T1 == v.T2 || c.Equality {
-					drop[v.T2] = true
-					continue
-				}
-				// Copy the first tuple's RHS value onto the second.
-				j, _ := in.Schema.Index(v.Attr)
-				in.Tuples[v.T2][j] = in.Tuples[v.T1][j]
-			}
-			if len(drop) > 0 {
-				kept := in.Tuples[:0]
-				for i, t := range in.Tuples {
-					if !drop[i] {
-						kept = append(kept, t)
-					}
-				}
-				in.Tuples = kept
-			}
-			in.Dedup()
-		}
-		if clean {
-			return nil
-		}
-	}
-	// Final check.
-	ok, v, err := cfd.DatabaseSatisfies(db, sigma)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("gen: repair did not converge: %v", v)
-	}
-	return nil
-}

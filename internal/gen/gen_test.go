@@ -3,8 +3,6 @@ package gen
 import (
 	"math/rand"
 	"testing"
-
-	"cfdprop/internal/cfd"
 )
 
 func TestSchemaParams(t *testing.T) {
@@ -121,22 +119,5 @@ func TestViewYCappedByAttrs(t *testing.T) {
 	v := View(rng, db, "V", ViewParams{Y: 100, F: 0, Ec: 2})
 	if len(v.Projection) != 6 {
 		t.Errorf("Y must cap at the total attribute count 6, got %d", len(v.Projection))
-	}
-}
-
-func TestInstanceAndRepair(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	db := Schema(rng, SchemaParams{NumRelations: 3, MinAttrs: 4, MaxAttrs: 5})
-	sigma := CFDs(rng, db, CFDParams{Num: 6, LHSMin: 1, LHSMax: 2, VarPct: 50})
-	d := Instance(rng, db, 30, 4)
-	if err := Repair(d, sigma, 100); err != nil {
-		t.Fatalf("repair failed: %v", err)
-	}
-	ok, v, err := cfd.DatabaseSatisfies(d, sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Errorf("repaired database still violates Σ: %v", v)
 	}
 }

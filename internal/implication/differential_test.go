@@ -506,7 +506,7 @@ func TestMinCoverMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		for _, varPct := range []int{30, 100} {
 			u, sigma, _ := diffWorkload(seed*7+int64(varPct), varPct)
-			cover, err := MinCover(u, sigma)
+			cover, err := NewSession(u).MinCover(sigma)
 			if err != nil {
 				t.Fatal(err)
 			}

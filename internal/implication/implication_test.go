@@ -155,7 +155,7 @@ func TestMinCoverRemovesRedundant(t *testing.T) {
 		`R(B -> C)`,
 		`R(A -> C)`, // redundant by transitivity
 	)
-	mc, err := MinCover(uni, sigma)
+	mc, err := NewSession(uni).MinCover(sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMinCoverLeftReduction(t *testing.T) {
 		`R(A -> B)`,
 		`R([A, C] -> [B])`, // C is extraneous
 	)
-	mc, err := MinCover(uni, sigma)
+	mc, err := NewSession(uni).MinCover(sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestMinCoverLeftReduction(t *testing.T) {
 func TestMinCoverDropsTrivial(t *testing.T) {
 	uni := u("A", "B")
 	sigma := parse(t, `R([A, B] -> [A])`, `R(A -> B)`)
-	mc, err := MinCover(uni, sigma)
+	mc, err := NewSession(uni).MinCover(sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestMinCoverProperties(t *testing.T) {
 		for i := range sigma {
 			sigma[i] = randomCFD()
 		}
-		mc, err := MinCover(uni, sigma)
+		mc, err := NewSession(uni).MinCover(sigma)
 		if err != nil {
 			t.Fatal(err)
 		}

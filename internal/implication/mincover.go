@@ -338,11 +338,6 @@ func ParallelMinCover(ctx context.Context, u Universe, sigma []*cfd.CFD, workers
 	return s0.minCoverRedundancy(work, maybe)
 }
 
-// MinCover is the one-shot form of Session.MinCover.
-func MinCover(u Universe, sigma []*cfd.CFD) ([]*cfd.CFD, error) {
-	return NewSession(u).MinCover(sigma)
-}
-
 // Equivalent reports whether two CFD sets over the universe imply each
 // other (used by tests and the closure baseline comparison). Each set is
 // compiled once into a session so the per-direction query loops share

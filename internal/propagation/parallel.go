@@ -165,19 +165,12 @@ func runSchedule(db *rel.DBSchema, view *algebra.SPCU, sigmaN []*cfd.CFD, phi *c
 			}
 		}
 		scout.reset()
+		// The view is validated, so a build fails only by inconsistency.
 		if _, err := tableau.Build(scout.ci, db, view.Disjuncts[d]); err != nil {
-			if isInconsistent(err) {
-				empty[d] = true
-			} else {
-				// Non-inconsistency build errors are deliberately NOT
-				// returned (or memoised) here: the nested loop only
-				// surfaces them at the first pair that builds the disjunct
-				// — which a refutation at a lower pair index preempts —
-				// and the workers reproduce the error at exactly that
-				// schedule position, where the bound/assembly logic orders
-				// it against refutations.
-				continue
+			if !isInconsistent(err) {
+				return nil, err
 			}
+			empty[d] = true
 		}
 		if opts.Memo != nil {
 			opts.Memo.storeEmpty(km.disjunct[d], empty[d])

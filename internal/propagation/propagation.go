@@ -83,7 +83,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
@@ -117,14 +116,11 @@ type Options struct {
 	Parallelism int
 	// Context, when non-nil, cancels the check cooperatively: the pair
 	// loops, the finite-domain enumerations and the chase worklists all
-	// poll it. Cancellation surfaces as Result.Stopped = StopCancelled (or
-	// StopDeadline when the context's own deadline expired), never as an
-	// error. nil means no cancellation.
+	// poll it. Cancellation surfaces as Result.Stopped = StopCancelled, and
+	// expiry of the context's deadline (the way to bound a call's
+	// wall-clock time) as StopDeadline, never as an error. nil means no
+	// cancellation.
 	Context context.Context
-	// Deadline, when > 0, bounds the whole Check call's wall-clock time;
-	// expiry surfaces as Result.Stopped = StopDeadline. It composes with
-	// Context (whichever fires first wins).
-	Deadline time.Duration
 	// MaxChaseSteps, when > 0, bounds the total number of chase worklist
 	// steps the whole call may spend, shared across all workers — a
 	// deterministic resource budget alongside the per-pair
@@ -146,8 +142,9 @@ type Options struct {
 	// cfd.ValidateAll(sigma, db) passed. Check then skips its per-call
 	// re-validation — the win for callers like core's union candidate
 	// loops, which validate once and then issue one Check per candidate
-	// against the same (db, view, Σ). Results are unchanged; only
-	// malformed-input errors go undetected.
+	// against the same (db, view, Σ). Results are unchanged; malformed
+	// input goes undetected and may panic, since tableau.Build, which
+	// every pair runs, relies on the view being valid.
 	Prevalidated bool
 
 	// sp carries the call's stop controls through the internal pair loops;
@@ -232,10 +229,7 @@ func Check(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD,
 	}
 	sigmaN := cfd.NormalizeAll(sigma)
 
-	if sp := newStopper(opts); sp != nil {
-		defer sp.release()
-		opts.sp = sp
-	}
+	opts.sp = newStopper(opts)
 
 	total := &Result{Propagated: true}
 	if opts.Memo != nil {

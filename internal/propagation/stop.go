@@ -22,8 +22,7 @@ const (
 	StopNone StopReason = iota
 	// StopCancelled: Options.Context was cancelled.
 	StopCancelled
-	// StopDeadline: the wall-clock budget (Options.Deadline, or a deadline
-	// already on Options.Context) expired.
+	// StopDeadline: the deadline on Options.Context expired.
 	StopDeadline
 	// StopChaseBudget: the shared Options.MaxChaseSteps budget ran out.
 	StopChaseBudget
@@ -70,46 +69,32 @@ func (r *StopReason) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// stopper carries a Check call's stop controls: the effective context
-// (wrapping Options.Context with Options.Deadline when set) and the shared
-// chase-step budget. One stopper serves every worker of the call — the
-// budget is global, not per-worker: every worker draws its chase steps
-// from the one pool.
+// stopper carries a Check call's stop controls: Options.Context (its
+// deadline included) and the shared chase-step budget. One stopper serves
+// every worker of the call — the budget is global, not per-worker: every
+// worker draws its chase steps from the one pool.
 type stopper struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   <-chan struct{}
-	steps  *atomic.Int64
+	ctx   context.Context
+	done  <-chan struct{}
+	steps *atomic.Int64
 }
 
 // newStopper builds the call's stopper, or nil when no stop control is
 // configured (the common case pays nothing).
 func newStopper(opts Options) *stopper {
-	if opts.Context == nil && opts.Deadline <= 0 && opts.MaxChaseSteps <= 0 {
+	if opts.Context == nil && opts.MaxChaseSteps <= 0 {
 		return nil
 	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sp := &stopper{}
-	if opts.Deadline > 0 {
-		ctx, sp.cancel = context.WithTimeout(ctx, opts.Deadline)
-	}
-	sp.ctx = ctx
-	sp.done = ctx.Done()
+	sp := &stopper{ctx: ctx, done: ctx.Done()}
 	if opts.MaxChaseSteps > 0 {
 		sp.steps = new(atomic.Int64)
 		sp.steps.Store(opts.MaxChaseSteps)
 	}
 	return sp
-}
-
-// release frees the deadline timer; call once when the Check returns.
-func (sp *stopper) release() {
-	if sp.cancel != nil {
-		sp.cancel()
-	}
 }
 
 // check reports whether a stop control has fired.

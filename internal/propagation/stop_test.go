@@ -75,19 +75,21 @@ func bigGeneralWorkload(t *testing.T) (*rel.DBSchema, *algebra.SPCU, []*cfd.CFD,
 	return db, algebra.Single(q), sigma, cfd.MustParse("V(A1 -> A8)")
 }
 
-// TestDeadlineStopsPromptly is the acceptance check of the issue: a 1ms
-// deadline against a 4^10-instantiation general-setting query must return
-// promptly with the stop reason set and leak no goroutines.
+// TestDeadlineStopsPromptly: a 1ms context deadline against a
+// 4^10-instantiation general-setting query must return promptly with the
+// stop reason set and leak no goroutines.
 func TestDeadlineStopsPromptly(t *testing.T) {
 	db, view, sigma, phi := bigGeneralWorkload(t)
 	baseline := runtime.NumGoroutine()
 
 	for _, par := range []int{1, 4} {
 		start := time.Now()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		res, err := Check(db, view, sigma, phi, Options{
-			General: true, Deadline: time.Millisecond, Parallelism: par,
+			General: true, Context: ctx, Parallelism: par,
 		})
 		elapsed := time.Since(start)
+		cancel()
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -225,14 +227,17 @@ func TestBudgetSharedAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDeadlineComposesWithContext: whichever of Options.Context and
-// Options.Deadline fires first decides the stop reason.
+// TestDeadlineComposesWithContext: a deadline derived from a cancelled
+// parent context stops as cancelled, not as a deadline: whichever fires
+// first decides the stop reason.
 func TestDeadlineComposesWithContext(t *testing.T) {
 	db, view, sigma, phi := bigGeneralWorkload(t)
-	ctx, cancel := context.WithCancel(context.Background())
+	parent, cancel := context.WithCancel(context.Background())
 	cancel()
+	ctx, stop := context.WithTimeout(parent, time.Hour)
+	defer stop()
 	res, err := Check(db, view, sigma, phi, Options{
-		General: true, Context: ctx, Deadline: time.Hour, Parallelism: 2,
+		General: true, Context: ctx, Parallelism: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

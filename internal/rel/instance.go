@@ -144,19 +144,6 @@ func (in *Instance) Dedup() *Instance {
 	return in
 }
 
-// Clone returns a deep copy sharing the schema.
-func (in *Instance) Clone() *Instance {
-	c := NewInstance(in.Schema)
-	c.Tuples = make([]Tuple, len(in.Tuples))
-	for i, t := range in.Tuples {
-		c.Tuples[i] = t.Clone()
-	}
-	if in.lines != nil {
-		c.lines = append([]int(nil), in.lines...)
-	}
-	return c
-}
-
 // Sorted returns the tuples in lexicographic order (for deterministic
 // printing); the instance itself is not modified.
 func (in *Instance) Sorted() []Tuple {

@@ -158,12 +158,6 @@ func (s *Schema) Index(attr string) (int, bool) {
 	return i, ok
 }
 
-// Has reports whether the schema contains the named attribute.
-func (s *Schema) Has(attr string) bool {
-	_, ok := s.index[attr]
-	return ok
-}
-
 // AttrNames returns the attribute names in schema order.
 func (s *Schema) AttrNames() []string {
 	names := make([]string, len(s.Attrs))
@@ -192,17 +186,6 @@ func (s *Schema) HasFiniteAttr() bool {
 		}
 	}
 	return false
-}
-
-// Rename returns a copy of the schema with a new relation name and
-// attribute names produced by fn, preserving domains. It is the ρ operator
-// at the schema level.
-func (s *Schema) Rename(name string, fn func(attr string) string) (*Schema, error) {
-	attrs := make([]Attribute, len(s.Attrs))
-	for i, a := range s.Attrs {
-		attrs[i] = Attribute{Name: fn(a.Name), Domain: a.Domain}
-	}
-	return NewSchema(name, attrs...)
 }
 
 func (s *Schema) String() string {

@@ -42,7 +42,7 @@ func TestCrashInjectedPanicSurfacesAsError(t *testing.T) {
 	nchunks := (400 + 15) / 16
 	for _, nth := range []int64{1, int64(nchunks / 2), int64(nchunks)} {
 		faultinject.Install(faultinject.Rule{Site: faultinject.SiteStreamChunk, Nth: nth, Act: faultinject.Panic})
-		rep, err := CheckReader(strings.NewReader(data), "crash", rules, opts)
+		rep, err := checkString(data, "crash", rules, opts)
 		faultinject.Reset()
 		if err == nil {
 			t.Fatalf("nth=%d: injected panic did not surface (report: %+v)", nth, rep)
@@ -61,7 +61,7 @@ func TestCrashDelayPreservesReport(t *testing.T) {
 	data, rules := crashFixture(400)
 	opts := Options{Parallel: 4, ChunkSize: 8}
 	faultinject.Reset()
-	want, err := CheckReader(strings.NewReader(data), "crash", rules, opts)
+	want, err := checkString(data, "crash", rules, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCrashDelayPreservesReport(t *testing.T) {
 			faultinject.Rule{Site: faultinject.SiteStreamChunk, Nth: int64(1 + rng.Intn(40)), Act: faultinject.Delay, Delay: 5 * time.Millisecond},
 			faultinject.Rule{Site: faultinject.SiteStreamChunk, Nth: int64(1 + rng.Intn(40)), Act: faultinject.Delay, Delay: 2 * time.Millisecond},
 		)
-		got, err := CheckReader(strings.NewReader(data), "crash", rules, opts)
+		got, err := checkString(data, "crash", rules, opts)
 		faultinject.Reset()
 		if err != nil {
 			t.Fatalf("trial %d: delayed run failed: %v", trial, err)
@@ -100,16 +100,16 @@ func TestCrashPanicThenCleanRun(t *testing.T) {
 	data, rules := crashFixture(200)
 	opts := Options{Parallel: 2, ChunkSize: 16}
 	faultinject.Reset()
-	want, err := CheckReader(strings.NewReader(data), "crash", rules, opts)
+	want, err := checkString(data, "crash", rules, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	faultinject.Install(faultinject.Rule{Site: faultinject.SiteStreamChunk, Nth: 2, Act: faultinject.Panic})
-	if _, err := CheckReader(strings.NewReader(data), "crash", rules, opts); err == nil {
+	if _, err := checkString(data, "crash", rules, opts); err == nil {
 		t.Fatal("injected panic did not surface")
 	}
 	faultinject.Reset()
-	got, err := CheckReader(strings.NewReader(data), "crash", rules, opts)
+	got, err := checkString(data, "crash", rules, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

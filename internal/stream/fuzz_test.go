@@ -13,9 +13,9 @@ import (
 // compares it against the in-memory oracle: both must agree on error-ness,
 // and when both succeed the streaming report must reproduce the oracle's
 // violations — counts, ordinals, authoritative lines, reasons — exactly.
-// Each input is checked twice: once in a single pass from a one-shot
-// reader, and once from a re-openable source with a group budget of 2, so
-// that any rule with more than two groups is re-read in hash partitions.
+// Each input is checked twice: once in a single pass under the default
+// group budget, and once with a group budget of 2, so that any rule with
+// more than two groups is re-read in hash partitions.
 // Seeds come from the cfdcheck fixture plus malformed and quoted inputs.
 func FuzzStreamCSV(f *testing.F) {
 	if seed, err := os.ReadFile("../../cmd/cfdcheck/testdata/customers.csv"); err == nil {
@@ -42,7 +42,7 @@ func FuzzStreamCSV(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data string) {
 		in, oerr := LoadInstance(strings.NewReader(data), "fuzz", "R")
-		single, serr := CheckReader(strings.NewReader(data), "fuzz", rules, Options{Parallel: 2, ChunkSize: 3})
+		single, serr := checkString(data, "fuzz", rules, Options{Parallel: 2, ChunkSize: 3})
 		open := func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(data)), nil }
 		parts, perr := Check(open, "fuzz", rules, Options{Parallel: 2, ChunkSize: 3, MaxGroups: 2})
 		for _, run := range []struct {

@@ -102,11 +102,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ErrMultipass is returned by CheckReader when a rule overflows MaxGroups:
-// its partitions need re-reads of the input, which a one-shot reader
-// cannot give.
-var ErrMultipass = fmt.Errorf("stream: group budget exceeded and input is not re-readable (use CheckFile, or raise MaxGroups)")
-
 // RuleReport is one rule's outcome.
 type RuleReport struct {
 	CFD *cfd.CFD
@@ -143,20 +138,6 @@ type Report struct {
 // later pass when a rule overflows Options.MaxGroups.
 func CheckFile(path string, rules []*cfd.CFD, opts Options) (*Report, error) {
 	return Check(func() (io.ReadCloser, error) { return os.Open(path) }, path, rules, opts)
-}
-
-// CheckReader streams a one-shot reader against the rules. If a rule
-// overflows Options.MaxGroups the check fails with ErrMultipass, since the
-// input cannot be re-read.
-func CheckReader(src io.Reader, name string, rules []*cfd.CFD, opts Options) (*Report, error) {
-	used := false
-	return Check(func() (io.ReadCloser, error) {
-		if used {
-			return nil, ErrMultipass
-		}
-		used = true
-		return io.NopCloser(src), nil
-	}, name, rules, opts)
 }
 
 // Check streams the input produced by open against the rules, in passes.

@@ -15,6 +15,12 @@ import (
 	"cfdprop/internal/rel"
 )
 
+// checkString runs Check over CSV text, re-read from the start on every
+// pass.
+func checkString(data, name string, rules []*cfd.CFD, opts Options) (*Report, error) {
+	return Check(func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(data)), nil }, name, rules, opts)
+}
+
 // oracle runs the in-memory reference detector over the same CSV bytes.
 func oracle(t *testing.T, data string, rules []*cfd.CFD) (*rel.Instance, []RuleReport) {
 	t.Helper()
@@ -106,7 +112,7 @@ func TestStreamMatchesOracleFig1(t *testing.T) {
 	)
 	_, want := oracle(t, fig1CSV, rules)
 	for _, par := range []int{1, 2, 5} {
-		rep, err := CheckReader(strings.NewReader(fig1CSV), "fig1", rules, Options{Parallel: par})
+		rep, err := checkString(fig1CSV, "fig1", rules, Options{Parallel: par})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}
@@ -123,7 +129,7 @@ func TestStreamLineNumbers(t *testing.T) {
 		"\"multi\nline\",y\n" + // lines 3-4: one row
 		"1,z\n" // line 5: conflicts with line 2 on a -> b
 	rules := mustRules(t, "R([a] -> [b])")
-	rep, err := CheckReader(strings.NewReader(data), "lines", rules, Options{Parallel: 1})
+	rep, err := checkString(data, "lines", rules, Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +271,6 @@ func TestStreamMultipass(t *testing.T) {
 			t.Errorf("parallel=%d: low-cardinality rule 2 took %d passes, want 1", par, rep.Rules[2].Passes)
 		}
 	}
-
-	// A one-shot reader cannot re-scan: the overflow must surface as
-	// ErrMultipass, not a wrong answer.
-	if _, err := CheckReader(strings.NewReader(data), "oneshot", rules, Options{Parallel: 1, MaxGroups: 50}); err == nil {
-		t.Error("CheckReader with overflowing MaxGroups must fail")
-	}
 }
 
 // countingReader counts the bytes a pass reads.
@@ -349,7 +349,7 @@ func TestStreamPassStopsEarly(t *testing.T) {
 // TestStreamNoRules: with no rules the first pass still runs: it counts
 // the rows and rejects malformed CSV.
 func TestStreamNoRules(t *testing.T) {
-	rep, err := CheckReader(strings.NewReader(fig1CSV), "norules", nil, Options{Parallel: 2})
+	rep, err := checkString(fig1CSV, "norules", nil, Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestStreamNoRules(t *testing.T) {
 		t.Errorf("rows/rules = %d/%d, want 6/0", rep.Rows, len(rep.Rules))
 	}
 	for _, bad := range []string{"a,b\n1,2\n1,2,3\n", "a,b\n1,2\n\"oops,2\n"} {
-		if _, err := CheckReader(strings.NewReader(bad), "norules", nil, Options{Parallel: 2}); err == nil {
+		if _, err := checkString(bad, "norules", nil, Options{Parallel: 2}); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
 	}
@@ -370,7 +370,7 @@ func TestStreamMaxViolations(t *testing.T) {
 	data := randomCSV(rng, 200)
 	rules := mustRules(t, "R([A] -> [B])", "R(A == B)")
 	in, want := oracle(t, data, rules)
-	rep, err := CheckReader(strings.NewReader(data), "cap", rules, Options{Parallel: 3, ChunkSize: 11, MaxViolations: 5})
+	rep, err := checkString(data, "cap", rules, Options{Parallel: 3, ChunkSize: 11, MaxViolations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestStreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rules := mustRules(t, "R([a] -> [b])")
-	_, err := CheckReader(strings.NewReader("a,b\n1,2\n"), "cancel", rules, Options{Context: ctx, Parallel: 2})
+	_, err := checkString("a,b\n1,2\n", "cancel", rules, Options{Context: ctx, Parallel: 2})
 	if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Fatalf("cancelled check = %v, want context.Canceled", err)
 	}
@@ -422,7 +422,7 @@ func TestStreamMalformedInputs(t *testing.T) {
 	rules := mustRules(t, "R([a] -> [b])")
 	for _, tc := range cases {
 		_, oerr := LoadInstance(strings.NewReader(tc.data), tc.name, "R")
-		_, serr := CheckReader(strings.NewReader(tc.data), tc.name, rules, Options{Parallel: 2})
+		_, serr := checkString(tc.data, tc.name, rules, Options{Parallel: 2})
 		if (oerr == nil) != (serr == nil) {
 			t.Errorf("%s: oracle err = %v, stream err = %v", tc.name, oerr, serr)
 		}

@@ -10,7 +10,10 @@
 package sym
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"cfdprop/internal/rel"
 )
@@ -46,8 +49,7 @@ type State struct {
 	value  []string
 	domain []rel.Domain
 
-	conflict error // non-nil after the first failed Equate/Bind
-	version  int   // incremented on every state-changing Bind/Equate
+	version int // incremented on every state-changing Bind/Equate
 
 	trackEvents bool
 	events      []Event
@@ -92,12 +94,6 @@ func (s *State) NewVar(d rel.Domain) Term {
 	return Variable(id)
 }
 
-// NumVars returns the number of variables ever allocated.
-func (s *State) NumVars() int { return len(s.parent) }
-
-// Conflict returns the first conflict encountered, or nil.
-func (s *State) Conflict() error { return s.conflict }
-
 // Version returns a counter that increases whenever a Bind or Equate call
 // changes the state; chase loops use it to detect fixpoints.
 func (s *State) Version() int { return s.version }
@@ -121,14 +117,13 @@ func (s *State) ClearEvents() { s.events = s.events[:0] }
 
 // Reset empties the state for reuse, keeping allocated capacity (and the
 // event-tracking flag) so pooled chase sessions avoid reallocating per
-// query. The conflict flag, the journal and any undo tracking are cleared.
+// query. The journal and any undo tracking are cleared.
 func (s *State) Reset() {
 	s.parent = s.parent[:0]
 	s.rank = s.rank[:0]
 	s.bound = s.bound[:0]
 	s.value = s.value[:0]
 	s.domain = s.domain[:0]
-	s.conflict = nil
 	s.version = 0
 	s.events = s.events[:0]
 	s.trackUndo = false
@@ -178,29 +173,26 @@ func (s *State) SameTerm(a, b Term) bool {
 	return ra.Const == rb.Const
 }
 
-// fail records and returns a conflict.
-func (s *State) fail(format string, args ...any) error {
-	err := fmt.Errorf(format, args...)
-	if s.conflict == nil {
-		s.conflict = err
-	}
-	return err
-}
+// ErrConflict is the error of every failed Bind or Equate: two distinct
+// constants equated, a constant outside a variable's domain, or an empty
+// domain intersection. Callers decide what a conflict means (an
+// inconsistent selection, an undefined chase), so it carries no detail.
+var ErrConflict = errors.New("sym: conflicting terms")
 
-// Bind forces a term to equal the given constant. It fails when the term is
-// already a different constant or the constant lies outside the term's
-// domain.
+// Bind forces a term to equal the given constant. It fails with
+// ErrConflict when the term is already a different constant or the
+// constant lies outside the term's domain.
 func (s *State) Bind(t Term, c string) error {
 	rt := s.Resolve(t)
 	if !rt.IsVar {
 		if rt.Const != c {
-			return s.fail("sym: constants %q and %q equated", rt.Const, c)
+			return ErrConflict
 		}
 		return nil
 	}
 	r := rt.Var
 	if !s.domain[r].Contains(c) {
-		return s.fail("sym: constant %q outside domain %s", c, s.domain[r])
+		return ErrConflict
 	}
 	s.bound[r] = true
 	s.value[r] = c
@@ -214,14 +206,14 @@ func (s *State) Bind(t Term, c string) error {
 	return nil
 }
 
-// Equate merges two terms, failing on a constant clash or an empty domain
-// intersection.
+// Equate merges two terms, failing with ErrConflict on a constant clash or
+// an empty domain intersection.
 func (s *State) Equate(a, b Term) error {
 	ra, rb := s.Resolve(a), s.Resolve(b)
 	switch {
 	case !ra.IsVar && !rb.IsVar:
 		if ra.Const != rb.Const {
-			return s.fail("sym: constants %q and %q equated", ra.Const, rb.Const)
+			return ErrConflict
 		}
 		return nil
 	case !ra.IsVar:
@@ -235,7 +227,7 @@ func (s *State) Equate(a, b Term) error {
 	}
 	d := s.domain[x].Intersect(s.domain[y])
 	if d.Finite && d.Size() == 0 {
-		return s.fail("sym: empty domain intersection of %s and %s", s.domain[x], s.domain[y])
+		return ErrConflict
 	}
 	// union by rank
 	if s.rank[x] < s.rank[y] {
@@ -307,8 +299,8 @@ func (s *State) Save() *Snapshot {
 }
 
 // Restore rewinds the state to a snapshot taken from the same State. The
-// conflict flag is cleared, and any undo log is dropped (Marks taken
-// before a Restore are invalid).
+// journal and any undo log are dropped (Marks taken before a Restore are
+// invalid).
 func (s *State) Restore(sn *Snapshot) {
 	s.parent = append(s.parent[:0], sn.parent...)
 	s.rank = append(s.rank[:0], sn.rank...)
@@ -316,7 +308,6 @@ func (s *State) Restore(sn *Snapshot) {
 	s.value = append(s.value[:0], sn.value...)
 	s.domain = append(s.domain[:0], sn.domain...)
 	s.version = sn.version
-	s.conflict = nil
 	s.events = s.events[:0]
 	s.undo = s.undo[:0]
 }
@@ -356,8 +347,8 @@ func (s *State) MarkNow() Mark {
 // Rewind rolls the state back to a mark taken (after BeginUndo) on this
 // State: binds and unions recorded since are inverted in reverse order,
 // variables allocated since are dropped, the event journal is truncated to
-// its length at the mark, and the conflict flag is cleared — rewinding past
-// a failed Bind/Equate restores a usable state.
+// its length at the mark. A failed Bind/Equate changes nothing, so
+// rewinding past one restores a usable state.
 func (s *State) Rewind(m Mark) {
 	for i := len(s.undo) - 1; i >= m.undo; i-- {
 		op := s.undo[i]
@@ -380,14 +371,25 @@ func (s *State) Rewind(m Mark) {
 	s.value = s.value[:m.vars]
 	s.domain = s.domain[:m.vars]
 	s.version = m.version
-	s.conflict = nil
 }
 
+// freshPrefix starts every fresh constant; no parser in this module
+// produces a constant that starts with a NUL byte.
+const freshPrefix = "\x00fresh"
+
 // FreshConstant returns a constant string guaranteed (by construction of
-// the "\x00fresh" prefix, which no parser in this module produces) not to
-// collide with any user constant. Used to instantiate terminal chase
-// instances into concrete counterexamples.
-func FreshConstant(i int) string { return fmt.Sprintf("\x00fresh%d", i) }
+// freshPrefix) not to collide with any user constant. Used to instantiate
+// terminal chase instances into concrete counterexamples.
+func FreshConstant(i int) string { return freshPrefix + strconv.Itoa(i) }
+
+// DisplayConstant renders a constant for people: FreshConstant(n) as ⋆n,
+// any other constant unchanged.
+func DisplayConstant(c string) string {
+	if n, ok := strings.CutPrefix(c, freshPrefix); ok {
+		return "⋆" + n
+	}
+	return c
+}
 
 // InstantiateDistinct maps every unbound variable class to a distinct fresh
 // constant and returns a function resolving terms to concrete strings.

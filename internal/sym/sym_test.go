@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -44,14 +45,11 @@ func TestConstantClash(t *testing.T) {
 	if err := st.Bind(a, "x"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Bind(a, "y"); err == nil {
-		t.Fatal("binding a second constant must fail")
+	if err := st.Bind(a, "y"); !errors.Is(err, ErrConflict) {
+		t.Fatalf("binding a second constant must fail with ErrConflict, got %v", err)
 	}
-	if st.Conflict() == nil {
-		t.Fatal("conflict must be recorded")
-	}
-	if err := st.Equate(Constant("p"), Constant("q")); err == nil {
-		t.Fatal("equating distinct constants must fail")
+	if err := st.Equate(Constant("p"), Constant("q")); !errors.Is(err, ErrConflict) {
+		t.Fatalf("equating distinct constants must fail with ErrConflict, got %v", err)
 	}
 	if err := st.Equate(Constant("p"), Constant("p")); err != nil {
 		t.Fatalf("equal constants must be fine: %v", err)
@@ -124,9 +122,6 @@ func TestSaveRestore(t *testing.T) {
 	}
 	_ = st.Bind(b, "y") // conflict
 	st.Restore(snap)
-	if st.Conflict() != nil {
-		t.Error("restore must clear the conflict")
-	}
 	if st.SameTerm(a, b) {
 		t.Error("restore must undo the merge")
 	}
@@ -289,7 +284,7 @@ func TestResetReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Reset()
-	if st.NumVars() != 0 || st.Conflict() != nil || st.Version() != 0 {
+	if len(st.parent) != 0 || st.Version() != 0 {
 		t.Fatal("Reset must empty the state")
 	}
 	if len(st.Events()) != 0 {

@@ -10,8 +10,6 @@
 package tableau
 
 import (
-	"fmt"
-
 	"cfdprop/internal/algebra"
 	"cfdprop/internal/chase"
 	"cfdprop/internal/rel"
@@ -39,10 +37,10 @@ func (e ErrInconsistent) Unwrap() error { return e.Cause }
 // Each source relation must already be declared in ci (DeclareSources does
 // this). Build returns ErrInconsistent when the selection condition
 // contradicts itself.
+//
+// q must have passed q.Validate(db): Build does not validate it again, so
+// that a caller building many tableaux of one view validates it once.
 func Build(ci *chase.Inst, db *rel.DBSchema, q *algebra.SPC) (*Tableau, error) {
-	if err := q.Validate(db); err != nil {
-		return nil, err
-	}
 	st := ci.St
 	terms := make(map[string]sym.Term) // atom attribute -> term
 	t := &Tableau{Query: q, Summary: make(map[string]sym.Term)}
@@ -97,14 +95,4 @@ func DeclareSources(ci *chase.Inst, db *rel.DBSchema) error {
 		}
 	}
 	return nil
-}
-
-// SummaryTerm returns the term of a view attribute, with a helpful error
-// when the attribute is not projected.
-func (t *Tableau) SummaryTerm(attr string) (sym.Term, error) {
-	term, ok := t.Summary[attr]
-	if !ok {
-		return sym.Term{}, fmt.Errorf("tableau: view %s does not project attribute %q", t.Query.Name, attr)
-	}
-	return term, nil
 }

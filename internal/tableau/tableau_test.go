@@ -54,10 +54,10 @@ func TestBuildBasic(t *testing.T) {
 	if len(tb.Summary) != 3 {
 		t.Errorf("summary has %d entries, want 3", len(tb.Summary))
 	}
-	if _, err := tb.SummaryTerm("a"); err != nil {
-		t.Error(err)
+	if _, ok := tb.Summary["a"]; !ok {
+		t.Error("projected attribute a must be in the summary")
 	}
-	if _, err := tb.SummaryTerm("c"); err == nil {
+	if _, ok := tb.Summary["c"]; ok {
 		t.Error("unprojected attribute must not be in the summary")
 	}
 }
@@ -74,9 +74,9 @@ func TestBuildConstRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := tb.SummaryTerm("CC")
-	if err != nil {
-		t.Fatal(err)
+	cc, ok := tb.Summary["CC"]
+	if !ok {
+		t.Fatal("CC must be in the summary")
 	}
 	if cc.IsVar || cc.Const != "44" {
 		t.Errorf("CC must be the constant 44, got %v", cc)
@@ -117,9 +117,7 @@ func TestTwoDisjointCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, _ := t1.SummaryTerm("a")
-	a2, _ := t2.SummaryTerm("a")
-	if st.SameTerm(a1, a2) {
+	if st.SameTerm(t1.Summary["a"], t2.Summary["a"]) {
 		t.Error("two builds must allocate disjoint variables")
 	}
 	if len(ci.Rows("S")) != 2 {
