@@ -13,11 +13,13 @@
 //     (sym journals class changes so chase fixpoints are worklist-driven;
 //     chase.Run and the resumable chase share one worklist loop)
 //   - internal/implication — CFD implication and MinCover; the Session
-//     API compiles Σ once and decides every query with one counter
-//     closure over the two-row template, whose per-CFD counters are
-//     decremented only by the facts that satisfy their LHS items, and
-//     ParallelMinCover fans MinCover's left-reduction and redundancy
-//     screen out over per-worker Sessions (see the package comment)
+//     API compiles Σ once into positions and constant codes and decides
+//     every query with one counter closure over the two-row template,
+//     whose per-CFD counters are decremented only by the facts that
+//     satisfy their LHS items. MinCover compiles its work set once and
+//     probes on those integers, and ParallelMinCover fans its
+//     left-reduction and redundancy screen out over per-worker Sessions
+//     (see the package comment)
 //   - internal/propagation — the Σ |=V φ decision procedures (§3); one
 //     schedule executor runs the union-pair loop and the general-setting
 //     instantiation enumeration on Options.Parallelism workers (a single

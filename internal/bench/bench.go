@@ -41,8 +41,6 @@ type Config struct {
 	// Parallelism is passed through to core.Options for the figure
 	// sweeps (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
-
-	Schema gen.SchemaParams
 }
 
 // Defaults fills the paper's §5 defaults for unset fields.
@@ -95,7 +93,7 @@ func runPoint(c Config, varPct int, sigmaSize, y, f, ec int, cell string) (Point
 	var totalCover int
 	for trial := 0; trial < c.Trials; trial++ {
 		rng := rand.New(rand.NewSource(c.Seed ^ int64(hash(cell)) ^ int64(trial)*7919))
-		db := gen.Schema(rng, c.Schema)
+		db := gen.Schema(rng, gen.SchemaParams{})
 		sigma := gen.CFDs(rng, db, gen.CFDParams{Num: sigmaSize, LHSMin: c.LHSMin, LHSMax: c.LHSMax, VarPct: varPct})
 		view := gen.View(rng, db, "V", gen.ViewParams{Y: y, F: f, Ec: ec})
 		start := time.Now()

@@ -338,9 +338,12 @@ func (c *CFD) IsTrivial() bool {
 }
 
 // Key returns a canonical string identifying the CFD up to reordering of
-// the LHS. Useful for set semantics over CFDs. Dedup sits on MinCover's
-// hot path, so items are formatted into one buffer and sorted by segment
-// instead of materializing per-item strings.
+// either side's items: two CFDs share a key exactly when they have the
+// same relation, the same shape and the same multisets of LHS and RHS
+// items. Every name and constant is length-prefixed, so separators inside
+// them cannot make two CFDs collide. Useful for set semantics over CFDs;
+// items are formatted into one buffer and sorted by segment instead of
+// materializing per-item strings.
 func (c *CFD) Key() string {
 	buf := make([]byte, 0, 64)
 	if c.Equality {
@@ -348,7 +351,7 @@ func (c *CFD) Key() string {
 	} else {
 		buf = append(buf, "std|"...)
 	}
-	buf = append(buf, c.Relation...)
+	buf = appendSized(buf, c.Relation)
 	buf = append(buf, '|')
 	buf = appendItemsKey(buf, c.LHS)
 	buf = append(buf, '|')
@@ -356,9 +359,9 @@ func (c *CFD) Key() string {
 	return string(buf)
 }
 
-// appendItemsKey appends the "<len>:<attr>=<pat>" encoding of each item
-// (the length prefix keeps attrs containing separator characters
-// unambiguous), comma-separated in (attr, pattern) order.
+// appendItemsKey appends the encoding of each item, comma-separated in
+// (attr, pattern) order: the sized attr, then '_' for a wildcard or '='
+// and the sized constant.
 func appendItemsKey(buf []byte, items []Item) []byte {
 	var scratch [16]int
 	order := scratch[:0]
@@ -381,17 +384,20 @@ func appendItemsKey(buf []byte, items []Item) []byte {
 			buf = append(buf, ',')
 		}
 		it := items[o]
-		buf = strconv.AppendInt(buf, int64(len(it.Attr)), 10)
-		buf = append(buf, ':')
-		buf = append(buf, it.Attr...)
-		buf = append(buf, '=')
+		buf = appendSized(buf, it.Attr)
 		if it.Pat.Wildcard {
 			buf = append(buf, '_')
 		} else {
-			buf = append(buf, it.Pat.Const...)
+			buf = appendSized(append(buf, '='), it.Pat.Const)
 		}
 	}
 	return buf
+}
+
+// appendSized appends "<len>:<s>".
+func appendSized(buf []byte, s string) []byte {
+	buf = strconv.AppendInt(buf, int64(len(s)), 10)
+	return append(append(buf, ':'), s...)
 }
 
 func itemLess(a, b Item) bool {

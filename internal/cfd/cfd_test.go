@@ -354,6 +354,28 @@ func TestDedupAndKey(t *testing.T) {
 	if len(d) != 2 {
 		t.Errorf("Dedup: want 2, got %d", len(d))
 	}
+
+	// Separators and '_' inside constants do not make distinct CFDs
+	// collide: each of these differs from every other.
+	item := func(attr string, p Pattern) Item { return Item{Attr: attr, Pat: p} }
+	std := func(lhs ...Item) *CFD { return &CFD{Relation: "R", LHS: lhs, RHS: []Item{item("C", Any())}} }
+	distinct := []*CFD{
+		std(item("A", Eq("x,1:B=y"))),
+		std(item("A", Eq("x")), item("B", Eq("y"))),
+		std(item("A", Eq("_"))),
+		std(item("A", Any())),
+		std(item("A", Eq("1|1:C_"))),
+		std(item("A", Eq("="))),
+		{Relation: "R|1:A_", RHS: []Item{item("C", Any())}},
+		{Relation: "R", LHS: []Item{item("A", Any())}, RHS: []Item{item("C", Any())}, Equality: true},
+	}
+	seen := map[string]*CFD{}
+	for _, c := range distinct {
+		if prev, dup := seen[c.Key()]; dup {
+			t.Errorf("%s and %s share the key %q", prev, c, c.Key())
+		}
+		seen[c.Key()] = c
+	}
 }
 
 func TestRename(t *testing.T) {

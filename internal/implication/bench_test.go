@@ -87,16 +87,15 @@ func TestProbeStats(t *testing.T) {
 	}
 
 	s := NewSession(u)
-	work, err := s.minCoverNormalize(sigma)
-	if err != nil {
+	if err := s.minCoverNormalize(sigma); err != nil {
 		t.Fatal(err)
 	}
 	var restart int64
-	count := func(phi *cfd.CFD) (bool, error) {
+	count := func(phi *cfd.CFD, _ []int) (bool, error) {
 		restart++
 		return s.implies(phi)
 	}
-	for _, c := range work {
+	for _, c := range s.cfds() {
 		if _, err := leftReduceRestart(c, count); err != nil {
 			t.Fatal(err)
 		}
@@ -148,5 +147,44 @@ func BenchmarkImpliesSession(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestMinCoverWarmAllocations bounds the allocations of MinCover on a warm
+// session, one whose buffers an earlier MinCover on the same Σ sized: two
+// per CFD it shortens (the CFD and its LHS) plus minCoverAllocSlack, none
+// per member or per probe. The input is normalized, so normalizing it
+// allocates nothing.
+func TestMinCoverWarmAllocations(t *testing.T) {
+	const minCoverAllocSlack = 2 // the cover slice, and one spare
+	u, sigma := gridWorkload(13, 200)
+	sigma = cfd.NormalizeAll(sigma)
+	s := NewSession(u)
+	if _, err := s.MinCover(sigma); err != nil {
+		t.Fatal(err)
+	}
+	shortened, c := 0, NewSession(u)
+	if err := c.minCoverNormalize(sigma); err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.sigma {
+		before := c.sigma[i].c
+		r, err := c.leftReduceOne(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != before {
+			shortened++
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.MinCover(sigma); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per warm MinCover, %d CFDs shortened", allocs, shortened)
+	if limit := float64(2*shortened + minCoverAllocSlack); shortened == 0 || allocs > limit {
+		t.Errorf("a warm MinCover allocates %.1f times and shortens %d CFDs; want at most %.0f",
+			allocs, shortened, limit)
 	}
 }

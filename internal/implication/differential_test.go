@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cfdprop/internal/cfd"
@@ -579,35 +580,70 @@ func TestParallelMinCoverMatchesSession(t *testing.T) {
 
 // leftReduceRestart is the left-reduction loop leftReduceOne replaced:
 // drop the first removable LHS attribute, then rescan from position 0.
-// implied decides each probe.
-func leftReduceRestart(c *cfd.CFD, implied func(*cfd.CFD) (bool, error)) (*cfd.CFD, error) {
+// implied decides each probe, given with the indexes into c.LHS of the
+// items it keeps.
+func leftReduceRestart(c *cfd.CFD, implied func(probe *cfd.CFD, keep []int) (bool, error)) (*cfd.CFD, error) {
 	if c.Equality {
 		return c, nil
 	}
-	probe := &cfd.CFD{}
+	keep := make([]int, len(c.LHS))
+	for k := range keep {
+		keep[k] = k
+	}
+	probe := &cfd.CFD{Relation: c.Relation, RHS: c.RHS}
+	var pk []int
 	changed := true
-	for changed && len(c.LHS) > 0 {
+	for changed && len(keep) > 0 {
 		changed = false
-		for j := range c.LHS {
-			probe.Relation = c.Relation
-			probe.LHS = append(probe.LHS[:0], c.LHS[:j]...)
-			probe.LHS = append(probe.LHS, c.LHS[j+1:]...)
-			probe.RHS = c.RHS
+		for j := range keep {
+			pk = append(append(pk[:0], keep[:j]...), keep[j+1:]...)
+			probe.LHS = probe.LHS[:0]
+			for _, k := range pk {
+				probe.LHS = append(probe.LHS, c.LHS[k])
+			}
 			if probe.IsTrivial() {
 				continue
 			}
-			ok, err := implied(probe)
+			ok, err := implied(probe, pk)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				c = probe.Clone()
+				keep = append(keep[:0], pk...)
 				changed = true
 				break
 			}
 		}
 	}
-	return c, nil
+	if len(keep) == len(c.LHS) {
+		return c, nil
+	}
+	r := &cfd.CFD{Relation: c.Relation, RHS: c.RHS}
+	for _, k := range keep {
+		r.LHS = append(r.LHS, c.LHS[k])
+	}
+	return r, nil
+}
+
+// impliedBy adapts a Session's implies to leftReduceRestart.
+func impliedBy(s *Session) func(*cfd.CFD, []int) (bool, error) {
+	return func(phi *cfd.CFD, _ []int) (bool, error) { return s.implies(phi) }
+}
+
+// compileDead compiles sigma and then extra into s, and tombstones extra:
+// its members can be left-reduced by index while every probe still runs
+// against sigma alone.
+func compileDead(t *testing.T, s *Session, sigma, extra []*cfd.CFD) {
+	t.Helper()
+	if err := s.setSigma(append(append([]*cfd.CFD(nil), sigma...), extra...)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.sigma) != len(sigma)+len(extra) {
+		t.Fatalf("compiled %d members of %d", len(s.sigma), len(sigma)+len(extra))
+	}
+	for i := len(sigma); i < len(s.sigma); i++ {
+		s.markDead(i)
+	}
 }
 
 // poolWorkload builds Σ and a φ pool over eight attributes whose
@@ -677,27 +713,29 @@ func probeWorkloads() []probeWorkload {
 
 // TestLeftReduceMatchesRestart requires the one-pass left-reduction to
 // reduce every candidate exactly as the restart scan does, on a session
-// compiled with the same work set.
+// compiled with the same work set. The extra candidates are compiled
+// behind the dead mask, so their probes run against the work set alone.
 func TestLeftReduceMatchesRestart(t *testing.T) {
 	compared := 0
 	for _, w := range probeWorkloads() {
 		s := NewSession(w.u)
-		work, err := s.minCoverNormalize(w.sigma)
-		if err != nil {
+		if err := s.minCoverNormalize(w.sigma); err != nil {
 			t.Fatal(err)
 		}
-		cands := append([]*cfd.CFD(nil), work...)
+		cands := s.cfds()
+		work := len(cands)
 		for _, c := range w.extra {
 			if !c.IsTrivial() {
 				cands = append(cands, c)
 			}
 		}
-		for _, c := range cands {
-			got, err := s.leftReduceOne(c)
+		compileDead(t, s, cands[:work], cands[work:])
+		for i, c := range cands {
+			got, err := s.leftReduceOne(i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := leftReduceRestart(c, s.implies)
+			want, err := leftReduceRestart(c, impliedBy(s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -716,17 +754,15 @@ func TestLeftReduceMatchesRestart(t *testing.T) {
 	// A, after which [B=b] -> [A=c] holds. cfd.New rejects the repeated
 	// attribute, but a struct literal passes Validate.
 	s := NewSession(InfiniteUniverse("R", "A", "B"))
-	if err := s.SetSigma(parse(t, `R([B=b] -> [A=c])`)); err != nil {
-		t.Fatal(err)
-	}
 	c := &cfd.CFD{Relation: "R",
 		LHS: []cfd.Item{{Attr: "A", Pat: cfd.Any()}, {Attr: "A", Pat: cfd.Eq("c")}, {Attr: "B", Pat: cfd.Eq("b")}},
 		RHS: []cfd.Item{{Attr: "A", Pat: cfd.Eq("c")}}}
-	want, err := leftReduceRestart(c, s.implies)
+	compileDead(t, s, parse(t, `R([B=b] -> [A=c])`), []*cfd.CFD{c})
+	want, err := leftReduceRestart(c, impliedBy(s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.leftReduceOne(c)
+	got, err := s.leftReduceOne(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,36 +819,45 @@ func finiteWorkload(seed int64) (Universe, []*cfd.CFD, []*cfd.CFD) {
 
 // replayMinCover replays MinCover's probes over a work set on a fresh
 // session: every probe of the restart left-reduction scan, then the
-// redundancy loop under the skip and dead masks over the reduced set.
-// check receives each probe with the session and the alive Σ it runs
-// against, and decides it; a probe that errors counts as not implied, so
-// Σ may hold constants outside their domains.
-func replayMinCover(t *testing.T, u Universe, sigma []*cfd.CFD, check func(s *Session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error)) {
+// redundancy loop under the skip and dead masks over the reduced set,
+// rebuilt from the members' kept items as MinCover rebuilds it. check
+// receives each probe with the session, the alive Σ it runs against, and
+// the compiled member it probes with its LHS items replaced by lhs, and
+// decides it; a probe that errors counts as not implied, so Σ may hold
+// constants outside their domains.
+func replayMinCover(t *testing.T, u Universe, sigma []*cfd.CFD, check func(s *Session, alive []*cfd.CFD, phi *cfd.CFD, cc *compiledCFD, lhs []lhsItem) (bool, error)) {
 	t.Helper()
 	s := NewSession(u)
-	work, err := s.minCoverNormalize(sigma)
-	if err != nil {
+	if err := s.minCoverNormalize(sigma); err != nil {
 		t.Fatal(err)
 	}
-	reduced := make([]*cfd.CFD, len(work))
+	work := s.cfds()
 	for i, c := range work {
-		if reduced[i], err = leftReduceRestart(c, func(phi *cfd.CFD) (bool, error) { return check(s, work, phi) }); err != nil {
+		cc := &s.sigma[i]
+		r, err := leftReduceRestart(c, func(phi *cfd.CFD, keep []int) (bool, error) {
+			lhs := make([]lhsItem, len(keep))
+			for m, k := range keep {
+				lhs[m] = cc.lhs[k]
+			}
+			return check(s, work, phi, cc, lhs)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		s.adopt(i, r)
 	}
-	work = cfd.Dedup(reduced)
-	if err := s.setSigma(work); err != nil {
-		t.Fatal(err)
-	}
-	for i := range work {
+	s.dedup()
+	s.index()
+	for i := range s.sigma {
 		s.setSkip(i)
 		var alive []*cfd.CFD
-		for j, c := range work {
+		for j := range s.sigma {
 			if s.alive(int32(j)) {
-				alive = append(alive, c)
+				alive = append(alive, s.sigma[j].c)
 			}
 		}
-		ok, err := check(s, alive, work[i])
+		cc := &s.sigma[i]
+		ok, err := check(s, alive, cc.c, cc, cc.lhs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -827,10 +872,15 @@ func replayMinCover(t *testing.T, u Universe, sigma []*cfd.CFD, check func(s *Se
 // reference session's answer, or its error text, on finite domains and
 // equality components: random Σ and φ over finiteWorkload's universe, and
 // every left-reduction and redundancy probe of those workloads and of
-// probeWorkloads(), replayed under the skip and dead masks.
+// probeWorkloads(), replayed under the skip and dead masks. A replayed
+// probe is decided twice, through decide(φ) and through the compiled-item
+// entry MinCover uses, and both must give the same verdict or error.
+// finiteWorkload's constants may fall outside their domains (the error
+// names the first offending position in universe order), and its LHSs may
+// repeat an attribute, which takes its last pattern.
 func TestClosureMatchesReference(t *testing.T) {
 	compared, impliedN, vacuousN, errN := 0, 0, 0, 0
-	compare := func(t *testing.T, name string, sess *Session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
+	compare := func(t *testing.T, name string, sess *Session, alive []*cfd.CFD, phi *cfd.CFD, cc *compiledCFD, lhs []lhsItem) (bool, error) {
 		t.Helper()
 		ref, err := newRefSession(sess.u, alive)
 		if err != nil {
@@ -838,6 +888,13 @@ func TestClosureMatchesReference(t *testing.T) {
 		}
 		want, wantErr := ref.implies(phi)
 		v, gotErr := sess.decide(phi)
+		if cc != nil {
+			vc, errC := sess.decideCompiled(cc, lhs)
+			if vc != v || (errC == nil) != (gotErr == nil) || errC != nil && errC.Error() != gotErr.Error() {
+				t.Fatalf("%s: %s is decided %d (error %v) on compiled items, %d (error %v) by decide\nΣ = %v",
+					name, phi, vc, errC, v, gotErr, alive)
+			}
+		}
 		got := v != rejected
 		compared++
 		switch {
@@ -863,20 +920,123 @@ func TestClosureMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, phi := range phis {
-			compare(t, name, sess, sigma, phi)
+			compare(t, name, sess, sigma, phi, nil, nil)
 		}
-		replayMinCover(t, u, sigma, func(sess *Session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
-			return compare(t, name, sess, alive, phi)
+		replayMinCover(t, u, sigma, func(sess *Session, alive []*cfd.CFD, phi *cfd.CFD, cc *compiledCFD, lhs []lhsItem) (bool, error) {
+			return compare(t, name, sess, alive, phi, cc, lhs)
 		})
 	}
 	for _, w := range probeWorkloads() {
-		replayMinCover(t, w.u, w.sigma, func(sess *Session, alive []*cfd.CFD, phi *cfd.CFD) (bool, error) {
-			return compare(t, w.name, sess, alive, phi)
+		replayMinCover(t, w.u, w.sigma, func(sess *Session, alive []*cfd.CFD, phi *cfd.CFD, cc *compiledCFD, lhs []lhsItem) (bool, error) {
+			return compare(t, w.name, sess, alive, phi, cc, lhs)
 		})
 	}
 	t.Logf("%d comparisons: %d implied, %d vacuous, %d errors", compared, impliedN, vacuousN, errN)
 	if compared < 20000 || impliedN == 0 || vacuousN == 0 || errN == 0 {
 		t.Fatalf("%d comparisons, %d implied, %d vacuous, %d errors; want >= 20000 and some of each",
 			compared, impliedN, vacuousN, errN)
+	}
+}
+
+// TestDedupMatchesKey requires the compiled-key dedup to keep exactly
+// cfd.Dedup's survivors, in order, on both of MinCover's work sets: the
+// compiled input, and the members after left-reduction. The inputs are
+// probeWorkloads() and finiteWorkload's Σ and φ pools, each member also
+// repeated with its LHS reversed and with its RHS pattern changed, and
+// hand-built sets: reordered and repeated LHS items, equality CFDs with
+// their patterns, and constants holding separators or digits that a
+// naive concatenation of names and codes would confuse.
+func TestDedupMatchesKey(t *testing.T) {
+	check := func(name string, s *Session, cs []*cfd.CFD) {
+		t.Helper()
+		if err := s.compile(cs); err != nil {
+			t.Fatal(err)
+		}
+		s.dedup()
+		if got, want := s.cfds(), cfd.Dedup(cs); !slices.Equal(got, want) {
+			t.Fatalf("%s: compiled dedup keeps\n%v\ncfd.Dedup keeps\n%v", name, got, want)
+		}
+	}
+	variants := func(cs []*cfd.CFD) []*cfd.CFD {
+		out := append([]*cfd.CFD(nil), cs...)
+		for _, c := range cs {
+			r := c.Clone()
+			slices.Reverse(r.LHS)
+			f := c.Clone()
+			if f.RHS[0].Pat.Wildcard {
+				f.RHS[0].Pat = cfd.Eq("a")
+			} else {
+				f.RHS[0].Pat = cfd.Any()
+			}
+			out = append(out, r, f)
+		}
+		return out
+	}
+	sets := 0
+	run := func(name string, u Universe, sigma, extra []*cfd.CFD) {
+		check(name+" input", NewSession(u), variants(append(append([]*cfd.CFD(nil), sigma...), extra...)))
+		// The reduced work set: a probe that errors leaves its member as is.
+		s := NewSession(u)
+		if err := s.minCoverNormalize(sigma); err != nil {
+			t.Fatal(err)
+		}
+		for i := range s.sigma {
+			s.leftReduceOne(i)
+		}
+		check(name+" reduced", NewSession(u), s.cfds())
+		sets += 2
+	}
+	for _, w := range probeWorkloads() {
+		run(w.name, w.u, cfd.NormalizeAll(w.sigma), w.extra)
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		u, sigma, phis := finiteWorkload(seed)
+		run(fmt.Sprintf("finite seed %d", seed), u, sigma, phis)
+	}
+
+	it := func(attr string, pat cfd.Pattern) cfd.Item { return cfd.Item{Attr: attr, Pat: pat} }
+	std := func(rhs cfd.Item, lhs ...cfd.Item) *cfd.CFD {
+		return &cfd.CFD{Relation: "R", LHS: lhs, RHS: []cfd.Item{rhs}}
+	}
+	eq := func(a, b cfd.Item) *cfd.CFD {
+		return &cfd.CFD{Relation: "R", Equality: true, LHS: []cfd.Item{a}, RHS: []cfd.Item{b}}
+	}
+	w, x := cfd.Any(), cfd.Eq
+	hand := []*cfd.CFD{
+		std(it("C", w), it("A", x("1")), it("B", w)),
+		std(it("C", w), it("B", w), it("A", x("1"))), // reordered: a duplicate
+		std(it("C", w), it("A", w), it("A", x("c"))),
+		std(it("C", w), it("A", x("c")), it("A", w)), // reordered: a duplicate
+		std(it("C", w), it("A", x("c")), it("A", x("c"))),
+		std(it("C", w), it("A", x("c"))),
+		std(it("C", w), it("A", x("c"))), // a duplicate
+		eq(it("A", w), it("B", w)),
+		eq(it("A", x("x")), it("B", w)),
+		eq(it("A", x("x")), it("B", w)), // a duplicate
+		eq(it("A", w), it("B", x("x"))),
+		eq(it("B", w), it("A", w)),
+		std(it("B", w), it("A", w)),
+		std(it("A", w), it("B", w)),
+		std(it("C", w), it("A", x("x,1:B=y"))),
+		std(it("C", w), it("A", x("x")), it("B", x("y"))),
+		std(it("C", w), it("A", x("_"))),
+		std(it("C", w), it("A", w)),
+		std(it("C", w), it("A", x("1")), it("B", x("12"))),
+		std(it("C", w), it("A", x("11")), it("B", x("2"))),
+		std(it("C", w), it("A", x("1|1:C_"))),
+		std(it("C", w), it("A", x("1:2"))),
+		std(it("C", w), it("A", x("="))),
+		std(it("C", w), it("A", x(""))),
+		std(it("C", x("1")), it("A", w)),
+		std(it("C", x("12")), it("A", w)),
+		std(it("C", x("1")), it("A", w)), // a duplicate
+	}
+	u := InfiniteUniverse("R", "A", "B", "C")
+	check("hand-built", NewSession(u), hand)
+	if got := len(cfd.Dedup(hand)); got != len(hand)-5 {
+		t.Fatalf("cfd.Dedup keeps %d of the %d hand-built CFDs; want %d", got, len(hand), len(hand)-5)
+	}
+	if sets < 100 {
+		t.Fatalf("only %d work sets compared; want >= 100", sets)
 	}
 }

@@ -19,18 +19,28 @@
 // per universe and answers queries without per-call allocation
 // (TestImpliesSessionAllocationFree):
 //
+//   - Compiled once, probed on integers. Σ's attributes become universe
+//     positions and its constants int32 codes; every member's LHS items
+//     sit in one backing array as (position, code) pairs. The closure has
+//     one entry point for standard queries, decideStd, which takes the
+//     LHS as such items (plus decideEquality for equality queries). A
+//     query φ is translated onto it once (decide); MinCover's probes are
+//     compiled members with an LHS item left out, so they reach the
+//     closure without a string lookup.
+//
 //   - Counter closure. The two-row template's state is a few monotone
 //     facts per equality component (the components of the alive equality
 //     CFDs): the rows are unioned, a row is bound to a constant, the rows
-//     are equal. Every Σ constant is interned as an int32 code. Each
-//     standard CFD counts its unmet LHS items, per row for a constant-RHS
-//     CFD and for the pair otherwise, as LinClosure does for FDs (Beeri &
-//     Bernstein, TODS 1979). A fact decrements only the counters of the LHS
-//     items it satisfies, found through per-position indexes of wildcard
-//     items and of constant items sorted by code; a counter that reaches 0
-//     queues one firing, which binds or unions its RHS component. Counters
-//     are epoch-stamped, so a query clears nothing in proportion to |Σ|,
-//     and the closure stops as soon as the conclusion holds.
+//     are equal. Each standard CFD counts its unmet LHS items, per row for
+//     a constant-RHS CFD and for the pair otherwise, as LinClosure does for
+//     FDs (Beeri & Bernstein, TODS 1979). A fact decrements only the
+//     counters of the LHS items it satisfies, found through per-position
+//     indexes of wildcard items and of constant items sorted by code; a
+//     counter that reaches 0 queues one firing, which binds or unions its
+//     RHS component. Counters are epoch-stamped and hold their starting
+//     value, so a query clears nothing in proportion to |Σ|, and the
+//     closure stops as soon as the conclusion holds. A constant of φ's LHS
+//     is bound in both rows in one pass over the row index.
 //
 //   - Exact semantics. The closure decides every query exactly as the
 //     reference sym.State chase of the template does (kept as the oracle in
@@ -39,6 +49,16 @@
 //     domains do not intersect, a bind outside a component's domain, a
 //     second constant in one class or a row union of an empty-domain cell
 //     is a conflict, so φ is vacuously implied.
+//
+//   - One compile per MinCover. MinCover compiles its normalized work set
+//     once and deduplicates it by a (position, code) key that tells apart
+//     exactly the CFDs cfd.Key does (TestDedupMatchesKey). After
+//     left-reduction it deduplicates the members again and rebuilds the
+//     indexes from their kept items, with no second compile. Nothing is
+//     cloned: a CFD left-reduction does not shorten is returned by
+//     pointer, and a shortened one is built once, at the end of its scan.
+//     A warm session's MinCover allocates only for the CFDs it shortens
+//     and the cover itself (TestMinCoverWarmAllocations).
 //
 //   - One-pass left-reduction. MinCover probes each LHS position of a
 //     candidate once: implication is monotone in the LHS, so a position

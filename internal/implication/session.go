@@ -30,14 +30,15 @@ const (
 // (finite-domain attributes are tolerated: the test stays sound) and are
 // not safe for concurrent use.
 //
-// Σ is compiled once against the universe, and each query runs a counter
-// closure over the canonical two-row template (one row for equality
-// queries). The template's state is a few monotone facts per equality
-// component q, the components of the alive equality CFDs: the rows are
-// unioned (agree[q]), row r is bound to a constant code (val[r][q]), and
-// the rows are equal, unioned or bound to the same code (equal[q]). Each
-// fact becomes true at most once per query, and only touches the LHS items
-// it satisfies, through per-position indexes:
+// Σ is compiled once against the universe into integers: every member's
+// LHS items become (position, constant code) pairs in one backing array.
+// Each query runs a counter closure over the canonical two-row template
+// (one row for equality queries). The template's state is a few monotone
+// facts per equality component q, the components of the alive equality
+// CFDs: the rows are unioned (agree[q]), row r is bound to a constant code
+// (val[r][q]), and the rows are equal, unioned or bound to the same code
+// (equal[q]). Each fact becomes true at most once per query, and only
+// touches the LHS items it satisfies, through per-position indexes:
 //
 //   - a constant-RHS CFD fires once per row, when its row's counter of
 //     unmet constant LHS items reaches 0, and binds its RHS component in
@@ -53,12 +54,13 @@ const (
 type Session struct {
 	u     Universe
 	sigma []compiledCFD
-	dead  []bool // tombstoned CFDs are ignored by every query
-	skip  int    // index temporarily excluded from Σ; -1 for none
+	items []lhsItem // backing array of the members' LHS items
+	dead  []bool    // tombstoned CFDs are ignored by every query
+	skip  int       // index temporarily excluded from Σ; -1 for none
 
 	anyFinite bool // some universe attribute has a finite domain
 
-	// Constant codes: every Σ constant gets one at setSigma. A query's
+	// Constant codes: every Σ constant gets one at compile. A query's
 	// constants that Σ never mentions get codes from nSigmaCodes up,
 	// appended to strs for the query and truncated at the next.
 	codes       map[string]int32
@@ -66,11 +68,10 @@ type Session struct {
 	nSigmaCodes int
 
 	// Per-position indexes of the standard CFDs' LHS items, rebuilt by
-	// setSigma: wild holds the wildcard items of the CFDs that fire on
-	// pairs, pair their constant items, and row the constant items of the
-	// CFDs that fire per row.
+	// index: wild holds the wildcard items of the CFDs that fire on pairs,
+	// pair their constant items, and row the constant items of the CFDs
+	// that fire per row.
 	wild, pair, row posIndex
-	init            []int32 // per CFD: its counters' starting value
 	rowRoots        []int32 // CFDs that fire per row with no constant LHS item
 	pairRoots       []int32 // CFDs that fire on pairs with an empty LHS
 	eqCFDs          []int32
@@ -104,10 +105,21 @@ type Session struct {
 
 	firings int64 // firings drawn so far
 
-	// φ's LHS positions, and its pattern at each, keyed by position: a
-	// repeated attribute takes its last pattern.
-	phiPos    []int
-	sharedPat []cfd.Pattern
+	// The probe being decided: its LHS items (φ's, translated, or a
+	// left-reduction candidate's minus one), and per position the code
+	// the probe seeds there: a repeated attribute takes its last item's.
+	probeLHS []lhsItem
+	seedCode []int32
+
+	// MinCover scratch: the filtered work set before compile, the LHS
+	// indexes a candidate keeps during its left-reduction, and the dedup
+	// table (see dedup).
+	work []*cfd.CFD
+	kept []int32
+	seen map[uint64]int32
+	next []int32
+	keyA []uint64
+	keyB []uint64
 
 	// Cooperative cancellation, installed by SetContext: every firing polls
 	// done and aborts with ctx's error.
@@ -126,21 +138,28 @@ type posIndex struct {
 
 func (x *posIndex) at(p int32) []constItem { return x.items[x.start[p]:x.start[p+1]] }
 
-// constItem is one LHS item in a posIndex; code is 0 for a wildcard.
+// constItem is one LHS item in a posIndex; code is -1 for a wildcard.
 type constItem struct{ code, cfd int32 }
 
 // counter holds one CFD's unmet-item counts: per row for a CFD that fires
-// per row, n[0] for one that fires on pairs.
+// per row, n[0] for one that fires on pairs. init is the count a query
+// starts from.
 type counter struct {
 	epoch uint32
+	init  int32
 	n     [2]int32
 }
 
+// lhsItem is one compiled LHS item: its universe position and its
+// constant's code, -1 for a wildcard.
+type lhsItem struct{ pos, code int32 }
+
 type compiledCFD struct {
 	c       *cfd.CFD
-	lhs     []int // universe positions of LHS attrs
-	rhs     int   // universe position of the RHS attr
-	rhsCode int32 // code of a standard CFD's constant RHS; -1 for a wildcard
+	lhs     []lhsItem // c.LHS in order, compiled
+	rhs     int32     // universe position of the RHS attr
+	rhsCode int32     // code of the RHS constant; -1 for a wildcard
+	// An equality CFD's codes only key dedup: its patterns do not count.
 }
 
 // NewSession builds an empty session over the universe; load Σ with
@@ -150,8 +169,7 @@ func NewSession(u Universe) *Session {
 	s := &Session{
 		u:         u,
 		skip:      -1,
-		codes:     make(map[string]int32),
-		sharedPat: make([]cfd.Pattern, len(u.Attrs)),
+		seedCode:  make([]int32, len(u.Attrs)),
 		compDirty: true,
 	}
 	for _, a := range u.Attrs {
@@ -164,100 +182,134 @@ func NewSession(u Universe) *Session {
 	return s
 }
 
-// compile resolves a normalized CFD's attribute positions and codes a
-// standard CFD's constant RHS.
-func (s *Session) compile(c *cfd.CFD) (compiledCFD, error) {
-	cc := compiledCFD{c: c, lhs: make([]int, len(c.LHS)), rhsCode: -1}
-	ok := true
-	pos := func(attr string) int {
-		p, found := s.u.pos(attr)
-		ok = ok && found
-		return p
+// compile compiles the CFDs of cs on the universe's relation (normalized)
+// into the session's Σ, in order: their LHS items into one backing array,
+// and every constant, equality CFDs' patterns included, into a code. The
+// indexes are left to index.
+func (s *Session) compile(cs []*cfd.CFD) error {
+	n, m, consts := 0, 0, 0
+	for _, c := range cs {
+		if c.Relation != s.u.Relation {
+			continue
+		}
+		n += len(c.LHS)
+		m++
+		for _, items := range [2][]cfd.Item{c.LHS, c.RHS} {
+			for _, it := range items {
+				if !it.Pat.Wildcard {
+					consts++
+				}
+			}
+		}
 	}
-	for k, it := range c.LHS {
-		cc.lhs[k] = pos(it.Attr)
+	s.items = slices.Grow(s.items[:0], n)[:n]
+	s.sigma = slices.Grow(s.sigma[:0], m)
+	if s.codes == nil {
+		s.codes = make(map[string]int32, consts)
+	} else {
+		clear(s.codes)
 	}
-	if cc.rhs = pos(c.RHS[0].Attr); !ok {
-		return cc, fmt.Errorf("implication: %s mentions attributes outside the universe", c)
+	s.strs = s.strs[:0]
+	off := 0
+	for _, c := range cs {
+		if c.Relation != s.u.Relation {
+			continue
+		}
+		cc := compiledCFD{c: c, lhs: s.items[off : off+len(c.LHS) : off+len(c.LHS)]}
+		off += len(c.LHS)
+		ok := true
+		for k, it := range c.LHS {
+			p, found := s.u.pos(it.Attr)
+			ok = ok && found
+			cc.lhs[k] = lhsItem{int32(p), s.code(it.Pat)}
+		}
+		p, found := s.u.pos(c.RHS[0].Attr)
+		if !ok || !found {
+			return fmt.Errorf("implication: %s mentions attributes outside the universe", c)
+		}
+		cc.rhs, cc.rhsCode = int32(p), s.code(c.RHS[0].Pat)
+		s.sigma = append(s.sigma, cc)
 	}
-	if !c.Equality && !c.RHS[0].Pat.Wildcard {
-		cc.rhsCode = s.code(c.RHS[0].Pat.Const)
-	}
-	return cc, nil
+	s.nSigmaCodes = len(s.strs)
+	return nil
 }
 
-// code returns a Σ constant's code, assigning the next one if it is new.
-func (s *Session) code(c string) int32 {
-	k, ok := s.codes[c]
+// code returns a Σ pattern's code, -1 for a wildcard, assigning the next
+// one to a new constant.
+func (s *Session) code(pat cfd.Pattern) int32 {
+	if pat.Wildcard {
+		return -1
+	}
+	k, ok := s.codes[pat.Const]
 	if !ok {
 		k = int32(len(s.strs))
-		s.codes[c] = k
-		s.strs = append(s.strs, c)
+		s.codes[pat.Const] = k
+		s.strs = append(s.strs, pat.Const)
 	}
 	return k
 }
 
-// setSigma (re)compiles sigma into the session. CFDs on other relations
-// are skipped, so when the caller prefilters to the universe's relation
-// (as MinCover does), compiled indices align with the input slice.
-func (s *Session) setSigma(sigma []*cfd.CFD) error {
-	s.sigma = s.sigma[:0]
-	clear(s.codes)
-	s.strs = s.strs[:0]
-	for _, c := range sigma {
-		if c.Relation != s.u.Relation {
-			continue
-		}
-		cc, err := s.compile(c)
-		if err != nil {
-			return err
-		}
-		s.sigma = append(s.sigma, cc)
-	}
-	s.dead = append(s.dead[:0], make([]bool, len(s.sigma))...)
+// index readies the compiled Σ for queries: every member alive, no skip,
+// and the indexes and counters rebuilt from the members' compiled items.
+func (s *Session) index() {
+	s.dead = zeroed(s.dead, len(s.sigma))
 	s.skip = -1
 	s.buildIndex()
-	s.nSigmaCodes = len(s.strs)
 	s.compDirty = true
+}
+
+// setSigma (re)compiles sigma into the session. CFDs on other relations
+// are skipped, so when the caller prefilters to the universe's relation,
+// compiled indices align with the input slice.
+func (s *Session) setSigma(sigma []*cfd.CFD) error {
+	if err := s.compile(sigma); err != nil {
+		return err
+	}
+	s.index()
 	return nil
 }
 
-// slot returns the index an LHS item with pattern pat of cc belongs in, or
-// nil for a wildcard of a CFD that fires per row: its row premise always
-// holds there.
-func (s *Session) slot(cc *compiledCFD, pat cfd.Pattern) *posIndex {
+// slot returns the index an LHS item with code k of cc belongs in, or nil
+// for a wildcard of a CFD that fires per row: its row premise always holds
+// there.
+func (s *Session) slot(cc *compiledCFD, k int32) *posIndex {
 	switch {
-	case cc.rhsCode < 0 && pat.Wildcard:
+	case cc.rhsCode < 0 && k < 0:
 		return &s.wild
 	case cc.rhsCode < 0:
 		return &s.pair
-	case pat.Wildcard:
+	case k < 0:
 		return nil
 	}
 	return &s.row
 }
 
-// buildIndex rebuilds the per-position indexes, codes the LHS constants
-// and sizes the counters: one pass counts each position's items, one fills
-// them in, and each position's run is sorted by code.
+// buildIndex rebuilds the per-position indexes and the counters from the
+// members' compiled items: one pass counts each position's items and sets
+// each counter's starting value, one fills the items in, and each
+// position's run is sorted by code.
 func (s *Session) buildIndex() {
 	n := len(s.u.Attrs)
 	idxs := [...]*posIndex{&s.wild, &s.pair, &s.row}
 	for _, x := range idxs {
-		x.start = append(x.start[:0], make([]int32, n+1)...)
+		x.start = zeroed(x.start, n+1)
 	}
-	s.init, s.rowRoots, s.pairRoots, s.eqCFDs = s.init[:0], s.rowRoots[:0], s.pairRoots[:0], s.eqCFDs[:0]
+	if len(s.ctr) < len(s.sigma) {
+		s.ctr = make([]counter, len(s.sigma))
+		s.epoch = 0
+	}
+	s.rowRoots, s.pairRoots, s.eqCFDs = s.rowRoots[:0], s.pairRoots[:0], s.eqCFDs[:0]
 	for i := range s.sigma {
 		cc := &s.sigma[i]
 		if cc.c.Equality {
 			s.eqCFDs = append(s.eqCFDs, int32(i))
-			s.init = append(s.init, 0)
+			s.ctr[i].init = 0
 			continue
 		}
 		k := int32(0)
-		for j, p := range cc.lhs {
-			if x := s.slot(cc, cc.c.LHS[j].Pat); x != nil {
-				x.start[p+1]++
+		for _, it := range cc.lhs {
+			if x := s.slot(cc, it.code); x != nil {
+				x.start[it.pos+1]++
 				k++
 			}
 		}
@@ -267,13 +319,13 @@ func (s *Session) buildIndex() {
 		case k == 0:
 			s.pairRoots = append(s.pairRoots, int32(i))
 		}
-		s.init = append(s.init, k)
+		s.ctr[i].init = k
 	}
 	for _, x := range idxs {
 		for p := 0; p < n; p++ {
 			x.start[p+1] += x.start[p]
 		}
-		x.items = append(x.items[:0], make([]constItem, x.start[n])...)
+		x.items = zeroed(x.items, int(x.start[n]))
 	}
 	// Fill using the starts as cursors, then shift them back.
 	for i := range s.sigma {
@@ -281,15 +333,10 @@ func (s *Session) buildIndex() {
 		if cc.c.Equality {
 			continue
 		}
-		for j, p := range cc.lhs {
-			pat := cc.c.LHS[j].Pat
-			if x := s.slot(cc, pat); x != nil {
-				it := constItem{cfd: int32(i)}
-				if !pat.Wildcard {
-					it.code = s.code(pat.Const)
-				}
-				x.items[x.start[p]] = it
-				x.start[p]++
+		for _, it := range cc.lhs {
+			if x := s.slot(cc, it.code); x != nil {
+				x.items[x.start[it.pos]] = constItem{code: it.code, cfd: int32(i)}
+				x.start[it.pos]++
 			}
 		}
 	}
@@ -301,17 +348,13 @@ func (s *Session) buildIndex() {
 			slices.SortStableFunc(x.at(p), byCode)
 		}
 	}
-	if len(s.ctr) < len(s.sigma) {
-		s.ctr = make([]counter, len(s.sigma))
-		s.epoch = 0
-	}
 }
 
 // buildComps recomputes the equality components of the alive equality
 // CFDs, their domains and the seed conflict.
 func (s *Session) buildComps() {
 	n := len(s.u.Attrs)
-	s.parent = append(s.parent[:0], make([]int32, n)...)
+	s.parent = zeroed(s.parent, n)
 	for p := range s.parent {
 		s.parent[p] = int32(p)
 	}
@@ -325,12 +368,12 @@ func (s *Session) buildComps() {
 	for _, i := range s.eqCFDs {
 		if s.alive(i) {
 			cc := &s.sigma[i]
-			s.parent[find(int32(cc.lhs[0]))] = find(int32(cc.rhs))
+			s.parent[find(cc.lhs[0].pos)] = find(cc.rhs)
 		}
 	}
 	// Number the components densely in position order; comp doubles as the
 	// root-to-id map while it is filled.
-	s.comp = append(s.comp[:0], make([]int32, n)...)
+	s.comp = zeroed(s.comp, n)
 	for p := range s.comp {
 		s.comp[p] = -1
 	}
@@ -343,21 +386,21 @@ func (s *Session) buildComps() {
 		}
 		s.comp[p] = s.comp[r]
 	}
-	s.memStart = append(s.memStart[:0], make([]int32, nComp+1)...)
+	s.memStart = zeroed(s.memStart, int(nComp)+1)
 	for _, q := range s.comp {
 		s.memStart[q+1]++
 	}
 	for q := int32(0); q < nComp; q++ {
 		s.memStart[q+1] += s.memStart[q]
 	}
-	s.members = append(s.members[:0], make([]int32, n)...)
+	s.members = zeroed(s.members, n)
 	for p, q := range s.comp {
 		s.members[s.memStart[q]] = int32(p)
 		s.memStart[q]++
 	}
 	copy(s.memStart[1:], s.memStart[:nComp])
 	s.memStart[0] = 0
-	s.dom = append(s.dom[:0], make([]rel.Domain, nComp)...)
+	s.dom = zeroed(s.dom, int(nComp))
 	s.seedConflict = false
 	for q := int32(0); q < nComp; q++ {
 		ms := s.members[s.memStart[q]:s.memStart[q+1]]
@@ -370,12 +413,23 @@ func (s *Session) buildComps() {
 			s.seedConflict = true
 		}
 	}
-	s.agree = append(s.agree[:0], make([]bool, nComp)...)
-	s.equal = append(s.equal[:0], make([]bool, nComp)...)
+	s.agree = zeroed(s.agree, int(nComp))
+	s.equal = zeroed(s.equal, int(nComp))
 	for r := range s.val {
-		s.val[r] = append(s.val[r][:0], make([]int32, nComp)...)
+		s.val[r] = zeroed(s.val[r], int(nComp))
 	}
 	s.compDirty = false
+}
+
+// zeroed returns x resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](x []T, n int) []T {
+	if cap(x) < n {
+		return make([]T, n)
+	}
+	x = x[:n]
+	clear(x)
+	return x
 }
 
 func emptyDomain(d rel.Domain) bool { return d.Finite && len(d.Values) == 0 }
@@ -417,7 +471,7 @@ func (s *Session) markDead(i int) {
 func (s *Session) isEquality(i int) bool { return i >= 0 && s.sigma[i].c.Equality }
 
 // begin starts a query over an n-row template: a fresh counter epoch, no
-// facts, an empty queue, and no per-query codes.
+// facts and an empty queue.
 func (s *Session) begin(rows int) {
 	if s.compDirty {
 		s.buildComps()
@@ -436,7 +490,6 @@ func (s *Session) begin(rows int) {
 		}
 	}
 	s.queue = s.queue[:0]
-	s.strs = s.strs[:s.nSigmaCodes]
 }
 
 // queryCode returns the code of a query constant. A constant Σ never
@@ -461,34 +514,49 @@ func (s *Session) queryCode(c string, add bool) int32 {
 // dec counts one met item of CFD i's counter slot, queueing its firing when
 // none is left.
 func (s *Session) dec(i int32, slot int) {
-	c := &s.ctr[i]
-	if c.epoch != s.epoch {
-		c.epoch = s.epoch
-		c.n[0], c.n[1] = s.init[i], s.init[i]
-	}
+	c := s.touch(i)
 	c.n[slot]--
 	if c.n[slot] == 0 && s.alive(i) {
 		s.queue = append(s.queue, i<<1|int32(slot))
 	}
 }
 
+// touch returns CFD i's counter, starting it if this query has not
+// touched it yet.
+func (s *Session) touch(i int32) *counter {
+	c := &s.ctr[i]
+	if c.epoch != s.epoch {
+		c.epoch = s.epoch
+		c.n[0], c.n[1] = c.init, c.init
+	}
+	return c
+}
+
 // decConst counts the constant items of x with code k at component q's
 // positions into counter slot.
 func (s *Session) decConst(x *posIndex, q, k int32, slot int) {
 	for _, p := range s.members[s.memStart[q]:s.memStart[q+1]] {
-		run := x.at(p)
-		lo, hi := 0, len(run)
-		for lo < hi {
-			if m := int(uint(lo+hi) >> 1); run[m].code < k {
-				lo = m + 1
-			} else {
-				hi = m
-			}
-		}
-		for ; lo < len(run) && run[lo].code == k; lo++ {
-			s.dec(run[lo].cfd, slot)
+		for _, it := range codeRun(x.at(p), k) {
+			s.dec(it.cfd, slot)
 		}
 	}
+}
+
+// codeRun returns the items of run, sorted by code, that have code k.
+func codeRun(run []constItem, k int32) []constItem {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); run[m].code < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	end := lo
+	for end < len(run) && run[end].code == k {
+		end++
+	}
+	return run[lo:end]
 }
 
 // bind binds component q in row r to code k, reporting false on a
@@ -516,6 +584,41 @@ func (s *Session) bind(r int, q, k int32) bool {
 	case s.agree[q]:
 		return s.bind(o, q, k)
 	}
+	return true
+}
+
+// seedBoth binds component q to φ's constant k in both rows, as bind(0, q,
+// k) followed by bind(1, q, k) would, in one pass over the row index: every
+// φ seed leaves the rows agreeing, so the two row counters of a CFD that
+// fires per row move together, and the row-1 firings are queued after the
+// row-0 ones in the same order.
+func (s *Session) seedBoth(q, k int32) bool {
+	switch v := s.val[0][q]; {
+	case v == k:
+		return true
+	case v >= 0:
+		return false
+	}
+	if d := &s.dom[q]; d.Finite && !d.Contains(s.strs[k]) {
+		return false
+	}
+	s.val[0][q], s.val[1][q] = k, k
+	start := len(s.queue)
+	for _, p := range s.members[s.memStart[q]:s.memStart[q+1]] {
+		for _, it := range codeRun(s.row.at(p), k) {
+			c := s.touch(it.cfd)
+			c.n[0]--
+			c.n[1]--
+			if c.n[0] == 0 && s.alive(it.cfd) {
+				s.queue = append(s.queue, it.cfd<<1)
+			}
+		}
+	}
+	for _, f := range s.queue[start:] {
+		s.queue = append(s.queue, f|1)
+	}
+	s.decConst(&s.pair, q, k, 0)
+	s.setEqual(q)
 	return true
 }
 
@@ -602,12 +705,8 @@ func (s *Session) drain() (verdict, error) {
 			return rejected, nil
 		}
 		faultinject.Hit(faultinject.SiteImplicationStep)
-		if s.done != nil {
-			select {
-			case <-s.done:
-				return rejected, s.ctx.Err()
-			default:
-			}
+		if err := s.poll(); err != nil {
+			return rejected, err
 		}
 		s.firings++
 		f := s.queue[qh]
@@ -632,44 +731,81 @@ func (s *Session) implies(phi *cfd.CFD) (bool, error) {
 	return v != rejected, err
 }
 
-// decide is implies with the kind of positive answer.
-func (s *Session) decide(phi *cfd.CFD) (verdict, error) {
-	// Poll once up front so a cancelled session refuses every query, not
-	// just those that fire.
+// poll reports the installed context's error once it is cancelled.
+func (s *Session) poll() error {
 	if s.done != nil {
 		select {
 		case <-s.done:
-			return rejected, s.ctx.Err()
+			return s.ctx.Err()
 		default:
 		}
 	}
-	if phi.Equality {
-		return s.decideEquality(phi)
+	return nil
+}
+
+// decide is implies with the kind of positive answer. It translates φ's
+// attributes and constants into positions and codes and decides it on the
+// compiled-item entry points, decideStd and decideEquality.
+func (s *Session) decide(phi *cfd.CFD) (verdict, error) {
+	// Poll once up front so a cancelled session refuses every query, not
+	// just those that fire.
+	if err := s.poll(); err != nil {
+		return rejected, err
 	}
-	s.phiPos = s.phiPos[:0]
+	outside := func() (verdict, error) {
+		return rejected, fmt.Errorf("implication: %s mentions attribute outside the universe", phi)
+	}
+	if phi.Equality {
+		a, ok1 := s.u.pos(phi.LHS[0].Attr)
+		b, ok2 := s.u.pos(phi.RHS[0].Attr)
+		if !ok1 || !ok2 {
+			return outside()
+		}
+		return s.decideEquality(int32(a), int32(b))
+	}
+	s.strs = s.strs[:s.nSigmaCodes]
+	s.probeLHS = s.probeLHS[:0]
 	for _, it := range phi.LHS {
 		p, ok := s.u.pos(it.Attr)
 		if !ok {
-			return rejected, fmt.Errorf("implication: %s mentions attribute outside the universe", phi)
+			return outside()
 		}
-		s.sharedPat[p] = it.Pat
-		s.phiPos = append(s.phiPos, p)
+		k := int32(-1)
+		if !it.Pat.Wildcard {
+			k = s.queryCode(it.Pat.Const, true)
+		}
+		s.probeLHS = append(s.probeLHS, lhsItem{int32(p), k})
 	}
 	rhs := phi.RHS[0]
 	ai, ok := s.u.pos(rhs.Attr)
 	if !ok {
-		return rejected, fmt.Errorf("implication: %s mentions attribute outside the universe", phi)
+		return outside()
+	}
+	tk := int32(-1)
+	if !rhs.Pat.Wildcard {
+		tk = s.queryCode(rhs.Pat.Const, false)
+	}
+	return s.decideStd(s.probeLHS, int32(ai), tk)
+}
+
+// decideStd decides a standard query X → A on the two-row template: X as
+// compiled items, whose repeated positions take their last item's code, and
+// A as position rhs with code tk (-1 for a wildcard, -2 for a constant no
+// fact can hold).
+func (s *Session) decideStd(lhs []lhsItem, rhs, tk int32) (verdict, error) {
+	for _, it := range lhs {
+		s.seedCode[it.pos] = it.code
 	}
 	if s.anyFinite {
 		// The first offending position in universe order is reported.
-		bad := -1
-		for _, p := range s.phiPos {
-			if pat := s.sharedPat[p]; !pat.Wildcard && !s.u.Attrs[p].Domain.Contains(pat.Const) && (bad < 0 || p < bad) {
-				bad = p
+		bad := int32(-1)
+		for _, it := range lhs {
+			if k := s.seedCode[it.pos]; k >= 0 && !s.u.Attrs[it.pos].Domain.Contains(s.strs[k]) && (bad < 0 || it.pos < bad) {
+				bad = it.pos
 			}
 		}
 		if bad >= 0 {
-			return rejected, fmt.Errorf("implication: constant %q outside domain of %s", s.sharedPat[bad].Const, s.u.Attrs[bad].Name)
+			return rejected, fmt.Errorf("implication: constant %q outside domain of %s", s.strs[s.seedCode[bad]], s.u.Attrs[bad].Name)
 		}
 	}
 
@@ -677,34 +813,26 @@ func (s *Session) decide(phi *cfd.CFD) (verdict, error) {
 	if s.seedConflict {
 		return vacuous, nil
 	}
-	for _, p := range s.phiPos {
-		q := s.comp[p]
-		if pat := s.sharedPat[p]; pat.Wildcard {
+	for _, it := range lhs {
+		q := s.comp[it.pos]
+		var ok bool
+		if k := s.seedCode[it.pos]; k < 0 {
 			ok = s.union(q, true)
 		} else {
-			k := s.queryCode(pat.Const, true)
-			ok = s.bind(0, q, k) && s.bind(1, q, k)
+			ok = s.seedBoth(q, k)
 		}
 		if !ok {
 			return vacuous, nil
 		}
 	}
 	s.queueRoots()
-	s.tq, s.tk = s.comp[ai], -1
-	if !rhs.Pat.Wildcard {
-		s.tk = s.queryCode(rhs.Pat.Const, false)
-	}
+	s.tq, s.tk = s.comp[rhs], tk
 	return s.drain()
 }
 
-// decideEquality decides an equality query t[A] = t[B] on the one-row
-// template.
-func (s *Session) decideEquality(phi *cfd.CFD) (verdict, error) {
-	a, ok1 := s.u.pos(phi.LHS[0].Attr)
-	b, ok2 := s.u.pos(phi.RHS[0].Attr)
-	if !ok1 || !ok2 {
-		return rejected, fmt.Errorf("implication: %s mentions attribute outside the universe", phi)
-	}
+// decideEquality decides an equality query t[A] = t[B], A and B at
+// positions a and b, on the one-row template.
+func (s *Session) decideEquality(a, b int32) (verdict, error) {
 	s.begin(1)
 	s.tq, s.tb = s.comp[a], s.comp[b]
 	if s.tq == s.tb {
