@@ -180,6 +180,12 @@ func (q *SPC) ViewSchema(db *rel.DBSchema) (*rel.Schema, error) {
 	if err := q.Validate(db); err != nil {
 		return nil, err
 	}
+	return q.schema(db)
+}
+
+// schema is ViewSchema for a query Validate accepted: it derives the
+// schema without validating again.
+func (q *SPC) schema(db *rel.DBSchema) (*rel.Schema, error) {
 	idx := q.attrIndex()
 	consts := q.constAttrs()
 	attrs := make([]rel.Attribute, 0, len(q.Projection))

@@ -52,9 +52,16 @@ func (u *SPCU) ViewSchema(db *rel.DBSchema) (*rel.Schema, error) {
 	if err := u.Validate(db); err != nil {
 		return nil, err
 	}
+	return u.Schema(db)
+}
+
+// Schema is ViewSchema for a union Validate accepted: it derives the
+// schema, the disjuncts' included, without validating again. On a union
+// Validate rejects it may panic.
+func (u *SPCU) Schema(db *rel.DBSchema) (*rel.Schema, error) {
 	var attrs []rel.Attribute
 	for i, d := range u.Disjuncts {
-		s, err := d.ViewSchema(db)
+		s, err := d.schema(db)
 		if err != nil {
 			return nil, err
 		}

@@ -29,6 +29,16 @@ func gridWorkload(seed int64, num int) (Universe, []*cfd.CFD) {
 	return UniverseOf(db.Relations()[0]), sigma
 }
 
+// denseWorkload builds one relation of 10 attributes and num CFDs with LHS
+// 1–3 and var% 80: short premises that chain, so a probe's firings reach
+// its conclusion at a point that depends on their queue order.
+func denseWorkload(seed int64, num int) (Universe, []*cfd.CFD) {
+	rng := rand.New(rand.NewSource(seed))
+	db := gen.Schema(rng, gen.SchemaParams{NumRelations: 1, MinAttrs: 10, MaxAttrs: 10})
+	sigma := gen.CFDs(rng, db, gen.CFDParams{Num: num, LHSMin: 1, LHSMax: 3, VarPct: 80})
+	return UniverseOf(db.Relations()[0]), sigma
+}
+
 // BenchmarkMinCover measures MinCover on the internal/gen workload at the
 // sizes the acceptance criteria track, and on a grid-shaped bucket. It
 // reports the implication probes per cover and the closure firings they
@@ -68,8 +78,13 @@ func BenchmarkMinCover(b *testing.B) {
 }
 
 // TestProbeStats requires two fresh sessions on the same Σ to report
-// identical probe counts, and the one-pass left-reduction to probe less
-// than the restart scan does on the same work set.
+// identical probe counts, pins those counts on a grid bucket and on a dense
+// Σ, and requires the one-pass left-reduction to probe less than the
+// restart scan does on the same work set. The closure stops as soon as the
+// conclusion holds, so Firings depends on the order in which firings are
+// queued. On the grid bucket every implied probe draws exactly its two
+// deciding row firings; the dense Σ's firings chain, so a change to the
+// queue order moves its pin even when every verdict stays the same.
 func TestProbeStats(t *testing.T) {
 	u, sigma := gridWorkload(13, 200)
 	a, b := NewSession(u), NewSession(u)
@@ -82,8 +97,24 @@ func TestProbeStats(t *testing.T) {
 	if got != b.ProbeStats() {
 		t.Fatalf("two fresh sessions on one Σ count %+v and %+v", got, b.ProbeStats())
 	}
-	if got.LeftReduce.Probes() == 0 || got.Redundancy.Probes() == 0 {
-		t.Fatalf("a phase made no probes: %+v", got)
+	want := MinCoverStats{
+		LeftReduce: ProbeStats{Implied: 313, Rejected: 849, Vacuous: 0, Firings: 626},
+		Redundancy: ProbeStats{Implied: 0, Rejected: 200, Vacuous: 0, Firings: 0},
+	}
+	if got != want {
+		t.Fatalf("grid MinCover counts %+v, want %+v", got, want)
+	}
+	du, dsigma := denseWorkload(13, 200)
+	d := NewSession(du)
+	if _, err := d.MinCover(dsigma); err != nil {
+		t.Fatal(err)
+	}
+	wantDense := MinCoverStats{
+		LeftReduce: ProbeStats{Implied: 179, Rejected: 191, Vacuous: 0, Firings: 2620},
+		Redundancy: ProbeStats{Implied: 90, Rejected: 51, Vacuous: 0, Firings: 2463},
+	}
+	if got := d.ProbeStats(); got != wantDense {
+		t.Fatalf("dense MinCover counts %+v, want %+v", got, wantDense)
 	}
 
 	s := NewSession(u)
@@ -130,9 +161,10 @@ func TestImpliesSessionAllocationFree(t *testing.T) {
 }
 
 // BenchmarkImpliesSession measures repeated implication queries against one
-// compiled Σ — the MinCover/RBR access pattern.
+// compiled Σ — the MinCover/RBR access pattern. Every query starts by
+// copying |Σ| starting counts; the large Σ sizes show what that copy costs.
 func BenchmarkImpliesSession(b *testing.B) {
-	for _, num := range []int{64, 150} {
+	for _, num := range []int{64, 150, 1000, 4000} {
 		b.Run(fmt.Sprintf("sigma=%d", num), func(b *testing.B) {
 			u, sigma, phis := implBenchWorkload(17, num)
 			sess, err := newSession(u, sigma)

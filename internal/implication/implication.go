@@ -37,10 +37,11 @@
 //     counters of the LHS items it satisfies, found through per-position
 //     indexes of wildcard items and of constant items sorted by code; a
 //     counter that reaches 0 queues one firing, which binds or unions its
-//     RHS component. Counters are epoch-stamped and hold their starting
-//     value, so a query clears nothing in proportion to |Σ|, and the
-//     closure stops as soon as the conclusion holds. A constant of φ's LHS
-//     is bound in both rows in one pass over the row index.
+//     RHS component. The index build computes every counter's starting
+//     count once, and a query starts with one copy of those counts over the
+//     counters: an O(|Σ|) memmove that spares each decrement a first-touch
+//     check. The closure stops as soon as the conclusion holds. A constant
+//     of φ's LHS is bound in both rows in one pass over the row index.
 //
 //   - Exact semantics. The closure decides every query exactly as the
 //     reference sym.State chase of the template does (kept as the oracle in

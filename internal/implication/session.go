@@ -98,10 +98,11 @@ type Session struct {
 	val   [2][]int32 // -1: unbound
 	queue []int32    // firings: cfd<<1 | row (row 0 for pair firings)
 
-	// Epoch-stamped per-CFD counters: ctr[i] counts only while its epoch
-	// is the current one, so starting a query costs no O(|Σ|) clear.
-	ctr   []counter
-	epoch uint32
+	// Per-CFD counters of unmet LHS items: ctr[i] per row for a CFD that
+	// fires per row, ctr[i][0] for one that fires on pairs. ctr0 holds the
+	// counts every query starts from, and begin copies it over ctr, so no
+	// counter needs a first-touch check.
+	ctr, ctr0 [][2]int32
 
 	firings int64 // firings drawn so far
 
@@ -140,15 +141,6 @@ func (x *posIndex) at(p int32) []constItem { return x.items[x.start[p]:x.start[p
 
 // constItem is one LHS item in a posIndex; code is -1 for a wildcard.
 type constItem struct{ code, cfd int32 }
-
-// counter holds one CFD's unmet-item counts: per row for a CFD that fires
-// per row, n[0] for one that fires on pairs. init is the count a query
-// starts from.
-type counter struct {
-	epoch uint32
-	init  int32
-	n     [2]int32
-}
 
 // lhsItem is one compiled LHS item: its universe position and its
 // constant's code, -1 for a wildcard.
@@ -284,26 +276,24 @@ func (s *Session) slot(cc *compiledCFD, k int32) *posIndex {
 	return &s.row
 }
 
-// buildIndex rebuilds the per-position indexes and the counters from the
-// members' compiled items: one pass counts each position's items and sets
-// each counter's starting value, one fills the items in, and each
-// position's run is sorted by code.
+// buildIndex rebuilds the per-position indexes and the starting counts
+// from the members' compiled items: one pass counts each position's items
+// and sets each member's starting count in ctr0 (0 for an equality CFD,
+// which no index holds), one fills the items in, and each position's run
+// is sorted by code.
 func (s *Session) buildIndex() {
 	n := len(s.u.Attrs)
 	idxs := [...]*posIndex{&s.wild, &s.pair, &s.row}
 	for _, x := range idxs {
 		x.start = zeroed(x.start, n+1)
 	}
-	if len(s.ctr) < len(s.sigma) {
-		s.ctr = make([]counter, len(s.sigma))
-		s.epoch = 0
-	}
+	s.ctr0 = zeroed(s.ctr0, len(s.sigma))
+	s.ctr = zeroed(s.ctr, len(s.sigma))
 	s.rowRoots, s.pairRoots, s.eqCFDs = s.rowRoots[:0], s.pairRoots[:0], s.eqCFDs[:0]
 	for i := range s.sigma {
 		cc := &s.sigma[i]
 		if cc.c.Equality {
 			s.eqCFDs = append(s.eqCFDs, int32(i))
-			s.ctr[i].init = 0
 			continue
 		}
 		k := int32(0)
@@ -319,7 +309,7 @@ func (s *Session) buildIndex() {
 		case k == 0:
 			s.pairRoots = append(s.pairRoots, int32(i))
 		}
-		s.ctr[i].init = k
+		s.ctr0[i] = [2]int32{k, k}
 	}
 	for _, x := range idxs {
 		for p := 0; p < n; p++ {
@@ -470,18 +460,14 @@ func (s *Session) markDead(i int) {
 
 func (s *Session) isEquality(i int) bool { return i >= 0 && s.sigma[i].c.Equality }
 
-// begin starts a query over an n-row template: a fresh counter epoch, no
-// facts and an empty queue.
+// begin starts a query over an n-row template: every counter at its
+// starting count, no facts and an empty queue.
 func (s *Session) begin(rows int) {
 	if s.compDirty {
 		s.buildComps()
 	}
 	s.rows = rows
-	s.epoch++
-	if s.epoch == 0 { // wrapped: stale stamps could match again
-		clear(s.ctr)
-		s.epoch = 1
-	}
+	copy(s.ctr, s.ctr0)
 	clear(s.agree)
 	clear(s.equal)
 	for r := range s.val {
@@ -514,22 +500,11 @@ func (s *Session) queryCode(c string, add bool) int32 {
 // dec counts one met item of CFD i's counter slot, queueing its firing when
 // none is left.
 func (s *Session) dec(i int32, slot int) {
-	c := s.touch(i)
-	c.n[slot]--
-	if c.n[slot] == 0 && s.alive(i) {
+	c := &s.ctr[i][slot]
+	*c--
+	if *c == 0 && s.alive(i) {
 		s.queue = append(s.queue, i<<1|int32(slot))
 	}
-}
-
-// touch returns CFD i's counter, starting it if this query has not
-// touched it yet.
-func (s *Session) touch(i int32) *counter {
-	c := &s.ctr[i]
-	if c.epoch != s.epoch {
-		c.epoch = s.epoch
-		c.n[0], c.n[1] = c.init, c.init
-	}
-	return c
 }
 
 // decConst counts the constant items of x with code k at component q's
@@ -606,10 +581,10 @@ func (s *Session) seedBoth(q, k int32) bool {
 	start := len(s.queue)
 	for _, p := range s.members[s.memStart[q]:s.memStart[q+1]] {
 		for _, it := range codeRun(s.row.at(p), k) {
-			c := s.touch(it.cfd)
-			c.n[0]--
-			c.n[1]--
-			if c.n[0] == 0 && s.alive(it.cfd) {
+			c := &s.ctr[it.cfd]
+			c[0]--
+			c[1]--
+			if c[0] == 0 && s.alive(it.cfd) {
 				s.queue = append(s.queue, it.cfd<<1)
 			}
 		}

@@ -204,7 +204,7 @@ func Check(db *rel.DBSchema, view *algebra.SPCU, sigma []*cfd.CFD, phi *cfd.CFD,
 		if phi.Relation != view.Name {
 			return nil, fmt.Errorf("propagation: %s is on relation %q, view is %q", phi, phi.Relation, view.Name)
 		}
-		vs, err := view.ViewSchema(db)
+		vs, err := view.Schema(db)
 		if err != nil {
 			return nil, err
 		}

@@ -357,12 +357,53 @@ func TestEmptyViewPropagatesEverything(t *testing.T) {
 	check(t, db, v, nil, `V(A -> C)`, false)
 }
 
+// TestViewCFDValidation pins the error Check returns for each kind of
+// invalid input, in the order Check validates: the view, φ's relation, φ
+// against the view schema, then Σ. An unnamed union passes the view's
+// validation and fails only when its schema is derived, after φ's
+// relation is checked.
 func TestViewCFDValidation(t *testing.T) {
 	db, view := example11()
-	if _, err := Check(db, view, nil, cfd.MustParse(`X(zip -> street)`), Options{}); err == nil {
-		t.Error("wrong view relation must be rejected")
+	edited := func(edit func(v *algebra.SPCU)) *algebra.SPCU {
+		_, v := example11()
+		edit(v)
+		return v
 	}
-	if _, err := Check(db, view, nil, cfd.MustParse(`R(nope -> street)`), Options{}); err == nil {
-		t.Error("unknown view attribute must be rejected")
+	unnamed := edited(func(v *algebra.SPCU) { v.Name = "" })
+	zipStreet := cfd.MustParse(`R(zip -> street)`)
+	cases := []struct {
+		name  string
+		view  *algebra.SPCU
+		sigma []*cfd.CFD
+		phi   *cfd.CFD
+		want  string
+	}{
+		{"unknown source", edited(func(v *algebra.SPCU) { v.Disjuncts[1].Atoms[0].Source = "R9" }), nil, zipStreet,
+			`algebra: union R disjunct 1: algebra: R: unknown source relation "R9"`},
+		{"projections differ", edited(func(v *algebra.SPCU) {
+			p := v.Disjuncts[2].Projection
+			p[0], p[1] = p[1], p[0]
+		}), nil, zipStreet,
+			`algebra: union R: disjunct 2 projection "phn" at position 0, want "AC"`},
+		{"invalid view and φ on another relation", edited(func(v *algebra.SPCU) {
+			v.Disjuncts[0].Projection = append(v.Disjuncts[0].Projection, "nope")
+		}), nil, cfd.MustParse(`X(zip -> street)`),
+			`algebra: union R disjunct 0: algebra: R: projection references unknown attribute "nope"`},
+		{"φ on another relation", view, nil, cfd.MustParse(`X(zip -> street)`),
+			`propagation: X([zip] -> [street]) is on relation "X", view is "R"`},
+		{"unnamed union and φ on another relation", unnamed, nil, zipStreet,
+			`propagation: R([zip] -> [street]) is on relation "R", view is ""`},
+		{"unnamed union", unnamed, nil, &cfd.CFD{LHS: zipStreet.LHS, RHS: zipStreet.RHS},
+			`rel: schema name must be non-empty`},
+		{"φ outside the view schema", view, nil, cfd.MustParse(`R(nope -> street)`),
+			`cfd: R([nope] -> [street]): unknown attribute "nope"`},
+		{"invalid Σ", view, []*cfd.CFD{cfd.MustParse(`R1(nope -> street)`)}, zipStreet,
+			`cfd: R1([nope] -> [street]): unknown attribute "nope"`},
+	}
+	for _, c := range cases {
+		_, err := Check(db, c.view, c.sigma, c.phi, Options{})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Check returned %v, want %q", c.name, err, c.want)
+		}
 	}
 }
