@@ -59,7 +59,9 @@ type MinCoverRun struct {
 // 2-13 on the concatenated line-1 covers — core.PropCFDSPC with
 // SkipPreMinCover at Parallelism 1 — c.Trials times on each cell of the
 // §5 grid. It counts each line-1 phase's probes and the cover size, which
-// must repeat exactly across trials. The cells are drawn exactly as
+// must repeat exactly across trials. Line 1 here covers every bucket, as a
+// closure benchmark; a cover's line 1 covers only the buckets of the
+// relations its view embeds. The cells are drawn exactly as
 // perfbench's cover workload draws them at pool seed c.Seed: Figs 5–8
 // (|Σ| 200–2000, |Y| 5–50, |F| 1–10, |Ec| 2–11), every swept value once,
 // var% alternating 40 and 50 along each sweep, over 10 relations of 10–20

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -28,23 +30,33 @@ func TestResolventExample42(t *testing.T) {
 	}
 }
 
+// resolventOf is the A-resolvent as gammaSet.eliminate computes it: nil
+// unless A is on φ2's LHS with t1[A] ≤ t2[A], and resolvent otherwise.
+func resolventOf(phi1, phi2 *cfd.CFD, a string) *cfd.CFD {
+	t2A, onLHS := phi2.LHSItem(a)
+	if !onLHS || !phi1.RHS[0].Pat.LE(t2A.Pat) {
+		return nil
+	}
+	return resolvent(phi1, phi2, a)
+}
+
 func TestResolventUndefined(t *testing.T) {
 	// t1[A] = 'a' but t2 requires A = 'b': a ≤ b fails.
 	phi1 := cfd.MustParse(`R([W] -> [A=a])`)
 	phi2 := cfd.MustParse(`R([A=b, Z] -> [B])`)
-	if r := resolvent(phi1, phi2, "A"); r != nil {
+	if r := resolventOf(phi1, phi2, "A"); r != nil {
 		t.Errorf("resolvent should be undefined, got %s", r)
 	}
 	// Shared attribute with incomparable constants: ⊕ undefined.
 	phi3 := cfd.MustParse(`R([W=1] -> [A])`)
 	phi4 := cfd.MustParse(`R([A, W=2] -> [B])`)
-	if r := resolvent(phi3, phi4, "A"); r != nil {
+	if r := resolventOf(phi3, phi4, "A"); r != nil {
 		t.Errorf("⊕ must be undefined on W: got %s", r)
 	}
 	// '_' ≤ 'b' fails: wildcard RHS cannot feed a constant LHS slot.
 	phi5 := cfd.MustParse(`R([W] -> [A])`)
 	phi6 := cfd.MustParse(`R([A=b] -> [B])`)
-	if r := resolvent(phi5, phi6, "A"); r != nil {
+	if r := resolventOf(phi5, phi6, "A"); r != nil {
 		t.Errorf("resolvent should be undefined ('_' not ≤ 'b'), got %s", r)
 	}
 }
@@ -252,6 +264,142 @@ func TestApplyEQ(t *testing.T) {
 	c = cfd.MustParse(`V([A=1, B=2] -> [D])`)
 	if got = ApplyEQ(c, eq, rep); got != nil {
 		t.Errorf("ApplyEQ(%s) = %v, want nil (conflicting duplicates)", c, got)
+	}
+}
+
+// applyEQMap is ApplyEQ with the LHS entries merged through a per-call
+// map, the reference ApplyEQ is compared with.
+func applyEQMap(c *cfd.CFD, e *EQ, rep map[string]string) *cfd.CFD {
+	if c.Equality {
+		a, b := rep[c.LHS[0].Attr], rep[c.RHS[0].Attr]
+		if a == b {
+			return nil // captured by EQ, regenerated by EQ2CFD as needed
+		}
+		return cfd.NewEquality(c.Relation, a, b)
+	}
+	// Merge LHS entries under the representative mapping.
+	merged := map[string]cfd.Pattern{}
+	var order []string
+	for _, it := range c.LHS {
+		a := rep[it.Attr]
+		p, seen := merged[a]
+		if !seen {
+			merged[a] = it.Pat
+			order = append(order, a)
+			continue
+		}
+		// Conjunction of two patterns on one attribute.
+		switch {
+		case p.Wildcard:
+			merged[a] = it.Pat
+		case it.Pat.Wildcard:
+			// keep p
+		case p.Const != it.Pat.Const:
+			return nil // premise requires two distinct constants: inert
+		}
+	}
+	// Discharge keyed entries.
+	var lhs []cfd.Item
+	for _, a := range order {
+		p := merged[a]
+		if k, ok := e.Key(a); ok {
+			if !p.Wildcard && p.Const != k {
+				return nil // premise contradicts the forced column constant
+			}
+			continue // condition always holds: drop the entry
+		}
+		lhs = append(lhs, cfd.Item{Attr: a, Pat: p})
+	}
+	r := c.RHS[0]
+	ra := rep[r.Attr]
+	if k, ok := e.Key(ra); ok {
+		if r.Pat.Wildcard || r.Pat.Const == k {
+			return nil // subsumed by the Σd constant CFD on ra
+		}
+		// RHS constant contradicts the forced column constant: the premise
+		// must be unsatisfiable on the view. Keep the CFD; together with
+		// Σd it encodes that no view tuple matches the premise.
+	}
+	out := &cfd.CFD{Relation: c.Relation, LHS: lhs, RHS: []cfd.Item{{Attr: ra, Pat: r.Pat}}}
+	if out.IsTrivial() {
+		return nil
+	}
+	return out
+}
+
+// TestApplyEQMatchesMap requires ApplyEQ to give applyEQMap's answer (nil,
+// or the same CFD text) on every CFD that reduceByEQ rewrites: those of
+// the Fig. 8 |Ec| 8–10 grid cells behind line 1, and of 200 dense specs
+// with line 1 skipped, whose selections make classes merge LHS entries.
+func TestApplyEQMatchesMap(t *testing.T) {
+	type spec struct {
+		name  string
+		db    *rel.DBSchema
+		view  *algebra.SPC
+		sigma []*cfd.CFD
+		line1 bool
+	}
+	var specs []spec
+	for ec := 8; ec <= 10; ec++ {
+		name, db, view, sigma := fig8Cell(ec)
+		specs = append(specs, spec{name, db, view, sigma, true})
+	}
+	rng := rand.New(rand.NewSource(65))
+	for s := 0; s < 200; s++ {
+		db, view, sigma := denseSpec(rng)
+		specs = append(specs, spec{fmt.Sprintf("dense %d", s), db, view, sigma, false})
+	}
+	var rewrites, inert, merged int
+	for _, sp := range specs {
+		sigma := cfd.NormalizeAll(sp.sigma)
+		if sp.line1 {
+			var err error
+			if sigma, err = minCoverPerRelation(context.Background(), sp.db, sigma, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sigmaV, err := renameToView(sp.db, sp.view, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eq, err := ComputeEQ(sp.view, sigmaV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eq.Inconsistent {
+			continue
+		}
+		// The representatives reduceByEQ rewrites under.
+		projected := make(map[string]bool, len(sp.view.Projection))
+		for _, y := range sp.view.Projection {
+			projected[y] = true
+		}
+		rep := eq.Rep(sp.view.EsAttrs(), projected)
+		for _, c := range sigmaV {
+			got, want := ApplyEQ(c, eq, rep), applyEQMap(c, eq, rep)
+			rewrites++
+			switch {
+			case got == nil && want == nil:
+				inert++
+			case got == nil || want == nil:
+				t.Fatalf("%s: ApplyEQ(%s) = %v, map version %v", sp.name, c, got, want)
+			case got.String() != want.String():
+				t.Fatalf("%s: ApplyEQ(%s) = %s, map version %s", sp.name, c, got, want)
+			}
+			if !c.Equality {
+				reps := make(map[string]bool, len(c.LHS))
+				for _, it := range c.LHS {
+					reps[rep[it.Attr]] = true
+				}
+				if len(reps) < len(c.LHS) {
+					merged++
+				}
+			}
+		}
+	}
+	t.Logf("%d rewrites: %d nil, %d with LHS entries merged under the classes", rewrites, inert, merged)
+	if inert == 0 || merged == 0 {
+		t.Error("no rewrite was nil or merged LHS entries; the comparison misses a path")
 	}
 }
 

@@ -16,12 +16,13 @@ import (
 // PropCFDSPCU are a CoverSession used once, and the daemon keeps one per
 // universe so that a propagation cover is repaired across Σ edits instead
 // of rebuilt. It holds, per disjunct, the per-relation MinCover bucket
-// cache of Fig. 2 line 1 (a Σ edit re-covers only the touched relation's
-// bucket; every other bucket replays its cached cover) and the line 2-13
-// tail result keyed by the covered Σ (when an edit does not change the
-// covered Σ reaching a disjunct — e.g. it touches a relation the disjunct
-// does not embed — the whole tail is skipped), plus the persistent warm
-// line-1 implication sessions, whose compiled buffers live across edits.
+// cache of Fig. 2 line 1 for the relations the disjunct embeds (a Σ edit
+// re-covers only the touched relation's bucket; every other bucket replays
+// its cached cover) and the line 2-13 tail result keyed by line 1's
+// output. An edit to a relation the disjunct does not embed changes
+// neither, so the disjunct replays its whole cover. It also holds the
+// persistent warm line-1 implication sessions, whose compiled buffers
+// live across edits.
 //
 // A warm session's results are byte-identical to a cold one's: every
 // cache is keyed by the exact input of a deterministic stage (compared
@@ -55,9 +56,15 @@ type CoverSession struct {
 type coverSPC struct {
 	view       *algebra.SPC
 	viewSchema *rel.Schema
-	buckets    map[string]*bucketEntry
-	lastIn     []*cfd.CFD // the covered Σ last was computed from
-	last       *Result
+	// embeds holds the source relations that an atom of view embeds. Line
+	// 1 covers only their CFDs: lines 5-6 rename no other CFD, and
+	// implication on one relation depends only on that relation's CFDs, so
+	// covering the others could change neither the buckets kept nor the
+	// tail's input.
+	embeds  map[string]bool
+	buckets map[string]*bucketEntry // one per embedded relation
+	lastIn  []*cfd.CFD              // the covered Σ last was computed from
+	last    *Result
 }
 
 // bucketEntry caches one source relation's line-1 MinCover: the bucket it
@@ -88,9 +95,14 @@ func NewCoverSession(db *rel.DBSchema, view *algebra.SPCU, opts Options) (*Cover
 		if err != nil {
 			return nil, err
 		}
+		embeds := make(map[string]bool, len(d.Atoms))
+		for _, atom := range d.Atoms {
+			embeds[atom.Source] = true
+		}
 		cs.disjuncts = append(cs.disjuncts, &coverSPC{
 			view:       d,
 			viewSchema: ds,
+			embeds:     embeds,
 			buckets:    make(map[string]*bucketEntry),
 		})
 	}
@@ -177,16 +189,20 @@ func (d *coverSPC) cover(db *rel.DBSchema, sigma []*cfd.CFD, opts Options) (*Res
 }
 
 // minCoverBuckets is Fig. 2 line 1, Σ := MinCover(Σ), one implication
-// session per source relation. A bucket whose contents match the previous
-// call's (member by member, in order) replays its cached cover. The
-// changed buckets are independent, so they fan out over par workers; each
-// re-covers on its bucket's persistent session, minted by the worker that
-// first runs it. The output keeps the first-appearance relation order,
-// covered CFDs per bucket.
+// session per source relation that the disjunct embeds; it drops the CFDs
+// on every other relation (see coverSPC.embeds). A bucket whose contents
+// match the previous call's (member by member, in order) replays its
+// cached cover. The changed buckets are independent, so they fan out over
+// par workers; each re-covers on its bucket's persistent session, minted
+// by the worker that first runs it. The output keeps the first-appearance
+// relation order, covered CFDs per bucket.
 func (d *coverSPC) minCoverBuckets(ctx context.Context, db *rel.DBSchema, sigma []*cfd.CFD, par int) ([]*cfd.CFD, error) {
 	byRel := make(map[string][]*cfd.CFD)
 	var order []string
 	for _, c := range sigma {
+		if !d.embeds[c.Relation] {
+			continue
+		}
 		if _, seen := byRel[c.Relation]; !seen {
 			order = append(order, c.Relation)
 		}

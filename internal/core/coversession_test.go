@@ -301,3 +301,96 @@ func TestCoverSessionCachesUnchangedSigma(t *testing.T) {
 		t.Fatalf("disjunct cover after an in-place edit differs from scratch\n got: %+v\nwant: %+v", afterD, wantD)
 	}
 }
+
+// TestCoverSessionSkipsUnembeddedRelations: Fig. 2 line 1 covers only the
+// relations a disjunct embeds, so the disjunct keeps no bucket for any
+// other relation, and an edit there leaves its covered Σ, and so its
+// cached Result, as they were. Σ is still validated in full.
+func TestCoverSessionSkipsUnembeddedRelations(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	db, view, pool := coverScriptWorkload(rng)
+	var sigma, onR1 []*cfd.CFD
+	for _, c := range pool {
+		if c.Relation == "R1" {
+			onR1 = append(onR1, c)
+		} else {
+			sigma = append(sigma, c)
+		}
+	}
+	cs, err := NewCoverSession(db, view, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := cs.Cover(ctx, append(append([]*cfd.CFD(nil), sigma...), onR1...)); err != nil {
+		t.Fatal(err)
+	}
+	// Σ has CFDs on every relation, so each disjunct keeps a bucket for
+	// exactly the relations it embeds.
+	for i, d := range cs.disjuncts {
+		embeds := make(map[string]bool)
+		for _, atom := range view.Disjuncts[i].Atoms {
+			embeds[atom.Source] = true
+		}
+		for r := range d.buckets {
+			if !embeds[r] {
+				t.Errorf("disjunct %d keeps a line-1 bucket for %s, which it does not embed", i, r)
+			}
+		}
+		for r := range embeds {
+			if d.buckets[r] == nil {
+				t.Errorf("disjunct %d keeps no line-1 bucket for %s, which it embeds", i, r)
+			}
+		}
+	}
+
+	// Disjunct 0 embeds R0 only. Adding an R1 CFD that line 1 keeps must
+	// replay its cached Result.
+	if src := view.Disjuncts[0].Atoms[0].Source; src != "R0" || len(onR1) == 0 {
+		t.Fatalf("workload: disjunct 0 embeds %s, %d pool CFDs on R1", src, len(onR1))
+	}
+	edited := append(append([]*cfd.CFD(nil), sigma...), onR1[0])
+	before, err := minCoverPerRelation(ctx, db, cfd.NormalizeAll(sigma), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := minCoverPerRelation(ctx, db, cfd.NormalizeAll(edited), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) == len(before) {
+		t.Fatalf("workload: line 1 drops the added %s", onR1[0])
+	}
+	first, err := cs.CoverDisjunct(ctx, 0, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := cs.CoverDisjunct(ctx, 0, edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Error("an edit to a relation disjunct 0 does not embed re-ran its tail")
+	}
+	want, err := scratchPropCFDSPC(db, view.Disjuncts[0], edited, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second, want) {
+		t.Fatalf("replayed disjunct cover differs from scratch\n got: %+v\nwant: %+v", second, want)
+	}
+
+	// A CFD naming an unknown attribute on R1 still fails both entry points.
+	bad := append(append([]*cfd.CFD(nil), sigma...), &cfd.CFD{
+		Relation: "R1",
+		LHS:      []cfd.Item{{Attr: "Z", Pat: cfd.Any()}},
+		RHS:      []cfd.Item{{Attr: "A", Pat: cfd.Any()}},
+	})
+	const wantErr = `cfd: R1([Z] -> [A]): unknown attribute "Z"`
+	if _, err := PropCFDSPC(db, view.Disjuncts[0], bad, Options{}); err == nil || err.Error() != wantErr {
+		t.Errorf("PropCFDSPC: error %v, want %q", err, wantErr)
+	}
+	if _, err := cs.CoverDisjunct(ctx, 0, bad); err == nil || err.Error() != wantErr {
+		t.Errorf("CoverDisjunct: error %v, want %q", err, wantErr)
+	}
+}

@@ -262,38 +262,25 @@ func ApplyEQ(c *cfd.CFD, e *EQ, rep map[string]string) *cfd.CFD {
 		}
 		return cfd.NewEquality(c.Relation, a, b)
 	}
-	// Merge LHS entries under the representative mapping.
-	merged := map[string]cfd.Pattern{}
-	var order []string
+	// Merge LHS entries under the representative mapping, in order of
+	// first appearance: two patterns on one attribute conjoin, as ⊕ does.
+	lhs := make([]cfd.Item, 0, len(c.LHS))
 	for _, it := range c.LHS {
-		a := rep[it.Attr]
-		p, seen := merged[a]
-		if !seen {
-			merged[a] = it.Pat
-			order = append(order, a)
-			continue
-		}
-		// Conjunction of two patterns on one attribute.
-		switch {
-		case p.Wildcard:
-			merged[a] = it.Pat
-		case it.Pat.Wildcard:
-			// keep p
-		case p.Const != it.Pat.Const:
+		var ok bool
+		if lhs, ok = mergeItem(lhs, cfd.Item{Attr: rep[it.Attr], Pat: it.Pat}); !ok {
 			return nil // premise requires two distinct constants: inert
 		}
 	}
-	// Discharge keyed entries.
-	var lhs []cfd.Item
-	for _, a := range order {
-		p := merged[a]
-		if k, ok := e.Key(a); ok {
-			if !p.Wildcard && p.Const != k {
+	// Discharge keyed entries in place.
+	kept := lhs[:0]
+	for _, it := range lhs {
+		if k, ok := e.Key(it.Attr); ok {
+			if !it.Pat.Wildcard && it.Pat.Const != k {
 				return nil // premise contradicts the forced column constant
 			}
 			continue // condition always holds: drop the entry
 		}
-		lhs = append(lhs, cfd.Item{Attr: a, Pat: p})
+		kept = append(kept, it)
 	}
 	r := c.RHS[0]
 	ra := rep[r.Attr]
@@ -305,7 +292,7 @@ func ApplyEQ(c *cfd.CFD, e *EQ, rep map[string]string) *cfd.CFD {
 		// must be unsatisfiable on the view. Keep the CFD; together with
 		// Σd it encodes that no view tuple matches the premise.
 	}
-	out := &cfd.CFD{Relation: c.Relation, LHS: lhs, RHS: []cfd.Item{{Attr: ra, Pat: r.Pat}}}
+	out := &cfd.CFD{Relation: c.Relation, LHS: kept, RHS: []cfd.Item{{Attr: ra, Pat: r.Pat}}}
 	if out.IsTrivial() {
 		return nil
 	}

@@ -29,13 +29,13 @@ type Options struct {
 	// (Fig. 2 line 13); exposed for the ablation benchmarks.
 	SkipFinalMinCover bool
 	// Parallelism is the number of workers the independent sub-problems
-	// fan out over: the per-relation pre-MinCover of every changed bucket,
-	// RBR's block-wise pruning, the final MinCover's reduction and
-	// redundancy screen (implication.ParallelMinCover), and (through
-	// PropCFDSPCU) the §3 decision procedure. A CoverSession fixes it at
-	// its construction. 0 selects runtime.GOMAXPROCS(0); 1 runs each of
-	// them on one worker, on the same code. The output is identical at
-	// every setting.
+	// fan out over: the per-relation pre-MinCover of every changed bucket
+	// of a relation the view embeds, RBR's block-wise pruning, the final
+	// MinCover's reduction and redundancy screen
+	// (implication.ParallelMinCover), and (through PropCFDSPCU) the §3
+	// decision procedure. A CoverSession fixes it at its construction. 0
+	// selects runtime.GOMAXPROCS(0); 1 runs each of them on one worker, on
+	// the same code. The output is identical at every setting.
 	Parallelism int
 }
 
@@ -61,8 +61,12 @@ type Result struct {
 // the source relations. The infinite-domain setting of §4 is assumed: a
 // schema with finite-domain attributes is rejected. It is a
 // CoverSession used once: CoverSession.CoverDisjunct runs line 1 and
-// propSPCTail lines 2-13. The view is validated as an SPC query first, so
-// its errors read as they do for an SPC view, not a one-disjunct union.
+// propSPCTail lines 2-13. Line 1 covers only the CFDs on relations that
+// the view embeds: lines 5-6 rename no other CFD, and implication on one
+// relation depends only on that relation's CFDs, so the cover is the same
+// as if every relation were covered. All of Σ is still validated. The
+// view is validated as an SPC query first, so its errors read as they do
+// for an SPC view, not a one-disjunct union.
 func PropCFDSPC(db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD, opts Options) (*Result, error) {
 	if err := view.Validate(db); err != nil {
 		return nil, err

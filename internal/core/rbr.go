@@ -52,13 +52,10 @@ type rbrConfig struct {
 // resolvent builds the A-resolvent of φ1 = (W → A, t1) and φ2 = (AZ → B,
 // t2), per §4.2: defined when t1[A] ≤ t2[A] and t1[W] ⊕ t2[Z] is defined;
 // the result is (WZ → B, (t1[W] ⊕ t2[Z] ‖ t2[B])), its LHS in
-// first-appearance order over W then Z. Returns nil when undefined,
-// mentioning A, or trivial.
+// first-appearance order over W then Z. The caller has checked that A is
+// on φ2's LHS and t1[A] ≤ t2[A]. Returns nil when ⊕ is undefined, or the
+// result mentions A or is trivial.
 func resolvent(phi1, phi2 *cfd.CFD, a string) *cfd.CFD {
-	t2A, found := phi2.LHSItem(a)
-	if !found || !phi1.RHS[0].Pat.LE(t2A.Pat) {
-		return nil
-	}
 	b := phi2.RHS[0]
 	if b.Attr == a {
 		return nil
@@ -201,11 +198,14 @@ func (g *gammaSet) remove(i int) {
 // eliminate removes attribute a from Γ: Drop(Γ, a) = Res(Γ, a) ∪ Γ[U − {a}].
 // The members mentioning a leave, then each A-resolvent of a producer (RHS
 // a) and a consumer (a on the LHS), in producer × consumer order, enters
-// unless a live member or an earlier resolvent has its key. When truncate
-// is true no resolvents are added (heuristic mode).
+// unless a live member or an earlier resolvent has its key. A pair whose
+// t1[A] ≤ t2[A] fails has no resolvent and is skipped before resolvent
+// runs; most pairs on the §5 grid fail it. When truncate is true no
+// resolvents are added (heuristic mode).
 func (g *gammaSet) eliminate(a string, truncate bool) {
 	o := g.occ[a]
 	var producers, consumers []*cfd.CFD
+	var t2A []cfd.Pattern // t2A[k] is consumers[k]'s pattern on a
 	for _, i := range o.members {
 		c := g.members[i]
 		if c == nil {
@@ -215,8 +215,9 @@ func (g *gammaSet) eliminate(a string, truncate bool) {
 			if c.RHS[0].Attr == a {
 				producers = append(producers, c)
 			}
-			if _, onLHS := c.LHSItem(a); onLHS {
+			if it, onLHS := c.LHSItem(a); onLHS {
 				consumers = append(consumers, c)
+				t2A = append(t2A, it.Pat)
 			}
 		}
 		g.remove(i)
@@ -224,7 +225,11 @@ func (g *gammaSet) eliminate(a string, truncate bool) {
 	o.members = o.members[:0]
 	if !truncate {
 		for _, p := range producers {
-			for _, q := range consumers {
+			t1A := p.RHS[0].Pat
+			for k, q := range consumers {
+				if !t1A.LE(t2A[k]) {
+					continue
+				}
 				if r := resolvent(p, q, a); r != nil {
 					g.insert(r)
 				}
