@@ -31,10 +31,12 @@
 //     in dom(A), and the refuted check's counterexample is a source
 //     database whose view is non-empty
 //   - internal/core      — PropCFD_SPC: minimal propagation covers (§4);
-//     RBR keeps Γ in one working set with an occurrence index, so
-//     eliminating an attribute touches only the CFDs that mention it, and
-//     per-attribute item counts, updated as CFDs enter and leave, pick
-//     the next attribute to eliminate
+//     Fig. 2 lines 2-12 run on the view's attr(Es) positions and Σ's
+//     constant codes, compiled once per view and per call. RBR keeps Γ in
+//     one working set with an occurrence index, so eliminating an
+//     attribute touches only the CFDs that mention it, and per-attribute
+//     item counts, updated as CFDs enter and leave, pick the next
+//     attribute to eliminate
 //   - internal/closure   — the exponential closure-based baseline
 //   - internal/stream    — bounded-memory streaming violation detection:
 //     chunked CSV scanning, hash-sharded witness groups across workers,

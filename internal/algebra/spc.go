@@ -74,16 +74,6 @@ func (q *SPC) attrIndex() map[string]AttrPos {
 	return m
 }
 
-// EsAttrs returns attr(Es): all atom attribute names, in atom order. The
-// constant relation's attributes are not included.
-func (q *SPC) EsAttrs() []string {
-	var out []string
-	for _, atom := range q.Atoms {
-		out = append(out, atom.Attrs...)
-	}
-	return out
-}
-
 // constAttrs returns the set of Rc attribute names.
 func (q *SPC) constAttrs() map[string]string {
 	m := make(map[string]string, len(q.Consts))

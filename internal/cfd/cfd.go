@@ -219,18 +219,6 @@ func (c *CFD) LHSItem(attr string) (Item, bool) {
 	return Item{}, false
 }
 
-// Attrs returns the set of all attributes mentioned by the CFD.
-func (c *CFD) Attrs() map[string]bool {
-	m := make(map[string]bool, len(c.LHS)+len(c.RHS))
-	for _, it := range c.LHS {
-		m[it.Attr] = true
-	}
-	for _, it := range c.RHS {
-		m[it.Attr] = true
-	}
-	return m
-}
-
 // Mentions reports whether the CFD mentions the attribute on either side.
 func (c *CFD) Mentions(attr string) bool {
 	for _, it := range c.LHS {

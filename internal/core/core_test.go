@@ -1,9 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cfdprop/internal/algebra"
@@ -20,7 +20,7 @@ import (
 func TestResolventExample42(t *testing.T) {
 	phi1 := cfd.MustParse(`R([A1, A2=c] -> [A=a])`)
 	phi2 := cfd.MustParse(`R([A, A2=c, B1=b] -> [B])`)
-	r := resolvent(phi1, phi2, "A")
+	r := resolventOf(t, phi1, phi2, "A")
 	if r == nil {
 		t.Fatal("resolvent must be defined")
 	}
@@ -30,33 +30,61 @@ func TestResolventExample42(t *testing.T) {
 	}
 }
 
-// resolventOf is the A-resolvent as gammaSet.eliminate computes it: nil
-// unless A is on φ2's LHS with t1[A] ≤ t2[A], and resolvent otherwise.
-func resolventOf(phi1, phi2 *cfd.CFD, a string) *cfd.CFD {
-	t2A, onLHS := phi2.LHSItem(a)
-	if !onLHS || !phi1.RHS[0].Pat.LE(t2A.Pat) {
-		return nil
+// resolventOf is the A-resolvent as gammaSet.eliminate computes it, on φ1
+// and φ2 compiled as Γ's two members over one atom R(attributes of φ1 and
+// φ2): nil unless A is on φ2's LHS with t1[A] ≤ t2[A], and
+// gammaSet.resolvent's result otherwise.
+func resolventOf(t *testing.T, phi1, phi2 *cfd.CFD, a string) *cfd.CFD {
+	t.Helper()
+	var attrs []string
+	for _, it := range slices.Concat(phi1.LHS, phi1.RHS, phi2.LHS, phi2.RHS) {
+		if !slices.Contains(attrs, it.Attr) {
+			attrs = append(attrs, it.Attr)
+		}
 	}
-	return resolvent(phi1, phi2, a)
+	db := rel.MustDBSchema(rel.InfiniteSchema("R", attrs...))
+	view := &algebra.SPC{Name: "R", Atoms: []algebra.RelAtom{{Source: "R", Attrs: attrs}}, Projection: attrs}
+	tv := compileTail(t, db, view)
+	r, err := tv.compile(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGammaSet(tv, nil)
+	for _, c := range []*cfd.CFD{phi1, phi2} {
+		sc, _, err := r.compileCFD(tv.srcs[0], c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.insert(sc.lhs, sc.rhs)
+	}
+	pa := tv.pos[a]
+	for _, it := range g.lhs(&g.members[1]) {
+		if it.pos == pa && le(g.members[0].rhs.code, it.code) {
+			if lhs, rhs, ok := g.resolvent(0, 1, pa, nil); ok {
+				return r.viewCFD(lhs, rhs)
+			}
+		}
+	}
+	return nil
 }
 
 func TestResolventUndefined(t *testing.T) {
 	// t1[A] = 'a' but t2 requires A = 'b': a ≤ b fails.
 	phi1 := cfd.MustParse(`R([W] -> [A=a])`)
 	phi2 := cfd.MustParse(`R([A=b, Z] -> [B])`)
-	if r := resolventOf(phi1, phi2, "A"); r != nil {
+	if r := resolventOf(t, phi1, phi2, "A"); r != nil {
 		t.Errorf("resolvent should be undefined, got %s", r)
 	}
 	// Shared attribute with incomparable constants: ⊕ undefined.
 	phi3 := cfd.MustParse(`R([W=1] -> [A])`)
 	phi4 := cfd.MustParse(`R([A, W=2] -> [B])`)
-	if r := resolventOf(phi3, phi4, "A"); r != nil {
+	if r := resolventOf(t, phi3, phi4, "A"); r != nil {
 		t.Errorf("⊕ must be undefined on W: got %s", r)
 	}
 	// '_' ≤ 'b' fails: wildcard RHS cannot feed a constant LHS slot.
 	phi5 := cfd.MustParse(`R([W] -> [A])`)
 	phi6 := cfd.MustParse(`R([A=b] -> [B])`)
-	if r := resolventOf(phi5, phi6, "A"); r != nil {
+	if r := resolventOf(t, phi5, phi6, "A"); r != nil {
 		t.Errorf("resolvent should be undefined ('_' not ≤ 'b'), got %s", r)
 	}
 }
@@ -65,7 +93,7 @@ func TestResolventSharedAttributeMin(t *testing.T) {
 	// Shared W: min(1, _) = 1 must be taken.
 	phi1 := cfd.MustParse(`R([W=1] -> [A])`)
 	phi2 := cfd.MustParse(`R([A, W] -> [B])`)
-	r := resolvent(phi1, phi2, "A")
+	r := resolventOf(t, phi1, phi2, "A")
 	if r == nil {
 		t.Fatal("resolvent must be defined")
 	}
@@ -136,8 +164,22 @@ func TestExample43(t *testing.T) {
 	}
 }
 
+// compiledEQ runs lines 5-6 and 2 on the compiled view.
+func compiledEQ(t *testing.T, db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD) *tailRun {
+	t.Helper()
+	r, err := compileTail(t, db, view).compile(sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.computeEQ(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestComputeEQ checks class formation, keys, representative choice.
 func TestComputeEQ(t *testing.T) {
+	db := rel.MustDBSchema(rel.InfiniteSchema("S", "A", "B", "C", "D"))
 	view := &algebra.SPC{
 		Name:  "V",
 		Atoms: []algebra.RelAtom{{Source: "S", Attrs: []string{"A", "B", "C", "D"}}},
@@ -147,22 +189,19 @@ func TestComputeEQ(t *testing.T) {
 		},
 		Projection: []string{"A", "C", "D"},
 	}
-	eq, err := ComputeEQ(view, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq.Inconsistent {
+	r := compiledEQ(t, db, view, nil)
+	pos := r.tv.pos
+	if r.eq.inconsistent {
 		t.Fatal("unexpected inconsistency")
 	}
-	if eq.find("A") != eq.find("B") {
+	if r.eq.find(pos["A"]) != r.eq.find(pos["B"]) {
 		t.Error("A and B must be one class")
 	}
-	if k, ok := eq.Key("A"); !ok || k != "7" {
-		t.Errorf("key(A) = %q, %v; want 7", k, ok)
+	if k := r.eq.keyOf(pos["A"]); k < 0 || r.strs[k] != "7" {
+		t.Errorf("key(A) has code %d; want 7", k)
 	}
-	rep := eq.Rep([]string{"A", "B", "C", "D"}, map[string]bool{"A": true, "C": true, "D": true})
-	if rep["B"] != "A" {
-		t.Errorf("rep(B) = %q, want the projected member A", rep["B"])
+	if rep := r.rep[pos["B"]]; rep != pos["A"] {
+		t.Errorf("rep(B) = %q, want the projected member A", r.tv.names[rep])
 	}
 }
 
@@ -223,6 +262,7 @@ func TestEQKeyPropagationThroughCFDs(t *testing.T) {
 
 // TestApplyEQ covers the rewriting rules.
 func TestApplyEQ(t *testing.T) {
+	db := rel.MustDBSchema(rel.InfiniteSchema("S", "A", "B", "C", "D"))
 	view := &algebra.SPC{
 		Name:  "V",
 		Atoms: []algebra.RelAtom{{Source: "S", Attrs: []string{"A", "B", "C", "D"}}},
@@ -232,38 +272,46 @@ func TestApplyEQ(t *testing.T) {
 		},
 		Projection: []string{"A", "B", "C", "D"},
 	}
-	eq, err := ComputeEQ(view, nil)
-	if err != nil {
-		t.Fatal(err)
+	r := compiledEQ(t, db, view, nil)
+	// apply rewrites c, a CFD on S, along the view's one atom.
+	apply := func(c *cfd.CFD) *cfd.CFD {
+		sc, _, err := r.compileCFD(r.tv.srcs[0], c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lhs, rhs, ok := r.applyEQ(&sc, 0, nil)
+		if !ok {
+			return nil
+		}
+		return r.viewCFD(lhs, rhs)
 	}
-	rep := eq.Rep(view.EsAttrs(), map[string]bool{"A": true, "B": true, "C": true, "D": true})
 
 	// B is replaced by rep A; duplicates merge.
-	c := cfd.MustParse(`V([A, B] -> [D])`)
-	got := ApplyEQ(c, eq, rep)
+	c := cfd.MustParse(`S([A, B] -> [D])`)
+	got := apply(c)
 	if got == nil || len(got.LHS) != 1 || got.LHS[0].Attr != "A" {
-		t.Errorf("ApplyEQ(%s) = %v, want single-attribute LHS A", c, got)
+		t.Errorf("applyEQ(%s) = %v, want single-attribute LHS A", c, got)
 	}
 	// Keyed attribute C is discharged from the LHS.
-	c = cfd.MustParse(`V([C=5, D] -> [A])`)
-	got = ApplyEQ(c, eq, rep)
+	c = cfd.MustParse(`S([C=5, D] -> [A])`)
+	got = apply(c)
 	if got == nil || len(got.LHS) != 1 || got.LHS[0].Attr != "D" {
-		t.Errorf("ApplyEQ(%s) = %v, want LHS {D}", c, got)
+		t.Errorf("applyEQ(%s) = %v, want LHS {D}", c, got)
 	}
 	// Conflicting LHS constant makes the CFD inert.
-	c = cfd.MustParse(`V([C=6, D] -> [A])`)
-	if got = ApplyEQ(c, eq, rep); got != nil {
-		t.Errorf("ApplyEQ(%s) = %v, want nil (inert)", c, got)
+	c = cfd.MustParse(`S([C=6, D] -> [A])`)
+	if got = apply(c); got != nil {
+		t.Errorf("applyEQ(%s) = %v, want nil (inert)", c, got)
 	}
 	// RHS equal to the key is subsumed by Σd.
-	c = cfd.MustParse(`V([D] -> [C=5])`)
-	if got = ApplyEQ(c, eq, rep); got != nil {
-		t.Errorf("ApplyEQ(%s) = %v, want nil (subsumed)", c, got)
+	c = cfd.MustParse(`S([D] -> [C=5])`)
+	if got = apply(c); got != nil {
+		t.Errorf("applyEQ(%s) = %v, want nil (subsumed)", c, got)
 	}
 	// Merged duplicate LHS with conflicting constants: inert.
-	c = cfd.MustParse(`V([A=1, B=2] -> [D])`)
-	if got = ApplyEQ(c, eq, rep); got != nil {
-		t.Errorf("ApplyEQ(%s) = %v, want nil (conflicting duplicates)", c, got)
+	c = cfd.MustParse(`S([A=1, B=2] -> [D])`)
+	if got = apply(c); got != nil {
+		t.Errorf("applyEQ(%s) = %v, want nil (conflicting duplicates)", c, got)
 	}
 }
 
@@ -327,10 +375,14 @@ func applyEQMap(c *cfd.CFD, e *EQ, rep map[string]string) *cfd.CFD {
 	return out
 }
 
-// TestApplyEQMatchesMap requires ApplyEQ to give applyEQMap's answer (nil,
-// or the same CFD text) on every CFD that reduceByEQ rewrites: those of
-// the Fig. 8 |Ec| 8–10 grid cells behind line 1, and of 200 dense specs
-// with line 1 skipped, whose selections make classes merge LHS entries.
+// TestApplyEQMatchesMap requires applyEQ to give applyEQMap's answer (nil,
+// or the same CFD text) on every CFD that lines 7-10 rewrite, under the
+// string reference's classes and representatives: those of the Fig. 8
+// |Ec| 8–10 grid cells behind line 1, and of 200 dense specs with line 1
+// skipped, whose selections make classes merge LHS entries. The compiled
+// renamed CFDs, with the repeats cfd.Dedup drops skipped, must be
+// renameToView's, in order, and every equality CFD
+// must be captured by EQ.
 func TestApplyEQMatchesMap(t *testing.T) {
 	type spec struct {
 		name  string
@@ -351,50 +403,72 @@ func TestApplyEQMatchesMap(t *testing.T) {
 	}
 	var rewrites, inert, merged int
 	for _, sp := range specs {
-		sigma := cfd.NormalizeAll(sp.sigma)
-		if sp.line1 {
-			var err error
-			if sigma, err = minCoverPerRelation(context.Background(), sp.db, sigma, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sigmaV, err := renameToView(sp.db, sp.view, sigma)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sigma := line1(t, sp.db, sp.sigma, !sp.line1)
+		r := compiledEQ(t, sp.db, sp.view, sigma)
+		sigmaV := renameToView(sp.db, sp.view, sigma)
 		eq, err := ComputeEQ(sp.view, sigmaV)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if r.eq.inconsistent != eq.Inconsistent {
+			t.Fatalf("%s: inconsistent %t, reference %t", sp.name, r.eq.inconsistent, eq.Inconsistent)
+		}
 		if eq.Inconsistent {
 			continue
 		}
-		// The representatives reduceByEQ rewrites under.
+		// The representatives the reference rewrites under.
 		projected := make(map[string]bool, len(sp.view.Projection))
 		for _, y := range sp.view.Projection {
 			projected[y] = true
 		}
-		rep := eq.Rep(sp.view.EsAttrs(), projected)
-		for _, c := range sigmaV {
-			got, want := ApplyEQ(c, eq, rep), applyEQMap(c, eq, rep)
-			rewrites++
-			switch {
-			case got == nil && want == nil:
-				inert++
-			case got == nil || want == nil:
-				t.Fatalf("%s: ApplyEQ(%s) = %v, map version %v", sp.name, c, got, want)
-			case got.String() != want.String():
-				t.Fatalf("%s: ApplyEQ(%s) = %s, map version %s", sp.name, c, got, want)
-			}
-			if !c.Equality {
-				reps := make(map[string]bool, len(c.LHS))
-				for _, it := range c.LHS {
+		rep := eq.Rep(esAttrs(sp.view), projected)
+		k := 0
+		seen := make(map[string]bool)
+		for j, ri := range r.tv.atomRel {
+			off := r.tv.off[j]
+			for i := range r.src[ri] {
+				c := &r.src[ri][i]
+				if key := r.renamed(c, off).Key(); seen[key] {
+					continue
+				} else {
+					seen[key] = true
+				}
+				if k >= len(sigmaV) || r.renamed(c, off).String() != sigmaV[k].String() {
+					t.Fatalf("%s: renamed CFD %d is %s, renameToView's %v", sp.name, k, r.renamed(c, off), sigmaV[k:])
+				}
+				want := applyEQMap(sigmaV[k], eq, rep)
+				k++
+				rewrites++
+				if c.equality {
+					if want != nil {
+						t.Fatalf("%s: equality CFD %s rewrites to %s", sp.name, sigmaV[k-1], want)
+					}
+					inert++
+					continue
+				}
+				var got *cfd.CFD
+				if lhs, rhs, ok := r.applyEQ(c, off, nil); ok {
+					got = r.viewCFD(lhs, rhs)
+				}
+				switch {
+				case got == nil && want == nil:
+					inert++
+				case got == nil || want == nil:
+					t.Fatalf("%s: applyEQ(%s) = %v, map version %v", sp.name, sigmaV[k-1], got, want)
+				case got.String() != want.String():
+					t.Fatalf("%s: applyEQ(%s) = %s, map version %s", sp.name, sigmaV[k-1], got, want)
+				}
+				reps := make(map[string]bool, len(c.lhs))
+				for _, it := range sigmaV[k-1].LHS {
 					reps[rep[it.Attr]] = true
 				}
-				if len(reps) < len(c.LHS) {
+				if len(reps) < len(c.lhs) {
 					merged++
 				}
 			}
+		}
+		if k != len(sigmaV) {
+			t.Fatalf("%s: %d renamed CFDs, renameToView %d", sp.name, k, len(sigmaV))
 		}
 	}
 	t.Logf("%d rewrites: %d nil, %d with LHS entries merged under the classes", rewrites, inert, merged)
@@ -542,28 +616,80 @@ func randomViewCFD(rng *rand.Rand, view *algebra.SPC) *cfd.CFD {
 }
 
 // TestCoverMinimality: no cover CFD is implied by the others, and no LHS
-// attribute is redundant.
+// attribute is redundant: for each cover CFD and each of its LHS items,
+// the cover does not imply the CFD with that item removed (a removal that
+// leaves a trivial CFD is skipped, and so are Lemma 4.5 pairs). The inputs
+// are 10 small random workloads, the Fig. 8 grid cells (|Ec| 2–11) and
+// 200 dense specs.
 func TestCoverMinimality(t *testing.T) {
+	type spec struct {
+		db    *rel.DBSchema
+		view  *algebra.SPC
+		sigma []*cfd.CFD
+	}
+	sets := map[string][]spec{}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		db := gen.Schema(rng, gen.SchemaParams{NumRelations: 3, MinAttrs: 3, MaxAttrs: 4})
 		sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 5, LHSMin: 1, LHSMax: 2, VarPct: 50})
 		view := gen.View(rng, db, "V", gen.ViewParams{Y: 4, F: 2, Ec: 2})
-		res, err := PropCFDSPC(db, view, sigma, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		u := implication.UniverseOf(res.ViewSchema)
-		for i, c := range res.Cover {
-			rest := append(append([]*cfd.CFD{}, res.Cover[:i]...), res.Cover[i+1:]...)
-			ok, err := implication.Implies(u, rest, c)
+		sets["small"] = append(sets["small"], spec{db, view, sigma})
+	}
+	for ec := 2; ec <= 11; ec++ {
+		_, db, view, sigma := fig8Cell(ec)
+		sets["fig8"] = append(sets["fig8"], spec{db, view, sigma})
+	}
+	rng = rand.New(rand.NewSource(69))
+	for s := 0; s < 200; s++ {
+		db, view, sigma := denseSpec(rng)
+		sets["dense"] = append(sets["dense"], spec{db, view, sigma})
+	}
+	for _, set := range []string{"small", "fig8", "dense"} {
+		checks := 0
+		for i, sp := range sets[set] {
+			res, err := PropCFDSPC(sp.db, sp.view, sp.sigma, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ok {
-				t.Errorf("trial %d: cover CFD %s is redundant", trial, c)
+			if res.AlwaysEmpty {
+				continue
+			}
+			u := implication.UniverseOf(res.ViewSchema)
+			for k, c := range res.Cover {
+				rest := append(append([]*cfd.CFD{}, res.Cover[:k]...), res.Cover[k+1:]...)
+				ok, err := implication.Implies(u, rest, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					t.Errorf("%s %d: cover CFD %s is redundant", set, i, c)
+				}
+			}
+			sess := implication.NewSession(u)
+			if err := sess.SetSigma(res.Cover); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range res.Cover {
+				if c.Equality {
+					continue
+				}
+				for k := range c.LHS {
+					reduced := &cfd.CFD{Relation: c.Relation, LHS: slices.Delete(slices.Clone(c.LHS), k, k+1), RHS: c.RHS}
+					if reduced.IsTrivial() {
+						continue
+					}
+					ok, err := sess.Implies(reduced)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checks++
+					if ok {
+						t.Errorf("%s %d: cover CFD %s is not left-reduced: the cover implies %s", set, i, c, reduced)
+					}
+				}
 			}
 		}
+		t.Logf("%s: %d left-reduction checks", set, checks)
 	}
 }
 

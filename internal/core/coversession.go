@@ -54,14 +54,12 @@ type CoverSession struct {
 
 // coverSPC is one disjunct's incremental PropCFDSPC state.
 type coverSPC struct {
-	view       *algebra.SPC
-	viewSchema *rel.Schema
-	// embeds holds the source relations that an atom of view embeds. Line
-	// 1 covers only their CFDs: lines 5-6 rename no other CFD, and
-	// implication on one relation depends only on that relation's CFDs, so
-	// covering the others could change neither the buckets kept nor the
-	// tail's input.
-	embeds  map[string]bool
+	// tail is the disjunct compiled for lines 2-12. Its relIdx holds the
+	// source relations that an atom of the view embeds. Line 1 covers only
+	// their CFDs: lines 5-6 rename no other CFD, and implication on one
+	// relation depends only on that relation's CFDs, so covering the
+	// others could change neither the buckets kept nor the tail's input.
+	tail    *tailView
 	buckets map[string]*bucketEntry // one per embedded relation
 	lastIn  []*cfd.CFD              // the covered Σ last was computed from
 	last    *Result
@@ -95,15 +93,9 @@ func NewCoverSession(db *rel.DBSchema, view *algebra.SPCU, opts Options) (*Cover
 		if err != nil {
 			return nil, err
 		}
-		embeds := make(map[string]bool, len(d.Atoms))
-		for _, atom := range d.Atoms {
-			embeds[atom.Source] = true
-		}
 		cs.disjuncts = append(cs.disjuncts, &coverSPC{
-			view:       d,
-			viewSchema: ds,
-			embeds:     embeds,
-			buckets:    make(map[string]*bucketEntry),
+			tail:    newTailView(db, d, ds),
+			buckets: make(map[string]*bucketEntry),
 		})
 	}
 	return cs, nil
@@ -178,7 +170,7 @@ func (d *coverSPC) cover(db *rel.DBSchema, sigma []*cfd.CFD, opts Options) (*Res
 	if d.last != nil && sameCFDs(d.lastIn, covered) {
 		return d.last, nil
 	}
-	res, err := propSPCTail(db, d.view, d.viewSchema, covered, opts)
+	res, err := propSPCTail(d.tail, covered, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +182,7 @@ func (d *coverSPC) cover(db *rel.DBSchema, sigma []*cfd.CFD, opts Options) (*Res
 
 // minCoverBuckets is Fig. 2 line 1, Σ := MinCover(Σ), one implication
 // session per source relation that the disjunct embeds; it drops the CFDs
-// on every other relation (see coverSPC.embeds). A bucket whose contents
+// on every other relation (see coverSPC.tail). A bucket whose contents
 // match the previous call's (member by member, in order) replays its
 // cached cover. The changed buckets are independent, so they fan out over
 // par workers; each re-covers on its bucket's persistent session, minted
@@ -200,7 +192,7 @@ func (d *coverSPC) minCoverBuckets(ctx context.Context, db *rel.DBSchema, sigma 
 	byRel := make(map[string][]*cfd.CFD)
 	var order []string
 	for _, c := range sigma {
-		if !d.embeds[c.Relation] {
+		if _, embedded := d.tail.relIdx[c.Relation]; !embedded {
 			continue
 		}
 		if _, seen := byRel[c.Relation]; !seen {

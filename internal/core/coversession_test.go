@@ -34,7 +34,7 @@ func scratchPropCFDSPC(db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD, op
 			return nil, err
 		}
 	}
-	return propSPCTail(db, view, viewSchema, sigma, opts)
+	return propSPCTail(newTailView(db, view, viewSchema), sigma, opts)
 }
 
 // minCoverPerRelation applies MinCover to each relation's bucket of Σ on a

@@ -8,6 +8,11 @@
 // one working set of CFDs: an occurrence index lists the CFDs that mention
 // each attribute, so eliminating one touches only those.
 //
+// Fig. 2's tail (lines 2-12) runs on integers: each view's attr(Es)
+// becomes positions, compiled once per view, and each call's constants
+// become codes (tail.go). Strings come back once, for RBR's output and
+// Σd, before the line-13 MinCover.
+//
 // CoverSession computes every cover: the one-shot PropCFDSPC and
 // PropCFDSPCU entry points run a fresh session once, and a session kept
 // across calls keeps one (db, view) pair compiled across a stream of Σ
@@ -18,35 +23,24 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"cfdprop/internal/algebra"
 	"cfdprop/internal/cfd"
 )
 
-// EQ partitions view-side attributes into equivalence classes forced equal
-// by the view and Σ, each with an optional constant key (§4.2).
-type EQ struct {
-	parent map[string]string
-	key    map[string]string // root -> constant key
-	// Inconsistent is set when some class acquires two distinct keys; then
+// eqClasses is EQ (§4.2) on attr(Es) positions: a union-find whose roots
+// carry a constant key code, -1 for none.
+type eqClasses struct {
+	parent []int32
+	key    []int32 // root -> constant key code, -1 for none
+	// inconsistent is set when some class acquires two distinct keys; then
 	// the view is empty for every source satisfying Σ (Lemma 4.5).
-	Inconsistent bool
-	// ConflictAttr/ConflictA/ConflictB describe the first key conflict.
-	ConflictAttr         string
-	ConflictA, ConflictB string
+	inconsistent bool
 }
 
-func newEQ(attrs []string) *EQ {
-	e := &EQ{parent: make(map[string]string, len(attrs)), key: make(map[string]string)}
-	for _, a := range attrs {
-		e.parent[a] = a
-	}
-	return e
-}
-
-func (e *EQ) find(a string) string {
+func (e *eqClasses) find(a int32) int32 {
 	r := a
 	for e.parent[r] != r {
 		r = e.parent[r]
@@ -57,20 +51,16 @@ func (e *EQ) find(a string) string {
 	return r
 }
 
-// Key returns the constant key of a's class, if any.
-func (e *EQ) Key(a string) (string, bool) {
-	k, ok := e.key[e.find(a)]
-	return k, ok
-}
+// keyOf returns the key code of a's class, -1 for none.
+func (e *eqClasses) keyOf(a int32) int32 { return e.key[e.find(a)] }
 
 // setKey assigns a constant key, detecting conflicts. Returns true if the
 // state changed.
-func (e *EQ) setKey(a, c string) bool {
+func (e *eqClasses) setKey(a, c int32) bool {
 	r := e.find(a)
-	if k, ok := e.key[r]; ok {
-		if k != c && !e.Inconsistent {
-			e.Inconsistent = true
-			e.ConflictAttr, e.ConflictA, e.ConflictB = a, k, c
+	if k := e.key[r]; k >= 0 {
+		if k != c {
+			e.inconsistent = true
 		}
 		return false
 	}
@@ -78,223 +68,179 @@ func (e *EQ) setKey(a, c string) bool {
 	return true
 }
 
-// union merges two classes, reconciling keys. Returns true if changed.
-func (e *EQ) union(a, b string) bool {
+// union merges two classes under a's root, reconciling keys. Returns true
+// if changed.
+func (e *eqClasses) union(a, b int32) bool {
 	ra, rb := e.find(a), e.find(b)
 	if ra == rb {
 		return false
 	}
-	ka, hasA := e.key[ra]
-	kb, hasB := e.key[rb]
 	e.parent[rb] = ra
-	switch {
-	case hasA && hasB && ka != kb:
-		if !e.Inconsistent {
-			e.Inconsistent = true
-			e.ConflictAttr, e.ConflictA, e.ConflictB = a, ka, kb
-		}
-	case !hasA && hasB:
+	switch ka, kb := e.key[ra], e.key[rb]; {
+	case ka >= 0 && kb >= 0 && ka != kb:
+		e.inconsistent = true
+	case ka < 0:
 		e.key[ra] = kb
 	}
-	delete(e.key, rb)
+	e.key[rb] = -1
 	return true
 }
 
-// Classes returns the classes restricted to the given attribute subset,
-// sorted for determinism; singleton classes without keys are included.
-type Class struct {
-	Members []string
-	Key     string
-	HasKey  bool
-}
-
-func (e *EQ) Classes(subset []string) []Class {
-	byRoot := make(map[string][]string)
-	for _, a := range subset {
-		r := e.find(a)
-		byRoot[r] = append(byRoot[r], a)
-	}
-	roots := make([]string, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Strings(roots)
-	out := make([]Class, 0, len(roots))
-	for _, r := range roots {
-		members := byRoot[r]
-		sort.Strings(members)
-		k, ok := e.key[r]
-		out = append(out, Class{Members: members, Key: k, HasKey: ok})
-	}
-	return out
-}
-
-// Rep returns a representative map attr -> rep(eq(attr)), preferring the
-// lexicographically smallest member that lies in prefer (the projection
-// list Y), falling back to the smallest member overall (Fig. 2 line 8).
-func (e *EQ) Rep(all []string, prefer map[string]bool) map[string]string {
-	best := make(map[string]string)  // root -> best member
-	bestInY := make(map[string]bool) // root -> best member is preferred
-	for _, a := range all {
-		r := e.find(a)
-		cur, ok := best[r]
-		switch {
-		case !ok:
-			best[r], bestInY[r] = a, prefer[a]
-		case prefer[a] && !bestInY[r]:
-			best[r], bestInY[r] = a, true
-		case prefer[a] == bestInY[r] && a < cur:
-			best[r] = a
-		}
-	}
-	rep := make(map[string]string, len(all))
-	for _, a := range all {
-		rep[a] = best[e.find(a)]
-	}
-	return rep
-}
-
-// ComputeEQ computes the attribute equivalence classes of Es = σF(Ec)
-// under the selection condition F and the renamed source CFDs ΣV.
+// computeEQ computes the attribute equivalence classes of Es = σF(Ec)
+// under the selection condition F and the renamed source CFDs ΣV
+// (Fig. 2 line 2), then the representatives of line 8.
 //
 // Seeds: every F-atom A = B unions two classes; every A = 'c' sets a key.
-// Closure rules, iterated to fixpoint:
+// Closure rules, iterated over ΣV in order to fixpoint:
 //   - equality CFDs (A → B, (x ‖ x)) union their classes;
-//   - constant CFDs (A → A, (_ ‖ c)) set keys;
-//   - a normal CFD (X → B, tp) with a constant RHS pattern c sets key(B)=c
-//     as soon as each constant LHS pattern entry tp[D] equals key(eq(D))
-//     (single-tuple semantics: every Es tuple then matches tp[X]).
+//   - a standard CFD (X → B, tp) with a constant RHS pattern c sets
+//     key(B) = c as soon as each constant LHS pattern entry tp[D] equals
+//     key(eq(D)) (single-tuple semantics: every Es tuple then matches
+//     tp[X]); a constant CFD (A → A, (_ ‖ c)) is the case X = {A}.
 //
-// A key conflict marks the EQ inconsistent, meaning the view is always
-// empty (Example 3.1).
-func ComputeEQ(q *algebra.SPC, sigmaV []*cfd.CFD) (*EQ, error) {
-	attrs := q.EsAttrs()
-	e := newEQ(attrs)
-	known := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		known[a] = true
+// A key conflict marks the classes inconsistent, meaning the view is
+// always empty (Example 3.1). The unions run in F's order and then ΣV's,
+// each keeping its first argument's root, so the roots, and with them
+// Σd's order (see eq2CFD), depend only on the order of the input.
+func (r *tailRun) computeEQ() error {
+	tv := r.tv
+	n := len(tv.names)
+	e := &r.eq
+	e.parent, e.key, e.inconsistent = make([]int32, n), make([]int32, n), false
+	for p := range e.parent {
+		e.parent[p], e.key[p] = int32(p), -1
 	}
-	for _, atom := range q.Selection {
-		if !known[atom.Left] {
-			return nil, fmt.Errorf("core: selection references unknown attribute %q", atom.Left)
+	for _, atom := range tv.view.Selection {
+		l, ok := tv.pos[atom.Left]
+		if !ok {
+			return fmt.Errorf("core: selection references unknown attribute %q", atom.Left)
 		}
 		if atom.IsConst {
-			e.setKey(atom.Left, atom.Right)
-		} else {
-			if !known[atom.Right] {
-				return nil, fmt.Errorf("core: selection references unknown attribute %q", atom.Right)
-			}
-			e.union(atom.Left, atom.Right)
-		}
-	}
-
-	norm := cfd.NormalizeAll(sigmaV)
-	for _, c := range norm {
-		for a := range c.Attrs() {
-			if !known[a] {
-				return nil, fmt.Errorf("core: CFD %s references attribute %q outside attr(Es)", c, a)
-			}
-		}
-	}
-	for changed := true; changed && !e.Inconsistent; {
-		changed = false
-		for _, c := range norm {
-			if c.Equality {
-				if e.union(c.LHS[0].Attr, c.RHS[0].Attr) {
-					changed = true
-				}
-				continue
-			}
-			r := c.RHS[0]
-			if r.Pat.Wildcard {
-				continue
-			}
-			applies := true
-			for _, it := range c.LHS {
-				if it.Pat.Wildcard {
-					continue
-				}
-				k, ok := e.Key(it.Attr)
-				if !ok || k != it.Pat.Const {
-					applies = false
-					break
-				}
-			}
-			if applies && e.setKey(r.Attr, r.Pat.Const) {
-				changed = true
-			}
-		}
-	}
-	return e, nil
-}
-
-// EQ2CFD converts the equivalence classes (restricted to the projection
-// attributes) into view CFDs, per Fig. 4: classes with a constant key emit
-// (A → A, (_ ‖ key)) for each member; keyless classes emit a chain of
-// equality CFDs (A → B, (x ‖ x)) linking their members.
-func EQ2CFD(viewName string, e *EQ, projection []string) []*cfd.CFD {
-	var out []*cfd.CFD
-	for _, cl := range e.Classes(projection) {
-		if cl.HasKey {
-			for _, a := range cl.Members {
-				out = append(out, cfd.NewConstant(viewName, a, cl.Key))
-			}
+			e.setKey(l, r.code(atom.Right))
 			continue
 		}
-		for i := 1; i < len(cl.Members); i++ {
-			out = append(out, cfd.NewEquality(viewName, cl.Members[i-1], cl.Members[i]))
+		rp, ok := tv.pos[atom.Right]
+		if !ok {
+			return fmt.Errorf("core: selection references unknown attribute %q", atom.Right)
+		}
+		e.union(l, rp)
+	}
+	for changed := true; changed && !e.inconsistent; {
+		changed = false
+		for j, ri := range tv.atomRel {
+			off := tv.off[j]
+			for _, c := range r.src[ri] {
+				if c.equality {
+					if e.union(c.lhs[0].pos+off, c.rhs.pos+off) {
+						changed = true
+					}
+					continue
+				}
+				if c.rhs.code < 0 {
+					continue
+				}
+				applies := true
+				for _, it := range c.lhs {
+					if it.code >= 0 && e.keyOf(it.pos+off) != it.code {
+						applies = false
+						break
+					}
+				}
+				if applies && e.setKey(c.rhs.pos+off, c.rhs.code) {
+					changed = true
+				}
+			}
 		}
 	}
-	return out
+	// Rep (line 8): each class is represented by its projected member of
+	// smallest name, or by its member of smallest name when none is
+	// projected.
+	best := make([]int32, n) // root -> representative
+	for p := range best {
+		best[p] = -1
+	}
+	for p := int32(0); p < int32(n); p++ {
+		root := e.find(p)
+		if b := best[root]; b < 0 || tv.projected[p] && !tv.projected[b] ||
+			tv.projected[p] == tv.projected[b] && tv.rank[p] < tv.rank[b] {
+			best[root] = p
+		}
+	}
+	r.rep = make([]int32, n)
+	for p := int32(0); p < int32(n); p++ {
+		r.rep[p] = best[e.find(p)]
+	}
+	return nil
 }
 
-// ApplyEQ rewrites one workspace CFD under the equivalence classes
-// (Fig. 2 lines 7–10, extended): attributes are replaced by their class
-// representatives; duplicate LHS entries are merged (conjunction of
-// patterns); entries whose class has a constant key are discharged. It
-// returns nil when the CFD becomes inert (premise unsatisfiable on the
-// view) or trivial — in both cases the CFD contributes nothing beyond Σd.
-func ApplyEQ(c *cfd.CFD, e *EQ, rep map[string]string) *cfd.CFD {
-	if c.Equality {
-		a, b := rep[c.LHS[0].Attr], rep[c.RHS[0].Attr]
-		if a == b {
-			return nil // captured by EQ, regenerated by EQ2CFD as needed
-		}
-		return cfd.NewEquality(c.Relation, a, b)
-	}
-	// Merge LHS entries under the representative mapping, in order of
-	// first appearance: two patterns on one attribute conjoin, as ⊕ does.
-	lhs := make([]cfd.Item, 0, len(c.LHS))
-	for _, it := range c.LHS {
-		var ok bool
-		if lhs, ok = mergeItem(lhs, cfd.Item{Attr: rep[it.Attr], Pat: it.Pat}); !ok {
-			return nil // premise requires two distinct constants: inert
+// applyEQ rewrites source CFD c, renamed along the atom whose columns start
+// at off, under the equivalence classes (Fig. 2 lines 7–10, extended):
+// attributes are replaced by their class representatives; duplicate LHS
+// entries are merged (conjunction of patterns, as ⊕ does), in order of
+// first appearance; entries whose class has a constant key are
+// discharged. The LHS is built in buf. ok is false when the CFD becomes
+// inert (premise unsatisfiable on the view) or trivial — in both cases it
+// contributes nothing beyond Σd. c is a standard CFD: an equality CFD's
+// two sides share a class (computeEQ unioned them), so it is captured by
+// EQ and regenerated by eq2CFD as needed.
+func (r *tailRun) applyEQ(c *srcCFD, off int32, buf []item) (lhs []item, rhs item, ok bool) {
+	lhs = buf[:0]
+	for _, it := range c.lhs {
+		if lhs, ok = mergeItem(lhs, item{r.rep[it.pos+off], it.code}); !ok {
+			return nil, rhs, false // premise requires two distinct constants: inert
 		}
 	}
 	// Discharge keyed entries in place.
 	kept := lhs[:0]
 	for _, it := range lhs {
-		if k, ok := e.Key(it.Attr); ok {
-			if !it.Pat.Wildcard && it.Pat.Const != k {
-				return nil // premise contradicts the forced column constant
+		if k := r.eq.keyOf(it.pos); k >= 0 {
+			if it.code >= 0 && it.code != k {
+				return nil, rhs, false // premise contradicts the forced column constant
 			}
 			continue // condition always holds: drop the entry
 		}
 		kept = append(kept, it)
 	}
-	r := c.RHS[0]
-	ra := rep[r.Attr]
-	if k, ok := e.Key(ra); ok {
-		if r.Pat.Wildcard || r.Pat.Const == k {
-			return nil // subsumed by the Σd constant CFD on ra
+	rhs = item{r.rep[c.rhs.pos+off], c.rhs.code}
+	if k := r.eq.keyOf(rhs.pos); k >= 0 {
+		if rhs.code < 0 || rhs.code == k {
+			return nil, rhs, false // subsumed by the Σd constant CFD on the RHS
 		}
 		// RHS constant contradicts the forced column constant: the premise
 		// must be unsatisfiable on the view. Keep the CFD; together with
 		// Σd it encodes that no view tuple matches the premise.
 	}
-	out := &cfd.CFD{Relation: c.Relation, LHS: kept, RHS: []cfd.Item{{Attr: ra, Pat: r.Pat}}}
-	if out.IsTrivial() {
-		return nil
+	if trivial(kept, rhs) {
+		return nil, rhs, false
+	}
+	return kept, rhs, true
+}
+
+// eq2CFD converts the equivalence classes, restricted to the projected
+// attr(Es) attributes, into view CFDs per Fig. 4 (line 12): classes with a
+// constant key emit (A → A, (_ ‖ key)) for each member; keyless classes
+// emit a chain of equality CFDs (A → B, (x ‖ x)) linking their members.
+// Classes come in the order of their roots' names, members in name order.
+func (r *tailRun) eq2CFD() []*cfd.CFD {
+	tv := r.tv
+	type member struct{ root, pos int32 }
+	ms := make([]member, len(tv.projEs))
+	for i, p := range tv.projEs {
+		ms[i] = member{r.eq.find(p), p}
+	}
+	slices.SortFunc(ms, func(a, b member) int {
+		if c := cmp.Compare(tv.rank[a.root], tv.rank[b.root]); c != 0 {
+			return c
+		}
+		return cmp.Compare(tv.rank[a.pos], tv.rank[b.pos])
+	})
+	var out []*cfd.CFD
+	for i, m := range ms {
+		if k := r.eq.key[m.root]; k >= 0 {
+			out = append(out, cfd.NewConstant(tv.view.Name, tv.names[m.pos], r.strs[k]))
+		} else if i > 0 && ms[i-1].root == m.root {
+			out = append(out, cfd.NewEquality(tv.view.Name, tv.names[ms[i-1].pos], tv.names[m.pos]))
+		}
 	}
 	return out
 }

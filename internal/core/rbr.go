@@ -3,10 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-
-	"cfdprop/internal/cfd"
-	"cfdprop/internal/implication"
-	"cfdprop/internal/parutil"
 )
 
 // dropOrder selects the order in which RBR eliminates non-projected
@@ -25,258 +21,299 @@ const (
 	dropSequential
 )
 
-// rbrBlockSize is the block size of the §4.3 intermediate MinCover
-// pruning inside RBR.
-const rbrBlockSize = 64
-
 // rbrConfig tunes procedure RBR.
 type rbrConfig struct {
-	// ctx cancels the run cooperatively between elimination rounds and
-	// inside the implication closure; nil disables.
+	// ctx cancels the run cooperatively between elimination rounds; nil
+	// disables.
 	ctx   context.Context
 	order dropOrder
-	// blockSize: Γ is partitioned into blocks of this size and MinCover is
-	// applied per block after each elimination round, pruning redundant
-	// CFDs without the full cubic cost (§4.3 optimization). <= 0 disables.
-	blockSize int
 	// maxCover: when > 0 and Γ grows beyond it, stop generating new
 	// resolvents (the polynomial-time heuristic of §1: return a subset of
 	// a cover once a predefined bound is reached).
 	maxCover int
-	// parallelism: blocks within one pruning round are independent, so
-	// they fan out over this many implication sessions, one per worker
-	// (<= 1 keeps the single-session serial path).
-	parallelism int
 }
 
-// resolvent builds the A-resolvent of φ1 = (W → A, t1) and φ2 = (AZ → B,
-// t2), per §4.2: defined when t1[A] ≤ t2[A] and t1[W] ⊕ t2[Z] is defined;
-// the result is (WZ → B, (t1[W] ⊕ t2[Z] ‖ t2[B])), its LHS in
-// first-appearance order over W then Z. The caller has checked that A is
-// on φ2's LHS and t1[A] ≤ t2[A]. Returns nil when ⊕ is undefined, or the
-// result mentions A or is trivial.
-func resolvent(phi1, phi2 *cfd.CFD, a string) *cfd.CFD {
-	b := phi2.RHS[0]
-	if b.Attr == a {
-		return nil
-	}
-	// Most pairs that get this far have no resolvent (⊕ undefined, or
-	// trivial), so W and Z merge in a stack buffer and only a resolvent
-	// gets its own LHS.
-	var buf [20]cfd.Item
-	lhs := buf[:0]
-	ok := true
-	for _, it := range phi1.LHS {
-		if it.Attr == a {
-			return nil // the resolvent must not mention A
-		}
-		if lhs, ok = mergeItem(lhs, it); !ok {
-			return nil
-		}
-	}
-	for _, it := range phi2.LHS {
-		if it.Attr == a {
-			continue
-		}
-		if lhs, ok = mergeItem(lhs, it); !ok {
-			return nil
-		}
-	}
-	// Trivial (§4.1): B is on the LHS with a pattern ≤ t2[B].
-	for _, it := range lhs {
-		if it.Attr == b.Attr && it.Pat.LE(b.Pat) {
-			return nil
-		}
-	}
-	return &cfd.CFD{Relation: phi2.Relation, LHS: slices.Clone(lhs), RHS: []cfd.Item{b}}
-}
+// le is the pattern order ≤ of §4.2 on codes: p ≤ q iff q is '_' or p
+// and q are the same constant.
+func le(p, q int32) bool { return q < 0 || p == q }
 
-// mergeItem adds it to lhs under ⊕: an attribute already present keeps its
+// mergeItem adds it to lhs under ⊕: a position already present keeps its
 // place and takes the smaller pattern, and ok is false when the two
 // patterns are incomparable (⊕ undefined).
-func mergeItem(lhs []cfd.Item, it cfd.Item) (out []cfd.Item, ok bool) {
+func mergeItem(lhs []item, it item) (out []item, ok bool) {
 	for k := range lhs {
-		if lhs[k].Attr == it.Attr {
-			lhs[k].Pat, ok = cfd.Min(lhs[k].Pat, it.Pat)
-			return lhs, ok
+		if lhs[k].pos == it.pos {
+			switch p := lhs[k].code; {
+			case le(p, it.code):
+			case le(it.code, p):
+				lhs[k].code = it.code
+			default:
+				return lhs, false
+			}
+			return lhs, true
 		}
 	}
 	return append(lhs, it), true
 }
 
-// gammaSet is RBR's working set Γ. Eliminating an attribute touches only
-// the members that mention it, found through an occurrence index.
+// trivial reports whether the standard CFD lhs → rhs is trivial (§4.1):
+// rhs's position is on the LHS with a pattern ≤ rhs's.
+func trivial(lhs []item, rhs item) bool {
+	for _, it := range lhs {
+		if it.pos == rhs.pos {
+			return le(it.code, rhs.code)
+		}
+	}
+	return false
+}
+
+// gammaSet is RBR's working set Γ of standard view CFDs, compiled: every
+// item is an attr(Es) position and a constant code. Eliminating an
+// attribute touches only the members that mention it, found through an
+// occurrence index.
 //
 // Members keep Γ's order: survivors keep their places, new members are
-// appended and removed ones are tombstoned (nil). Each member is keyed
-// once, when it enters; a CFD whose key a live member already has is not
-// added, so Γ stays duplicate-free as cfd.Dedup would leave it. Only the
-// attributes RBR may eliminate are indexed.
+// appended and removed ones are tombstoned. A CFD whose key a live member
+// already has is not added, so Γ stays duplicate-free as cfd.Dedup would
+// leave it. The key is a member's RHS item and the set of its LHS items
+// (no member repeats a position on its LHS: ⊕ merges them), which stand
+// one to one for cfd.Key's attribute names and constants; members are
+// found by an order-independent hash of the key and compared exactly.
 type gammaSet struct {
-	members []*cfd.CFD
-	keys    []string // keys[i] is members[i]'s cfd.Key
-	live    map[string]struct{}
-	n       int // live members
-	occ     map[string]*occurrences
+	items   []item // backing array of the members' LHS items
+	members []member
+	n       int              // live members
+	byHash  map[uint64]int32 // the latest member with each key hash
+	rank    []int32          // position -> rank of its attribute name
+	// occ indexes the eliminable positions (elim[p]) in Γ.
+	occ  []occurrences
+	elim []bool
+
+	prod, cons []side // eliminate's buffers, reused across calls
 }
 
-// occurrences indexes one eliminable attribute in Γ.
+// member is one CFD of Γ: its LHS is items[start:end].
+type member struct {
+	start, end int32
+	rhs        item
+	next       int32 // the previous member with the same key hash; -1 for none
+	live       bool
+}
+
+// occurrences indexes one eliminable position in Γ.
 type occurrences struct {
-	members []int // positions of the members mentioning it, removed ones included
+	members []int32 // the members mentioning it, removed ones included
 	// items is the number of items of live members that name it: a CFD
 	// naming it on both sides counts twice.
-	items int
+	items int32
 }
 
-func newGammaSet(dropAttrs []string) *gammaSet {
-	occ := make(map[string]*occurrences, len(dropAttrs))
-	for _, a := range dropAttrs {
-		occ[a] = &occurrences{}
+// side is a producer or consumer of an elimination: a member and its
+// pattern code on the eliminated position.
+type side struct{ m, code int32 }
+
+// newGammaSet returns an empty Γ over the view's attr(Es) whose
+// eliminable positions are drops.
+func newGammaSet(tv *tailView, drops []int32) *gammaSet {
+	g := &gammaSet{
+		byHash: make(map[uint64]int32),
+		rank:   tv.rank,
+		occ:    make([]occurrences, len(tv.names)),
+		elim:   make([]bool, len(tv.names)),
 	}
-	return &gammaSet{occ: occ}
+	for _, p := range drops {
+		g.elim[p] = true
+	}
+	return g
 }
 
-// fill resets the set to gamma's distinct members, in order.
-func (g *gammaSet) fill(gamma []*cfd.CFD) {
-	clear(g.members)
-	g.members, g.keys, g.n = g.members[:0], g.keys[:0], 0
-	if g.live == nil {
-		g.live = make(map[string]struct{}, len(gamma))
-	} else {
-		clear(g.live)
+func (g *gammaSet) lhs(m *member) []item { return g.items[m.start:m.end] }
+
+// keyHash mixes a member's key; the LHS items are summed, so their order
+// does not count. The RHS item is complemented first, so that swapping
+// the sides of X → A does not keep the hash.
+func keyHash(lhs []item, rhs item) uint64 {
+	h := mix(^rhs.packed())
+	for _, it := range lhs {
+		h += mix(it.packed())
 	}
-	for _, o := range g.occ {
-		o.members, o.items = o.members[:0], 0
-	}
-	for _, c := range gamma {
-		g.insert(c)
-	}
+	return h
 }
 
-// insert appends c unless a live member has its key.
-func (g *gammaSet) insert(c *cfd.CFD) {
-	k := c.Key()
-	if _, dup := g.live[k]; dup {
+// mix is SplitMix64's finalizer, offset so that 0 does not map to 0.
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+func (it item) packed() uint64 { return uint64(uint32(it.pos))<<32 | uint64(uint32(it.code)) }
+
+// sameKey reports whether member m has the key of lhs → rhs. Neither
+// repeats a position on its LHS, so equal lengths and containment make the
+// LHS item sets equal.
+func (g *gammaSet) sameKey(m *member, lhs []item, rhs item) bool {
+	if m.rhs != rhs || int(m.end-m.start) != len(lhs) {
+		return false
+	}
+	mine := g.lhs(m)
+	for _, it := range lhs {
+		if !slices.Contains(mine, it) {
+			return false
+		}
+	}
+	return true
+}
+
+// insert appends lhs → rhs unless a live member has its key. lhs is
+// copied.
+func (g *gammaSet) insert(lhs []item, rhs item) {
+	h := keyHash(lhs, rhs)
+	head, ok := g.byHash[h]
+	if !ok {
+		head = -1
+	}
+	for j := head; j >= 0; j = g.members[j].next {
+		if m := &g.members[j]; m.live && g.sameKey(m, lhs, rhs) {
+			return
+		}
+	}
+	i := int32(len(g.members))
+	start := int32(len(g.items))
+	g.items = append(g.items, lhs...)
+	g.members = append(g.members, member{start: start, end: int32(len(g.items)), rhs: rhs, next: head, live: true})
+	g.byHash[h] = i
+	g.n++
+	for _, it := range lhs {
+		g.note(i, it)
+	}
+	g.note(i, rhs)
+}
+
+// note counts member i's item it and indexes i under its position, once
+// per position, when that position is eliminable.
+func (g *gammaSet) note(i int32, it item) {
+	if !g.elim[it.pos] {
 		return
 	}
-	g.live[k] = struct{}{}
-	i := len(g.members)
-	g.members, g.keys = append(g.members, c), append(g.keys, k)
-	g.n++
-	g.note(i, c.LHS)
-	g.note(i, c.RHS)
-}
-
-// note counts member i's items and indexes it under each eliminable
-// attribute they name, once per attribute.
-func (g *gammaSet) note(i int, items []cfd.Item) {
-	for _, it := range items {
-		if o := g.occ[it.Attr]; o != nil {
-			o.items++
-			if len(o.members) == 0 || o.members[len(o.members)-1] != i {
-				o.members = append(o.members, i)
-			}
-		}
+	o := &g.occ[it.pos]
+	o.items++
+	if len(o.members) == 0 || o.members[len(o.members)-1] != i {
+		o.members = append(o.members, i)
 	}
 }
 
 // remove tombstones live member i.
-func (g *gammaSet) remove(i int) {
-	c := g.members[i]
-	g.members[i] = nil
-	delete(g.live, g.keys[i])
+func (g *gammaSet) remove(i int32) {
+	m := &g.members[i]
+	m.live = false
 	g.n--
-	for _, items := range [2][]cfd.Item{c.LHS, c.RHS} {
-		for _, it := range items {
-			if o := g.occ[it.Attr]; o != nil {
-				o.items--
-			}
+	for _, it := range g.lhs(m) {
+		if g.elim[it.pos] {
+			g.occ[it.pos].items--
 		}
+	}
+	if g.elim[m.rhs.pos] {
+		g.occ[m.rhs.pos].items--
 	}
 }
 
-// eliminate removes attribute a from Γ: Drop(Γ, a) = Res(Γ, a) ∪ Γ[U − {a}].
+// eliminate removes position a from Γ: Drop(Γ, a) = Res(Γ, a) ∪ Γ[U − {a}].
 // The members mentioning a leave, then each A-resolvent of a producer (RHS
 // a) and a consumer (a on the LHS), in producer × consumer order, enters
 // unless a live member or an earlier resolvent has its key. A pair whose
 // t1[A] ≤ t2[A] fails has no resolvent and is skipped before resolvent
 // runs; most pairs on the §5 grid fail it. When truncate is true no
 // resolvents are added (heuristic mode).
-func (g *gammaSet) eliminate(a string, truncate bool) {
-	o := g.occ[a]
-	var producers, consumers []*cfd.CFD
-	var t2A []cfd.Pattern // t2A[k] is consumers[k]'s pattern on a
+func (g *gammaSet) eliminate(a int32, truncate bool) {
+	o := &g.occ[a]
+	prod, cons := g.prod[:0], g.cons[:0]
 	for _, i := range o.members {
-		c := g.members[i]
-		if c == nil {
+		m := &g.members[i]
+		if !m.live {
 			continue
 		}
-		if !c.Equality {
-			if c.RHS[0].Attr == a {
-				producers = append(producers, c)
-			}
-			if it, onLHS := c.LHSItem(a); onLHS {
-				consumers = append(consumers, c)
-				t2A = append(t2A, it.Pat)
+		if m.rhs.pos == a {
+			prod = append(prod, side{i, m.rhs.code})
+		}
+		for _, it := range g.lhs(m) {
+			if it.pos == a {
+				cons = append(cons, side{i, it.code})
+				break
 			}
 		}
 		g.remove(i)
 	}
 	o.members = o.members[:0]
-	if !truncate {
-		for _, p := range producers {
-			t1A := p.RHS[0].Pat
-			for k, q := range consumers {
-				if !t1A.LE(t2A[k]) {
-					continue
-				}
-				if r := resolvent(p, q, a); r != nil {
-					g.insert(r)
-				}
+	g.prod, g.cons = prod, cons
+	if truncate {
+		return
+	}
+	var buf [20]item
+	for _, p := range prod {
+		for _, q := range cons {
+			if !le(p.code, q.code) {
+				continue
+			}
+			if lhs, rhs, ok := g.resolvent(p.m, q.m, a, buf[:0]); ok {
+				g.insert(lhs, rhs)
 			}
 		}
 	}
 }
 
-// slice returns the live members in order.
-func (g *gammaSet) slice() []*cfd.CFD {
-	out := make([]*cfd.CFD, 0, g.n)
-	for _, c := range g.members {
-		if c != nil {
-			out = append(out, c)
+// resolvent builds, in buf, the A-resolvent of members φ1 = (W → A, t1)
+// and φ2 = (AZ → B, t2), per §4.2: defined when t1[A] ≤ t2[A] and t1[W] ⊕
+// t2[Z] is defined; the result is (WZ → B, (t1[W] ⊕ t2[Z] ‖ t2[B])), its
+// LHS in first-appearance order over W then Z. The caller has checked
+// that A is on φ2's LHS and t1[A] ≤ t2[A]. ok is false when ⊕ is
+// undefined, or the result mentions A or is trivial.
+func (g *gammaSet) resolvent(phi1, phi2, a int32, buf []item) (lhs []item, b item, ok bool) {
+	m1, m2 := &g.members[phi1], &g.members[phi2]
+	b = m2.rhs
+	if b.pos == a {
+		return nil, b, false
+	}
+	lhs = buf
+	for _, it := range g.lhs(m1) {
+		if it.pos == a {
+			return nil, b, false // the resolvent must not mention A
+		}
+		if lhs, ok = mergeItem(lhs, it); !ok {
+			return nil, b, false
 		}
 	}
-	return out
+	for _, it := range g.lhs(m2) {
+		if it.pos == a {
+			continue
+		}
+		if lhs, ok = mergeItem(lhs, it); !ok {
+			return nil, b, false
+		}
+	}
+	if trivial(lhs, b) {
+		return nil, b, false
+	}
+	return lhs, b, true
 }
 
-// runRBR computes RBR(Γ, dropAttrs): a cover of Γ+ restricted to the
-// attributes outside dropAttrs (Proposition 4.4), free of duplicates.
-// truncated reports that the maxCover heuristic fired, in which case the
-// result is a subset of a cover rather than a full cover.
-func runRBR(u implication.Universe, gamma []*cfd.CFD, dropAttrs []string, cfg rbrConfig) (out []*cfd.CFD, truncated bool, err error) {
-	g := newGammaSet(dropAttrs)
-	g.fill(gamma)
-	remaining := slices.Clone(dropAttrs)
-	// One implication session per worker serves every block-pruning
-	// MinCover across all elimination rounds, so the closure's compiled
-	// buffers are reused across the whole RBR run. Worker w mints
-	// sessions[w] on first use.
-	sessions := make([]*implication.Session, max(cfg.parallelism, 1))
-	ctx := cfg.ctx
-	if ctx == nil {
-		ctx = context.Background()
+// runRBR computes RBR(Γ, drops) in place: afterwards Γ's live members are
+// a cover of Γ+ restricted to the positions outside drops (Proposition
+// 4.4), free of duplicates. truncated reports that the maxCover heuristic
+// fired, in which case they are a subset of a cover rather than a full
+// cover.
+func runRBR(g *gammaSet, drops []int32, cfg rbrConfig) (truncated bool, err error) {
+	remaining := slices.Clone(drops)
+	var done <-chan struct{}
+	if cfg.ctx != nil {
+		done = cfg.ctx.Done()
 	}
-	done := ctx.Done()
-	// Lazy pruning: the block-wise MinCover of §4.3 only pays off when
-	// resolution actually grew the working set. Most eliminations on
-	// sparse workloads just delete CFDs, so pruning after every drop would
-	// dominate the whole algorithm (quadratically in |U − Y|).
-	sinceLastPrune := 0
 	for len(remaining) > 0 {
 		if done != nil {
 			select {
 			case <-done:
-				return nil, false, ctx.Err()
+				return false, cfg.ctx.Err()
 			default:
 			}
 		}
@@ -284,7 +321,7 @@ func runRBR(u implication.Universe, gamma []*cfd.CFD, dropAttrs []string, cfg rb
 		if cfg.order == dropFewestOccurrences {
 			for i := 1; i < len(remaining); i++ {
 				ci, cn := g.occ[remaining[i]].items, g.occ[remaining[next]].items
-				if ci < cn || (ci == cn && remaining[i] < remaining[next]) {
+				if ci < cn || (ci == cn && g.rank[remaining[i]] < g.rank[remaining[next]]) {
 					next = i
 				}
 			}
@@ -295,57 +332,7 @@ func runRBR(u implication.Universe, gamma []*cfd.CFD, dropAttrs []string, cfg rb
 		if truncate {
 			truncated = true
 		}
-		before := g.n
 		g.eliminate(a, truncate)
-		if grew := g.n - before; grew > 0 {
-			sinceLastPrune += grew
-		}
-		if cfg.blockSize > 0 && sinceLastPrune >= cfg.blockSize && g.n > cfg.blockSize {
-			pruned, err := blockMinCover(ctx, u, sessions, g.slice(), cfg.blockSize)
-			if err != nil {
-				return nil, false, err
-			}
-			g.fill(pruned)
-			sinceLastPrune = 0
-		}
 	}
-	return g.slice(), truncated, nil
-}
-
-// blockMinCover partitions Γ into blocks of size k and replaces each block
-// with its minimal cover — the §4.3 optimization that sheds redundant CFDs
-// in O(|Γ|·k²) implication tests instead of O(|Γ|³). Blocks are mutually
-// independent, so they fan out with one worker per session, worker w
-// running on sessions[w] (minted over u on first use); the result is
-// assembled in block order, making the output identical at every
-// parallelism level. Two blocks may reduce to the same CFD; the caller's
-// rebuild of the working set drops the later copy.
-func blockMinCover(ctx context.Context, u implication.Universe, sessions []*implication.Session, gamma []*cfd.CFD, k int) ([]*cfd.CFD, error) {
-	nblocks := (len(gamma) + k - 1) / k
-	covers := make([][]*cfd.CFD, nblocks)
-	errs := make([]error, nblocks)
-	if err := parutil.DoCtx(ctx, nblocks, len(sessions), func(w, b int) {
-		sess := sessions[w]
-		if sess == nil {
-			sess = implication.NewSession(u)
-			sess.SetContext(ctx)
-			sessions[w] = sess
-		}
-		start := b * k
-		end := start + k
-		if end > len(gamma) {
-			end = len(gamma)
-		}
-		covers[b], errs[b] = sess.MinCover(gamma[start:end])
-	}); err != nil {
-		return nil, err
-	}
-	var out []*cfd.CFD
-	for b := 0; b < nblocks; b++ {
-		if errs[b] != nil {
-			return nil, errs[b]
-		}
-		out = append(out, covers[b]...)
-	}
-	return out, nil
+	return truncated, nil
 }

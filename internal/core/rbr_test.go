@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -27,104 +25,24 @@ func TestDropOrderIndependence(t *testing.T) {
 		db := gen.Schema(rng, gen.SchemaParams{NumRelations: 3, MinAttrs: 4, MaxAttrs: 5})
 		sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 8, LHSMin: 1, LHSMax: 2, VarPct: 60})
 		view := gen.View(rng, db, "V", gen.ViewParams{Y: 4, F: 2, Ec: 2})
-		u, reduced, dropAttrs, ok := rbrInput(t, db, view, sigma, true)
+		r, ok := rbrInput(t, db, view, sigma, true)
 		if !ok {
 			continue
 		}
-		fewest, _, err := runRBR(u, reduced, dropAttrs, rbrConfig{order: dropFewestOccurrences, blockSize: rbrBlockSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sequential, _, err := runRBR(u, reduced, dropAttrs, rbrConfig{order: dropSequential, blockSize: rbrBlockSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eq, err := implication.Equivalent(u, fewest, sequential)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eq {
-			t.Errorf("trial %d: RBR outputs differ across drop orders:\nfewest:     %v\nsequential: %v", trial, fewest, sequential)
-		}
-	}
-}
-
-// TestBlockPruningPreservesCover: disabling the §4.3 block pruning must
-// not change RBR's output up to equivalence. The specs are dense, so the
-// prune fires at block size 4.
-func TestBlockPruningPreservesCover(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	for trial := 0; trial < 40; trial++ {
-		db, view, sigma := denseSpec(rng)
-		u, reduced, dropAttrs, ok := rbrInput(t, db, view, sigma, false)
-		if !ok {
-			continue
-		}
-		pruned, _, err := runRBR(u, reduced, dropAttrs, rbrConfig{blockSize: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, _, err := runRBR(u, reduced, dropAttrs, rbrConfig{blockSize: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eq, err := implication.Equivalent(u, pruned, plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eq {
-			t.Errorf("trial %d: pruning changed RBR's output:\nwith:    %v\nwithout: %v", trial, pruned, plain)
-		}
-	}
-}
-
-// BenchmarkAblationRBRPrune times RBR (Fig. 2 line 11) serially with and
-// without the §4.3 block prune, over two families of inputs. dense: 20
-// one-relation specs of 60 dense CFDs (LHS 1–2, var% 90) with line 1
-// skipped, whose resolvents are largely redundant, so the prune keeps Γ
-// small. grid: the Fig. 8 |Ec| 8–10 cells behind line 1, where the prune
-// sheds little and costs its MinCover calls.
-func BenchmarkAblationRBRPrune(b *testing.B) {
-	type input struct {
-		u         implication.Universe
-		gamma     []*cfd.CFD
-		dropAttrs []string
-	}
-	var dense, grid []input
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		db := gen.Schema(rng, gen.SchemaParams{NumRelations: 1, MinAttrs: 14, MaxAttrs: 14})
-		sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 60, LHSMin: 1, LHSMax: 2, VarPct: 90})
-		view := gen.View(rng, db, "V", gen.ViewParams{Y: 3, F: 1, Ec: 2})
-		if u, reduced, dropAttrs, ok := rbrInput(b, db, view, sigma, false); ok {
-			dense = append(dense, input{u, reduced, dropAttrs})
-		}
-	}
-	for ec := 8; ec <= 10; ec++ {
-		_, db, view, sigma := fig8Cell(ec)
-		if u, reduced, dropAttrs, ok := rbrInput(b, db, view, sigma, true); ok {
-			grid = append(grid, input{u, reduced, dropAttrs})
-		}
-	}
-	for _, family := range []struct {
-		name   string
-		inputs []input
-	}{{"dense", dense}, {"grid", grid}} {
-		for _, block := range []int{-1, rbrBlockSize} {
-			name := family.name + "/prune=off"
-			if block > 0 {
-				name = fmt.Sprintf("%s/prune=%d", family.name, block)
+		var outs [2][]*cfd.CFD
+		for k, order := range []dropOrder{dropFewestOccurrences, dropSequential} {
+			g := r.reduce()
+			if _, err := runRBR(g, r.tv.drops, rbrConfig{order: order}); err != nil {
+				t.Fatal(err)
 			}
-			b.Run(name, func(b *testing.B) {
-				cfg := rbrConfig{blockSize: block, parallelism: 1}
-				for i := 0; i < b.N; i++ {
-					for _, in := range family.inputs {
-						if _, _, err := runRBR(in.u, in.gamma, in.dropAttrs, cfg); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
+			outs[k] = r.cfds(g)
+		}
+		eq, err := implication.Equivalent(implication.UniverseOf(r.tv.viewSchema), outs[0], outs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !eq {
+			t.Errorf("trial %d: RBR outputs differ across drop orders:\nfewest:     %v\nsequential: %v", trial, outs[0], outs[1])
 		}
 	}
 }
@@ -161,13 +79,10 @@ func TestSkipPreMinCoverPreservesCover(t *testing.T) {
 // compared with: each round counts occurrences over all of Γ, and each
 // elimination rescans Γ for the CFDs that mention the attribute and
 // re-keys all of it through cfd.Dedup.
-func rescanRBR(u implication.Universe, gamma []*cfd.CFD, dropAttrs []string, cfg rbrConfig) ([]*cfd.CFD, bool, error) {
+func rescanRBR(gamma []*cfd.CFD, dropAttrs []string, cfg rbrConfig) ([]*cfd.CFD, bool) {
 	gamma = cfd.Dedup(gamma)
 	remaining := append([]string(nil), dropAttrs...)
-	sessions := make([]*implication.Session, max(cfg.parallelism, 1))
-	ctx := context.Background()
 	truncated := false
-	sinceLastPrune := 0
 	for len(remaining) > 0 {
 		next := 0
 		if cfg.order == dropFewestOccurrences {
@@ -185,21 +100,9 @@ func rescanRBR(u implication.Universe, gamma []*cfd.CFD, dropAttrs []string, cfg
 		if truncate {
 			truncated = true
 		}
-		before := len(gamma)
 		gamma = drop(gamma, a, truncate)
-		if grew := len(gamma) - before; grew > 0 {
-			sinceLastPrune += grew
-		}
-		if cfg.blockSize > 0 && sinceLastPrune >= cfg.blockSize && len(gamma) > cfg.blockSize {
-			pruned, err := blockMinCover(ctx, u, sessions, gamma, cfg.blockSize)
-			if err != nil {
-				return nil, false, err
-			}
-			gamma = cfd.Dedup(pruned)
-			sinceLastPrune = 0
-		}
 	}
-	return gamma, truncated, nil
+	return gamma, truncated
 }
 
 // drop eliminates attribute a from Γ by a rescan: Drop(Γ, a) = Res(Γ, a) ∪
@@ -318,23 +221,9 @@ func mapResolvent(phi1, phi2 *cfd.CFD, a string) *cfd.CFD {
 	return out
 }
 
-// fig8Cell draws the Fig. 8 grid cell with |Ec| = ec as perfbench's cover
-// workload draws it at pool seed 1, and returns its name.
-func fig8Cell(ec int) (string, *rel.DBSchema, *algebra.SPC, []*cfd.CFD) {
-	pct := 40 + 10*(ec%2)
-	name := fmt.Sprintf("fig8/|Sigma|=2000/Y=25/F=10/Ec=%d/var=%d", ec, pct)
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	rng := rand.New(rand.NewSource(1 ^ int64(h.Sum32())*31))
-	db := gen.Schema(rng, gen.SchemaParams{})
-	sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 2000, LHSMin: 3, LHSMax: 9, VarPct: pct})
-	view := gen.View(rng, db, "V", gen.ViewParams{Y: 25, F: 10, Ec: ec})
-	return name, db, view, sigma
-}
-
 // denseSpec draws a small dense spec: one relation of 5–6 attributes,
 // 20–49 CFDs with LHS 1–2 and var% 80–99, and a view over it. With line 1
-// skipped, resolution grows RBR's Γ, so block prunes fire.
+// skipped, resolution grows RBR's Γ.
 func denseSpec(rng *rand.Rand) (*rel.DBSchema, *algebra.SPC, []*cfd.CFD) {
 	db := gen.Schema(rng, gen.SchemaParams{NumRelations: 1, MinAttrs: 5, MaxAttrs: 6})
 	sigma := gen.CFDs(rng, db, gen.CFDParams{Num: 20 + rng.Intn(30), LHSMin: 1, LHSMax: 2, VarPct: 80 + rng.Intn(20)})
@@ -342,83 +231,67 @@ func denseSpec(rng *rand.Rand) (*rel.DBSchema, *algebra.SPC, []*cfd.CFD) {
 	return db, view, sigma
 }
 
-// rbrInput returns what propSPCTail hands RBR for (db, view, Σ): the
-// workspace universe, the domain-reduced view CFDs and the attributes to
-// eliminate. Σ is covered per relation first (Fig. 2 line 1) when line1 is
-// set, and passed through as SkipPreMinCover passes it otherwise. ok is
-// false when EQ is inconsistent, where RBR does not run.
-func rbrInput(t testing.TB, db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD, line1 bool) (u implication.Universe, reduced []*cfd.CFD, dropAttrs []string, ok bool) {
+// rbrInput compiles (db, view, Σ) for RBR: Σ is covered per relation first
+// (Fig. 2 line 1) when line1 is set, and passed through as SkipPreMinCover
+// passes it otherwise, then lines 5-6 and 2 run. Each reduce call on the
+// result returns a fresh Γ, the input of line 11. ok is false when EQ is
+// inconsistent, where RBR does not run.
+func rbrInput(t testing.TB, db *rel.DBSchema, view *algebra.SPC, sigma []*cfd.CFD, line1on bool) (r *tailRun, ok bool) {
 	t.Helper()
-	sigma = cfd.NormalizeAll(sigma)
-	if line1 {
-		var err error
-		if sigma, err = minCoverPerRelation(context.Background(), db, sigma, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sigmaV, err := renameToView(db, view, sigma)
+	r, err := compileTail(t, db, view).compile(line1(t, db, sigma, !line1on))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := ComputeEQ(view, sigmaV)
-	if err != nil {
+	if err := r.computeEQ(); err != nil {
 		t.Fatal(err)
 	}
-	if eq.Inconsistent {
-		return u, nil, nil, false
-	}
-	reduced, dropAttrs = reduceByEQ(view, eq, sigmaV)
-	return workspaceUniverse(db, view), reduced, dropAttrs, true
+	return r, !r.eq.inconsistent
 }
 
-// checkRBR runs runRBR and rescanRBR on one input and requires the same
-// members in the same order and the same Truncated flag. It returns the
-// flag.
-func checkRBR(t *testing.T, name string, u implication.Universe, gamma []*cfd.CFD, dropAttrs []string, cfg rbrConfig) bool {
+// checkRBR runs runRBR on Γ and rescanRBR on its members and requires the
+// same members in the same order and the same Truncated flag. It returns
+// the flag.
+func checkRBR(t *testing.T, name string, r *tailRun, drops []int32, cfg rbrConfig) bool {
 	t.Helper()
-	got, gotTrunc, err := runRBR(u, gamma, dropAttrs, cfg)
+	g := r.reduce()
+	gamma := r.cfds(g)
+	gotTrunc, err := runRBR(g, drops, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	want, wantTrunc, err := rescanRBR(u, gamma, dropAttrs, cfg)
-	if err != nil {
-		t.Fatalf("%s: oracle: %v", name, err)
+	got := r.cfds(g)
+	dropAttrs := make([]string, len(drops))
+	for i, p := range drops {
+		dropAttrs[i] = r.tv.names[p]
 	}
+	want, wantTrunc := rescanRBR(gamma, dropAttrs, cfg)
 	if gotTrunc != wantTrunc {
 		t.Errorf("%s: truncated %t, oracle %t", name, gotTrunc, wantTrunc)
 	}
-	if len(got) != len(want) {
-		t.Errorf("%s: %d CFDs, oracle %d", name, len(got), len(want))
-		return gotTrunc
-	}
-	for i := range got {
-		if got[i].String() != want[i].String() {
-			t.Errorf("%s: member %d is %s, oracle %s", name, i, got[i], want[i])
-			return gotTrunc
-		}
+	if i := firstDiff(got, want); i >= 0 {
+		t.Errorf("%s: %d CFDs, oracle %d; they first differ at %d:\n got: %v\nwant: %v", name, len(got), len(want), i, got, want)
 	}
 	return gotTrunc
 }
 
-// TestRBRMatchesRescan checks the occurrence-indexed RBR against the
-// rescan oracle, member by member and in order, plus Truncated. The inputs
-// are the RBR inputs of the Fig. 8 |Ec| 8–10 grid cells, drawn as
-// perfbench's cover workload draws them at pool seed 1, at the default
-// options; and those of seeded small specs under both drop orders, block
-// sizes {-1, 4, 8, 64} and MaxCoverSize 0 or the deduplicated input size,
-// and once with nothing to drop, where RBR only deduplicates.
-// The small specs are dense (one relation of 5–6 attributes, 20–49 CFDs
-// with LHS 1–2, var% 80–99) and skip line 1, so that resolution grows Γ:
-// block prunes then fire, and the bound truncates after Γ has grown past
-// its input.
+// TestRBRMatchesRescan checks the occurrence-indexed RBR on compiled items
+// against the rescan oracle on names and strings, member by member and in
+// order, plus Truncated. The inputs are the RBR inputs of the Fig. 8 |Ec|
+// 8–10 grid cells, drawn as perfbench's cover workload draws them at pool
+// seed 1, at the default options; and those of seeded small specs under
+// both drop orders and MaxCoverSize 0 or Γ's input size, and once with
+// nothing to drop, where RBR only deduplicates. The small specs are dense
+// (one relation of 5–6 attributes, 20–49 CFDs with LHS 1–2, var% 80–99)
+// and skip line 1, so that resolution grows Γ and the bound truncates
+// after Γ has grown past its input.
 func TestRBRMatchesRescan(t *testing.T) {
 	for ec := 8; ec <= 10; ec++ {
 		name, db, view, sigma := fig8Cell(ec)
-		u, reduced, dropAttrs, ok := rbrInput(t, db, view, sigma, true)
-		if !ok || len(dropAttrs) == 0 {
+		r, ok := rbrInput(t, db, view, sigma, true)
+		if !ok || len(r.tv.drops) == 0 {
 			t.Fatalf("%s: RBR does not run", name)
 		}
-		checkRBR(t, name, u, reduced, dropAttrs, rbrConfig{blockSize: rbrBlockSize, parallelism: optParallelism(Options{})})
+		checkRBR(t, name, r, r.tv.drops, rbrConfig{})
 	}
 
 	specs := 200
@@ -429,21 +302,18 @@ func TestRBRMatchesRescan(t *testing.T) {
 	runs, truncated := 0, 0
 	for s := 0; s < specs; s++ {
 		db, view, sigma := denseSpec(rng)
-		u, reduced, dropAttrs, ok := rbrInput(t, db, view, sigma, false)
+		r, ok := rbrInput(t, db, view, sigma, false)
 		if !ok {
 			continue
 		}
-		checkRBR(t, fmt.Sprintf("spec %d, nothing to drop", s), u, reduced, nil, rbrConfig{blockSize: rbrBlockSize})
+		checkRBR(t, fmt.Sprintf("spec %d, nothing to drop", s), r, nil, rbrConfig{})
 		for _, order := range []dropOrder{dropFewestOccurrences, dropSequential} {
-			for _, block := range []int{-1, 4, 8, 64} {
-				for _, maxCover := range []int{0, len(cfd.Dedup(reduced))} {
-					name := fmt.Sprintf("spec %d order %d block %d maxCover %d", s, order, block, maxCover)
-					cfg := rbrConfig{order: order, blockSize: block, maxCover: maxCover, parallelism: 2}
-					if checkRBR(t, name, u, reduced, dropAttrs, cfg) {
-						truncated++
-					}
-					runs++
+			for _, maxCover := range []int{0, r.reduce().n} {
+				name := fmt.Sprintf("spec %d order %d maxCover %d", s, order, maxCover)
+				if checkRBR(t, name, r, r.tv.drops, rbrConfig{order: order, maxCover: maxCover}) {
+					truncated++
 				}
+				runs++
 			}
 		}
 	}

@@ -23,8 +23,9 @@ const (
 // Session is the reusable implication engine: one compiled universe with
 // its per-position indexes, counters and pooled closure buffers, shared
 // across many queries and MinCover calls. Callers that issue repeated
-// implication work against the same relation — RBR's block-wise pruning,
-// the final MinCover, the closure-baseline comparisons, Equivalent —
+// implication work against the same relation — a cover's per-relation
+// MinCover, the final MinCover, the closure-baseline comparisons,
+// Equivalent —
 // should hold one Session instead of paying per-call compilation and
 // allocation. Sessions assume the infinite-domain setting of §4
 // (finite-domain attributes are tolerated: the test stays sound) and are

@@ -1,5 +1,5 @@
 // Package parutil holds the worker-pool primitive shared by the parallel
-// fan-outs (core's per-relation MinCover and RBR block pruning,
+// fan-outs (core's per-relation MinCover and
 // implication.ParallelMinCover's reduction and screen): n independent
 // items, a bounded worker count, an atomic cursor. Callers write results
 // into per-item slots, so output order never depends on scheduling; the

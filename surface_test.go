@@ -23,6 +23,8 @@ var surfaceAllowed = map[string]string{
 	"cfdprop/internal/sym.State.Restore":            "oracle: the chase's undo-journal tests compare Rewind against snapshots",
 	"cfdprop/internal/sym.State.Version":            "oracle: the reference chase in implication's tests detects its fixpoint by it",
 	"cfdprop/internal/cfd.DatabaseSatisfies":        "oracle: counterexample checks in other packages' tests",
+	"cfdprop/internal/cfd.Min":                      "oracle: core's string reference of the cover tail merges patterns under ⊕ with it",
+	"cfdprop/internal/cfd.CFD.Rename":               "oracle: core's string reference of the cover tail renames source CFDs along atoms with it",
 	"cfdprop/internal/algebra.SPC.Fragment":         "fixture: other packages' tests assert a view's fragment",
 	"cfdprop/internal/chase.Inst.Rows":              "oracle: propagation's tests read the chased instance",
 	"cfdprop/internal/rel.Instance.MustInsert":      "fixture: other packages' tests build instances with it",
